@@ -1,11 +1,18 @@
 """Network building blocks: conv bricks, C3 family, ghost and cross variants,
 global attention, pooling tail, and the detection head stub.
 
-A block is built in two phases. Construction wires the structure from config
-arguments alone, which is enough for shape inference, parameter manifests,
-and symbolic cost counting. `load` then binds actual weights (folding the
-norm affine into the convolution) so `forward` can run. Blocks never mutate
-their inputs and hold no state beyond weights, so forwards are pure.
+A block states its structure in `forward`, written in tensor kernels, and
+in `children`, the ordered named sub-units that own its parameters. The
+base `Block` derives the rest: output shapes and (macs, flops) from a
+`forward` over shape-only meta tensors under an isolated meter, and the
+parameter manifest, `load` and `param_count` from the child tree, whose
+leaves (conv units and linear layers) alone declare parameter shapes.
+
+Construction wires the structure from config arguments alone, which is
+enough for shapes, manifests and costs; `load` then binds actual weights
+(folding the norm affine into the convolution) so `forward` can run on
+real data. Blocks never mutate their inputs and hold no state beyond
+weights, so forwards are pure.
 
 Normalization is represented as a folded per-channel affine: a `norm.scale`
 multiplied into the conv weight at load time and a `norm.shift` applied as
@@ -14,10 +21,12 @@ affine over the raw convolution.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import meter
-from .errors import ConfigError, ShapeError, WeightError
+from .errors import ConfigError, ShapeError
 from .tensor import (ConvSpec, Tensor, add, concat_channels, conv2d, linear,
                      maxpool2d, mul, permute, relu, sigmoid, silu,
                      upsample_nearest)
@@ -53,6 +62,14 @@ class _ArgReader:
                 f"{self.kind}: unknown argument(s) {sorted(self.args)}")
 
 
+def _stand_in(shape: tuple[int, ...]) -> np.ndarray:
+    """Zero-stride read-only array: a parameter slot before `load` fills it."""
+    return np.broadcast_to(np.float32(0.0), shape)
+
+
+_ACTIVATIONS = {None: lambda y: y, "silu": silu, "relu": relu}
+
+
 class _Unit:
     """One convolution plus folded norm affine (or plain bias) plus activation."""
 
@@ -60,30 +77,28 @@ class _Unit:
                  act: str | None = "silu", norm: bool = True):
         kh, kw = _pair(k, "kernel")
         sh, sw = _pair(s, "stride")
-        if p is None:
-            ph, pw = kh // 2, kw // 2
-        else:
-            ph, pw = _pair(p, "padding")
-        if act not in (None, "silu", "relu"):
+        ph, pw = (kh // 2, kw // 2) if p is None else _pair(p, "padding")
+        if act not in _ACTIVATIONS:
             raise ConfigError(f"unsupported activation {act!r}")
         self.act = act
         self.norm = norm
         self.spec = ConvSpec(cin, cout, kh, kw, sh, sw, ph, pw, groups=g,
                              has_bias=True)
-        self.weight: Tensor | None = None
-        self.bias: np.ndarray | None = None
+        # a real input on an unloaded unit fails at the meta weight's .data
+        self.weight = Tensor.meta(self.spec.weight_shape())
+        self.bias = _stand_in((cout,))
 
     @property
-    def cout(self) -> int:
+    def out_channels(self) -> int:
         return self.spec.out_channels
 
     def param_specs(self, prefix: str) -> list[tuple[str, tuple[int, ...]]]:
         specs = [(f"{prefix}.conv.weight", self.spec.weight_shape())]
         if self.norm:
-            specs.append((f"{prefix}.norm.scale", (self.cout,)))
-            specs.append((f"{prefix}.norm.shift", (self.cout,)))
+            specs.append((f"{prefix}.norm.scale", (self.out_channels,)))
+            specs.append((f"{prefix}.norm.shift", (self.out_channels,)))
         else:
-            specs.append((f"{prefix}.conv.bias", (self.cout,)))
+            specs.append((f"{prefix}.conv.bias", (self.out_channels,)))
         return specs
 
     def load(self, getw, prefix: str) -> None:
@@ -96,40 +111,38 @@ class _Unit:
             self.weight = Tensor(w)
             self.bias = np.asarray(getw(f"{prefix}.conv.bias"), dtype=np.float32)
 
-    def forward(self, x: Tensor) -> Tensor:
-        if self.weight is None:
-            raise WeightError("unit used before weights were loaded")
-        y = conv2d(x, self.spec, self.weight, self.bias)
-        if self.act == "silu":
-            return silu(y)
-        if self.act == "relu":
-            return relu(y)
-        return y
+    def __call__(self, x: Tensor) -> Tensor:
+        return _ACTIVATIONS[self.act](conv2d(x, self.spec, self.weight, self.bias))
 
-    def out_shape(self, shp: Shape) -> Shape:
-        n, c, h, w = shp
-        if c != self.spec.in_channels:
-            raise ShapeError(
-                f"unit expects {self.spec.in_channels} input channels, got {c}")
-        oh, ow = self.spec.out_hw(h, w)
-        return (n, self.cout, oh, ow)
 
-    def cost(self, shp: Shape) -> tuple[int, int]:
-        n, c, h, w = shp
-        oh, ow = self.spec.out_hw(h, w)
-        macs, flops = meter.conv_cost(
-            n, self.cout, self.spec.in_channels // self.spec.groups,
-            self.spec.kernel_h, self.spec.kernel_w, oh, ow, bias=True)
-        if self.act is not None:
-            flops += meter.elementwise_cost(self.act, n * self.cout * oh * ow)
-        return macs, flops
+class _Linear:
+    """Fully connected layer applied at every position of a channels-last tensor."""
+
+    def __init__(self, fin: int, fout: int):
+        self.shape = (fout, fin)
+        self.weight = _stand_in(self.shape)
+        self.bias = _stand_in((fout,))
+
+    def param_specs(self, prefix: str) -> list[tuple[str, tuple[int, ...]]]:
+        return [(f"{prefix}.weight", self.shape),
+                (f"{prefix}.bias", self.shape[:1])]
+
+    def load(self, getw, prefix: str) -> None:
+        self.weight = np.asarray(getw(f"{prefix}.weight"), dtype=np.float32)
+        self.bias = np.asarray(getw(f"{prefix}.bias"), dtype=np.float32)
+
+    def __call__(self, x: Tensor) -> Tensor:
+        return linear(x, self.weight, self.bias)
 
 
 class Block:
-    """Interface shared by every layer kind."""
+    """Interface shared by every layer kind.
+
+    Subclasses write `__init__`, `out_channels`, `forward` and, when they
+    own parameters, `children`; shapes, costs and the manifest follow.
+    """
 
     KIND = ""
-    MULTI_INPUT = False
 
     def __init__(self, in_channels: list[int], args: dict):
         raise NotImplementedError
@@ -138,24 +151,42 @@ class Block:
     def out_channels(self) -> int:
         raise NotImplementedError
 
-    def param_specs(self, prefix: str) -> list[tuple[str, tuple[int, ...]]]:
+    def children(self) -> list[tuple[str, object]]:
+        """(path segment, child) pairs in manifest order; "" is the block's own path."""
         return []
 
+    def param_specs(self, prefix: str) -> list[tuple[str, tuple[int, ...]]]:
+        return [spec for name, child in self.children()
+                for spec in child.param_specs(f"{prefix}.{name}" if name else prefix)]
+
     def load(self, getw, prefix: str) -> None:
-        pass
+        for name, child in self.children():
+            child.load(getw, f"{prefix}.{name}" if name else prefix)
+
+    def param_count(self) -> int:
+        return sum(math.prod(s) for _, s in self.param_specs(""))
 
     def forward(self, xs: list[Tensor]) -> Tensor:
         raise NotImplementedError
 
-    def out_shape(self, shapes: list[Shape]) -> Shape:
-        raise NotImplementedError
+    def __call__(self, x: Tensor) -> Tensor:
+        """Single-input shorthand, used where a block is another block's child."""
+        return self.forward([x])
+
+    def _meta_forward(self, shapes: list[Shape]):
+        with meter.isolated() as m:
+            out = self.forward([Tensor.meta(s) for s in shapes])
+        return out, m
+
+    def out_shape(self, shapes: list[Shape]) -> Shape | list[Shape]:
+        """Output shape at the given input shapes (one per map for Detect)."""
+        out, _ = self._meta_forward(shapes)
+        return [t.shape for t in out] if isinstance(out, list) else out.shape
 
     def cost(self, shapes: list[Shape]) -> tuple[int, int]:
         """(macs, flops) for one forward at the given input shapes."""
-        return (0, 0)
-
-    def param_count(self) -> int:
-        return sum(int(np.prod(s)) for _, s in self.param_specs(""))
+        _, m = self._meta_forward(shapes)
+        return m.macs, m.flops
 
 
 def _single(in_channels: list[int], kind: str) -> int:
@@ -183,25 +214,40 @@ class ConvBNAct(Block):
 
     @property
     def out_channels(self) -> int:
-        return self.unit.cout
+        return self.unit.out_channels
 
-    def param_specs(self, prefix):
-        return self.unit.param_specs(prefix)
-
-    def load(self, getw, prefix):
-        self.unit.load(getw, prefix)
+    def children(self):
+        return [("", self.unit)]
 
     def forward(self, xs):
-        return self.unit.forward(xs[0])
-
-    def out_shape(self, shapes):
-        return self.unit.out_shape(shapes[0])
-
-    def cost(self, shapes):
-        return self.unit.cost(shapes[0])
+        return self.unit(xs[0])
 
 
-class Bottleneck(Block):
+class _Residual(Block):
+    """cv1 then cv2, plus the input when `add` holds (same shape out as in).
+
+    The one residual sequence behind Bottleneck, CrossConv and the cross
+    bottleneck inside C3CrossConv, whose cv2 is itself a CrossConv.
+    """
+
+    def __init__(self, cv1, cv2, add: bool):
+        self.cv1 = cv1
+        self.cv2 = cv2
+        self.add = add
+
+    @property
+    def out_channels(self) -> int:
+        return self.cv2.out_channels
+
+    def children(self):
+        return [("cv1", self.cv1), ("cv2", self.cv2)]
+
+    def forward(self, xs):
+        y = self.cv2(self.cv1(xs[0]))
+        return add(xs[0], y) if self.add else y
+
+
+class Bottleneck(_Residual):
     """1x1 reduce then 3x3, with an additive shortcut when shapes allow."""
 
     KIND = "Bottleneck"
@@ -216,38 +262,11 @@ class Bottleneck(Block):
         hidden = int(cout * e)
         if hidden < 1:
             raise ConfigError(f"Bottleneck hidden width {hidden} must be >= 1")
-        self.cv1 = _Unit(cin, hidden, k=1)
-        self.cv2 = _Unit(hidden, cout, k=3)
-        self.add = bool(shortcut) and cin == cout
-
-    @property
-    def out_channels(self) -> int:
-        return self.cv2.cout
-
-    def param_specs(self, prefix):
-        return self.cv1.param_specs(f"{prefix}.cv1") + self.cv2.param_specs(f"{prefix}.cv2")
-
-    def load(self, getw, prefix):
-        self.cv1.load(getw, f"{prefix}.cv1")
-        self.cv2.load(getw, f"{prefix}.cv2")
-
-    def forward(self, xs):
-        y = self.cv2.forward(self.cv1.forward(xs[0]))
-        return add(xs[0], y) if self.add else y
-
-    def out_shape(self, shapes):
-        return self.cv2.out_shape(self.cv1.out_shape(shapes[0]))
-
-    def cost(self, shapes):
-        mid = self.cv1.out_shape(shapes[0])
-        m1, f1 = self.cv1.cost(shapes[0])
-        m2, f2 = self.cv2.cost(mid)
-        out = self.cv2.out_shape(mid)
-        extra = meter.elementwise_cost("add", int(np.prod(out))) if self.add else 0
-        return m1 + m2, f1 + f2 + extra
+        super().__init__(_Unit(cin, hidden, k=1), _Unit(hidden, cout, k=3),
+                         bool(shortcut) and cin == cout)
 
 
-class CrossConv(Block):
+class CrossConv(_Residual):
     """Separable 1xk then kx1 pair replacing one square kxk convolution.
 
     The horizontal conv always runs at stride 1; any downsampling stride
@@ -266,86 +285,15 @@ class CrossConv(Block):
         shortcut = rd.take("shortcut", False)
         rd.finish()
         hidden = int(cout * e)
-        self.cv1 = _Unit(cin, hidden, k=(1, k), s=(1, 1), p=(0, k // 2))
-        self.cv2 = _Unit(hidden, cout, k=(k, 1), s=(s, s), p=(k // 2, 0))
-        self.add = bool(shortcut) and cin == cout and s == 1
-
-    @property
-    def out_channels(self) -> int:
-        return self.cv2.cout
-
-    def param_specs(self, prefix):
-        return self.cv1.param_specs(f"{prefix}.cv1") + self.cv2.param_specs(f"{prefix}.cv2")
-
-    def load(self, getw, prefix):
-        self.cv1.load(getw, f"{prefix}.cv1")
-        self.cv2.load(getw, f"{prefix}.cv2")
-
-    def forward(self, xs):
-        y = self.cv2.forward(self.cv1.forward(xs[0]))
-        return add(xs[0], y) if self.add else y
-
-    def out_shape(self, shapes):
-        return self.cv2.out_shape(self.cv1.out_shape(shapes[0]))
-
-    def cost(self, shapes):
-        mid = self.cv1.out_shape(shapes[0])
-        m1, f1 = self.cv1.cost(shapes[0])
-        m2, f2 = self.cv2.cost(mid)
-        out = self.cv2.out_shape(mid)
-        extra = meter.elementwise_cost("add", int(np.prod(out))) if self.add else 0
-        return m1 + m2, f1 + f2 + extra
-
-
-class _CrossBottleneck(Block):
-    """Bottleneck with its 3x3 conv swapped for a CrossConv pair."""
-
-    KIND = "_CrossBottleneck"
-
-    def __init__(self, in_channels: list[int], args: dict):
-        cin = _single(in_channels, self.KIND)
-        rd = _ArgReader(self.KIND, args)
-        cout = rd.take("out", required=True)
-        shortcut = rd.take("shortcut", True)
-        rd.finish()
-        self.cv1 = _Unit(cin, cout, k=1)
-        self.cv2 = CrossConv([cout], {"out": cout, "k": 3, "s": 1})
-        self.add = bool(shortcut) and cin == cout
-
-    @property
-    def out_channels(self) -> int:
-        return self.cv2.out_channels
-
-    def param_specs(self, prefix):
-        return (self.cv1.param_specs(f"{prefix}.cv1")
-                + self.cv2.param_specs(f"{prefix}.cv2"))
-
-    def load(self, getw, prefix):
-        self.cv1.load(getw, f"{prefix}.cv1")
-        self.cv2.load(getw, f"{prefix}.cv2")
-
-    def forward(self, xs):
-        y = self.cv2.forward([self.cv1.forward(xs[0])])
-        return add(xs[0], y) if self.add else y
-
-    def out_shape(self, shapes):
-        return self.cv2.out_shape([self.cv1.out_shape(shapes[0])])
-
-    def cost(self, shapes):
-        mid = self.cv1.out_shape(shapes[0])
-        m1, f1 = self.cv1.cost(shapes[0])
-        m2, f2 = self.cv2.cost([mid])
-        out = self.cv2.out_shape([mid])
-        extra = meter.elementwise_cost("add", int(np.prod(out))) if self.add else 0
-        return m1 + m2, f1 + f2 + extra
+        super().__init__(_Unit(cin, hidden, k=(1, k), s=(1, 1), p=(0, k // 2)),
+                         _Unit(hidden, cout, k=(k, 1), s=(s, s), p=(k // 2, 0)),
+                         bool(shortcut) and cin == cout and s == 1)
 
 
 class _C3Base(Block):
     """Two 1x1 branches, a stack of inner units on one of them, concat, 1x1 out."""
 
-    KIND = "_C3Base"
-
-    def _init_common(self, in_channels: list[int], args: dict):
+    def __init__(self, in_channels: list[int], args: dict):
         cin = _single(in_channels, self.KIND)
         rd = _ArgReader(self.KIND, args)
         cout = rd.take("out", required=True)
@@ -368,58 +316,22 @@ class _C3Base(Block):
 
     @property
     def out_channels(self) -> int:
-        return self.cv3.cout
+        return self.cv3.out_channels
 
-    def param_specs(self, prefix):
-        specs = self.cv1.param_specs(f"{prefix}.cv1")
-        specs += self.cv2.param_specs(f"{prefix}.cv2")
-        for i, blk in enumerate(self.m):
-            specs += blk.param_specs(f"{prefix}.m{i}")
-        specs += self.cv3.param_specs(f"{prefix}.cv3")
-        return specs
-
-    def load(self, getw, prefix):
-        self.cv1.load(getw, f"{prefix}.cv1")
-        self.cv2.load(getw, f"{prefix}.cv2")
-        for i, blk in enumerate(self.m):
-            blk.load(getw, f"{prefix}.m{i}")
-        self.cv3.load(getw, f"{prefix}.cv3")
+    def children(self):
+        return [("cv1", self.cv1), ("cv2", self.cv2),
+                *((f"m{i}", blk) for i, blk in enumerate(self.m)), ("cv3", self.cv3)]
 
     def forward(self, xs):
-        y1 = self.cv1.forward(xs[0])
+        y1 = self.cv1(xs[0])
         for blk in self.m:
-            y1 = blk.forward([y1])
-        y2 = self.cv2.forward(xs[0])
-        return self.cv3.forward(concat_channels([y1, y2]))
-
-    def out_shape(self, shapes):
-        shp = self.cv1.out_shape(shapes[0])
-        for blk in self.m:
-            shp = blk.out_shape([shp])
-        n, c, h, w = shp
-        return self.cv3.out_shape((n, 2 * c, h, w))
-
-    def cost(self, shapes):
-        macs, flops = self.cv1.cost(shapes[0])
-        shp = self.cv1.out_shape(shapes[0])
-        for blk in self.m:
-            m, f = blk.cost([shp])
-            macs += m
-            flops += f
-            shp = blk.out_shape([shp])
-        m, f = self.cv2.cost(shapes[0])
-        macs += m
-        flops += f
-        n, c, h, w = shp
-        m, f = self.cv3.cost((n, 2 * c, h, w))
-        return macs + m, flops + f
+            y1 = blk(y1)
+        y2 = self.cv2(xs[0])
+        return self.cv3(concat_channels([y1, y2]))
 
 
 class C3(_C3Base):
     KIND = "C3"
-
-    def __init__(self, in_channels, args):
-        self._init_common(in_channels, args)
 
     def _inner(self, hidden, shortcut):
         return Bottleneck([hidden], {"out": hidden, "shortcut": shortcut, "e": 1.0})
@@ -430,11 +342,10 @@ class C3CrossConv(_C3Base):
 
     KIND = "C3CrossConv"
 
-    def __init__(self, in_channels, args):
-        self._init_common(in_channels, args)
-
     def _inner(self, hidden, shortcut):
-        return _CrossBottleneck([hidden], {"out": hidden, "shortcut": shortcut})
+        return _Residual(_Unit(hidden, hidden, k=1),
+                         CrossConv([hidden], {"out": hidden, "k": 3, "s": 1}),
+                         shortcut)
 
 
 class GhostConv(Block):
@@ -458,33 +369,17 @@ class GhostConv(Block):
         half = cout // 2
         self.primary = _Unit(cin, half, k=k, s=s, act=act)
         self.cheap = _Unit(half, half, k=5, s=1, p=2, g=half, act=act)
-        self._cout = cout
 
     @property
     def out_channels(self) -> int:
-        return self._cout
+        return 2 * self.primary.out_channels
 
-    def param_specs(self, prefix):
-        return (self.primary.param_specs(f"{prefix}.primary")
-                + self.cheap.param_specs(f"{prefix}.cheap"))
-
-    def load(self, getw, prefix):
-        self.primary.load(getw, f"{prefix}.primary")
-        self.cheap.load(getw, f"{prefix}.cheap")
+    def children(self):
+        return [("primary", self.primary), ("cheap", self.cheap)]
 
     def forward(self, xs):
-        y = self.primary.forward(xs[0])
-        return concat_channels([y, self.cheap.forward(y)])
-
-    def out_shape(self, shapes):
-        n, c, h, w = self.primary.out_shape(shapes[0])
-        return (n, self._cout, h, w)
-
-    def cost(self, shapes):
-        mid = self.primary.out_shape(shapes[0])
-        m1, f1 = self.primary.cost(shapes[0])
-        m2, f2 = self.cheap.cost(mid)
-        return m1 + m2, f1 + f2
+        y = self.primary(xs[0])
+        return concat_channels([y, self.cheap(y)])
 
 
 class GhostBottleneck(Block):
@@ -511,86 +406,33 @@ class GhostBottleneck(Block):
         hidden = cout // 2
         self.stride = s
         self.g1 = GhostConv([cin], {"out": hidden, "act": "silu"})
-        self.dw = _Unit(hidden, hidden, k=3, s=2, g=hidden, act=None) if s == 2 else None
         self.g2 = GhostConv([hidden], {"out": cout, "act": None})
         if s == 2:
+            self.dw = _Unit(hidden, hidden, k=3, s=2, g=hidden, act=None)
             self.sc_dw = _Unit(cin, cin, k=3, s=2, g=cin, act=None)
             self.sc_pw = _Unit(cin, cout, k=1, act=None)
-        else:
-            self.sc_dw = None
-            self.sc_pw = None
 
     @property
     def out_channels(self) -> int:
         return self.g2.out_channels
 
-    def param_specs(self, prefix):
-        specs = self.g1.param_specs(f"{prefix}.g1")
-        if self.dw is not None:
-            specs += self.dw.param_specs(f"{prefix}.dw")
-        specs += self.g2.param_specs(f"{prefix}.g2")
-        if self.sc_dw is not None:
-            specs += self.sc_dw.param_specs(f"{prefix}.sc_dw")
-            specs += self.sc_pw.param_specs(f"{prefix}.sc_pw")
-        return specs
-
-    def load(self, getw, prefix):
-        self.g1.load(getw, f"{prefix}.g1")
-        if self.dw is not None:
-            self.dw.load(getw, f"{prefix}.dw")
-        self.g2.load(getw, f"{prefix}.g2")
-        if self.sc_dw is not None:
-            self.sc_dw.load(getw, f"{prefix}.sc_dw")
-            self.sc_pw.load(getw, f"{prefix}.sc_pw")
+    def children(self):
+        if self.stride == 1:
+            return [("g1", self.g1), ("g2", self.g2)]
+        return [("g1", self.g1), ("dw", self.dw), ("g2", self.g2),
+                ("sc_dw", self.sc_dw), ("sc_pw", self.sc_pw)]
 
     def forward(self, xs):
         x = xs[0]
-        y = self.g1.forward([x])
-        if self.dw is not None:
-            y = self.dw.forward(y)
-        y = self.g2.forward([y])
         if self.stride == 1:
-            return add(x, y)
-        short = self.sc_pw.forward(self.sc_dw.forward(x))
-        return add(short, y)
-
-    def out_shape(self, shapes):
-        shp = self.g1.out_shape(shapes)
-        if self.dw is not None:
-            shp = self.dw.out_shape(shp)
-        return self.g2.out_shape([shp])
-
-    def cost(self, shapes):
-        macs, flops = self.g1.cost(shapes)
-        shp = self.g1.out_shape(shapes)
-        if self.dw is not None:
-            m, f = self.dw.cost(shp)
-            macs += m
-            flops += f
-            shp = self.dw.out_shape(shp)
-        m, f = self.g2.cost([shp])
-        macs += m
-        flops += f
-        out = self.g2.out_shape([shp])
-        if self.stride == 2:
-            m, f = self.sc_dw.cost(shapes[0])
-            macs += m
-            flops += f
-            mid = self.sc_dw.out_shape(shapes[0])
-            m, f = self.sc_pw.cost(mid)
-            macs += m
-            flops += f
-        flops += meter.elementwise_cost("add", int(np.prod(out)))
-        return macs, flops
+            return add(x, self.g2(self.g1(x)))
+        return add(self.sc_pw(self.sc_dw(x)), self.g2(self.dw(self.g1(x))))
 
 
 class C3Ghost(_C3Base):
     """C3 with ghost bottlenecks on the processed branch."""
 
     KIND = "C3Ghost"
-
-    def __init__(self, in_channels, args):
-        self._init_common(in_channels, args)
 
     def _inner(self, hidden, shortcut):
         return GhostBottleneck([hidden], {"out": hidden, "s": 1})
@@ -625,85 +467,30 @@ class GAM(Block):
                 f"GAM spatial_groups {groups} must divide both channels {cin} "
                 f"and reduced channels {hidden}")
         self.cin = cin
-        self.hidden = hidden
         self.residual = bool(residual)
+        self.fc1 = _Linear(cin, hidden)
+        self.fc2 = _Linear(hidden, cin)
         self.sconv1 = _Unit(cin, hidden, k=7, p=3, g=groups, act="relu", norm=False)
         self.sconv2 = _Unit(hidden, cin, k=7, p=3, g=groups, act=None, norm=False)
-        self.fc1_w = None
-        self.fc1_b = None
-        self.fc2_w = None
-        self.fc2_b = None
 
     @property
     def out_channels(self) -> int:
         return self.cin
 
-    def param_specs(self, prefix):
-        c, h = self.cin, self.hidden
-        return [
-            (f"{prefix}.fc1.weight", (h, c)),
-            (f"{prefix}.fc1.bias", (h,)),
-            (f"{prefix}.fc2.weight", (c, h)),
-            (f"{prefix}.fc2.bias", (c,)),
-        ] + self.sconv1.param_specs(f"{prefix}.sconv1") \
-          + self.sconv2.param_specs(f"{prefix}.sconv2")
-
-    def load(self, getw, prefix):
-        self.fc1_w = np.asarray(getw(f"{prefix}.fc1.weight"), dtype=np.float32)
-        self.fc1_b = np.asarray(getw(f"{prefix}.fc1.bias"), dtype=np.float32)
-        self.fc2_w = np.asarray(getw(f"{prefix}.fc2.weight"), dtype=np.float32)
-        self.fc2_b = np.asarray(getw(f"{prefix}.fc2.bias"), dtype=np.float32)
-        self.sconv1.load(getw, f"{prefix}.sconv1")
-        self.sconv2.load(getw, f"{prefix}.sconv2")
+    def children(self):
+        return [("fc1", self.fc1), ("fc2", self.fc2),
+                ("sconv1", self.sconv1), ("sconv2", self.sconv2)]
 
     def forward(self, xs):
         x = xs[0]
-        n, c, h, w = x.shape
-        if c != self.cin:
-            raise ShapeError(f"GAM built for {self.cin} channels, got {c}")
-        channels_last = permute(x, (0, 2, 3, 1))
-        mat = channels_last.data.reshape(n * h * w, c)
-        hid = linear(mat, self.fc1_w, self.fc1_b)
-        hid = np.maximum(hid, 0.0)
-        meter.record("relu", 0, meter.elementwise_cost("relu", hid.size))
-        att = linear(hid, self.fc2_w, self.fc2_b)
-        att_t = permute(Tensor(att.reshape(n, h, w, c)), (0, 3, 1, 2))
-        channel_gate = sigmoid(att_t)
+        if x.c != self.cin:
+            raise ShapeError(f"GAM built for {self.cin} channels, got {x.c}")
+        hid = relu(self.fc1(permute(x, (0, 2, 3, 1))))
+        channel_gate = sigmoid(permute(self.fc2(hid), (0, 3, 1, 2)))
         gated = mul(x, channel_gate)
-        s = self.sconv2.forward(self.sconv1.forward(gated))
-        spatial_gate = sigmoid(s)
+        spatial_gate = sigmoid(self.sconv2(self.sconv1(gated)))
         out = mul(gated, spatial_gate)
         return add(x, out) if self.residual else out
-
-    def out_shape(self, shapes):
-        n, c, h, w = shapes[0]
-        if c != self.cin:
-            raise ShapeError(f"GAM built for {self.cin} channels, got {c}")
-        return shapes[0]
-
-    def cost(self, shapes):
-        n, c, h, w = shapes[0]
-        numel = n * c * h * w
-        rows = n * h * w
-        macs, flops = meter.linear_cost(rows, c, self.hidden, bias=True)
-        flops += meter.elementwise_cost("relu", rows * self.hidden)
-        m, f = meter.linear_cost(rows, self.hidden, c, bias=True)
-        macs += m
-        flops += f
-        flops += meter.elementwise_cost("sigmoid", numel)
-        flops += meter.elementwise_cost("mul", numel)
-        m, f = self.sconv1.cost(shapes[0])
-        macs += m
-        flops += f
-        mid = self.sconv1.out_shape(shapes[0])
-        m, f = self.sconv2.cost(mid)
-        macs += m
-        flops += f
-        flops += meter.elementwise_cost("sigmoid", numel)
-        flops += meter.elementwise_cost("mul", numel)
-        if self.residual:
-            flops += meter.elementwise_cost("add", numel)
-        return macs, flops
 
 
 class SPPF(Block):
@@ -728,32 +515,17 @@ class SPPF(Block):
 
     @property
     def out_channels(self) -> int:
-        return self.cv2.cout
+        return self.cv2.out_channels
 
-    def param_specs(self, prefix):
-        return self.cv1.param_specs(f"{prefix}.cv1") + self.cv2.param_specs(f"{prefix}.cv2")
-
-    def load(self, getw, prefix):
-        self.cv1.load(getw, f"{prefix}.cv1")
-        self.cv2.load(getw, f"{prefix}.cv2")
+    def children(self):
+        return [("cv1", self.cv1), ("cv2", self.cv2)]
 
     def forward(self, xs):
-        y0 = self.cv1.forward(xs[0])
+        y0 = self.cv1(xs[0])
         y1 = maxpool2d(y0, self.k, 1, self.k // 2)
         y2 = maxpool2d(y1, self.k, 1, self.k // 2)
         y3 = maxpool2d(y2, self.k, 1, self.k // 2)
-        return self.cv2.forward(concat_channels([y0, y1, y2, y3]))
-
-    def out_shape(self, shapes):
-        n, c, h, w = self.cv1.out_shape(shapes[0])
-        return self.cv2.out_shape((n, 4 * c, h, w))
-
-    def cost(self, shapes):
-        macs, flops = self.cv1.cost(shapes[0])
-        n, c, h, w = self.cv1.out_shape(shapes[0])
-        flops += 3 * meter.maxpool_cost(n * c * h * w, self.k, self.k)
-        m, f = self.cv2.cost((n, 4 * c, h, w))
-        return macs + m, flops + f
+        return self.cv2(concat_channels([y0, y1, y2, y3]))
 
 
 class Upsample(Block):
@@ -777,20 +549,14 @@ class Upsample(Block):
     def forward(self, xs):
         return upsample_nearest(xs[0], self.factor)
 
-    def out_shape(self, shapes):
-        n, c, h, w = shapes[0]
-        return (n, c, h * self.factor, w * self.factor)
-
 
 class Concat(Block):
     """Channel concatenation of every listed source layer."""
 
     KIND = "Concat"
-    MULTI_INPUT = True
 
     def __init__(self, in_channels: list[int], args: dict):
-        rd = _ArgReader(self.KIND, args)
-        rd.finish()
+        _ArgReader(self.KIND, args).finish()
         if len(in_channels) < 2:
             raise ConfigError(f"Concat needs >= 2 inputs, got {len(in_channels)}")
         self.cins = list(in_channels)
@@ -802,15 +568,6 @@ class Concat(Block):
     def forward(self, xs):
         return concat_channels(xs)
 
-    def out_shape(self, shapes):
-        n, c, h, w = shapes[0]
-        for i, shp in enumerate(shapes[1:], start=1):
-            if (shp[0], shp[2], shp[3]) != (n, h, w):
-                raise ShapeError(
-                    f"Concat input {i} has (n, H, W) = {(shp[0], shp[2], shp[3])}, "
-                    f"expected {(n, h, w)}; sources must share spatial size")
-        return (n, sum(s[1] for s in shapes), h, w)
-
 
 class Detect(Block):
     """Per-scale 1x1 output convolutions emitting raw prediction maps.
@@ -821,7 +578,6 @@ class Detect(Block):
     """
 
     KIND = "Detect"
-    MULTI_INPUT = True
 
     def __init__(self, in_channels: list[int], args: dict):
         rd = _ArgReader(self.KIND, args)
@@ -829,44 +585,22 @@ class Detect(Block):
         rd.finish()
         if nc < 1:
             raise ConfigError(f"Detect needs >= 1 class, got {nc}")
-        self.nc = nc
         self.per_scale = 3 * (5 + nc)
-        self.units = [_Unit(cin, self.per_scale, k=1, act=None, norm=False)
-                      for cin in in_channels]
+        self.m = [_Unit(cin, self.per_scale, k=1, act=None, norm=False)
+                  for cin in in_channels]
 
     @property
     def out_channels(self) -> int:
         return self.per_scale
 
-    def param_specs(self, prefix):
-        specs = []
-        for i, u in enumerate(self.units):
-            specs += u.param_specs(f"{prefix}.m{i}")
-        return specs
-
-    def load(self, getw, prefix):
-        for i, u in enumerate(self.units):
-            u.load(getw, f"{prefix}.m{i}")
+    def children(self):
+        return [(f"m{i}", u) for i, u in enumerate(self.m)]
 
     def forward(self, xs) -> list[Tensor]:
-        if len(xs) != len(self.units):
+        if len(xs) != len(self.m):
             raise ShapeError(
-                f"Detect built for {len(self.units)} scales, got {len(xs)} inputs")
-        return [u.forward(x) for u, x in zip(self.units, xs)]
-
-    def out_shapes(self, shapes: list[Shape]) -> list[Shape]:
-        return [u.out_shape(s) for u, s in zip(self.units, shapes)]
-
-    def out_shape(self, shapes):
-        raise ConfigError("Detect emits one map per scale; use out_shapes")
-
-    def cost(self, shapes):
-        macs = flops = 0
-        for u, s in zip(self.units, shapes):
-            m, f = u.cost(s)
-            macs += m
-            flops += f
-        return macs, flops
+                f"Detect built for {len(self.m)} scales, got {len(xs)} inputs")
+        return [u(x) for u, x in zip(self.m, xs)]
 
 
 BLOCKS: dict[str, type[Block]] = {

@@ -1,11 +1,13 @@
 """Symbolic cost analysis over the layer graph, plus closed-form estimates.
 
-The analyzer walks a built model's shape-inference rules and sums each
-block's declared cost; nothing is executed. The instrumented route
-(count_empirical) runs the real forward pass under a CostMeter. Both
-routes read the same per-operation price table (see yolotla.meter), so
-they must agree exactly; the test suite and the acceptance gate check
-that equality block by block and on truncated models.
+The analyzer runs the model's one graph walk over a shape-only (meta)
+input with a CostMeter per layer: every kernel prices itself from the
+table in yolotla.meter without computing anything. The instrumented
+route (count_empirical) runs the same walk on real zeros under one
+meter. The two must agree exactly, which the test suite and the
+acceptance gate check block by block and on truncated models; the
+independent check is a real run through the loop-nest `conv2d_naive`,
+which tallies the multiply-accumulates it actually executes.
 
 Counting convention, stated wherever totals are reported: one
 multiply-accumulate costs 2 FLOPs; a biased layer adds one addition per
@@ -90,61 +92,49 @@ class CostReport:
         }
 
 
-def _check_truncate(model: Model, truncate) -> int:
+def _check_truncate(model: Model, truncate) -> None:
     n = len(model.blocks)
-    if truncate is None:
-        return n
-    if not 1 <= truncate <= n:
+    if truncate is not None and not 1 <= truncate <= n:
         raise ConfigError(
             f"truncate must be within 1..{n}, got {truncate}")
-    return truncate
 
 
 def analyze(model: Model, input_hw=(640, 640), truncate=None) -> CostReport:
-    """Price every layer symbolically for the given input size."""
-    n = _check_truncate(model, truncate)
+    """Price every layer for the given input size by a shape-only walk."""
+    _check_truncate(model, truncate)
     h, w = input_hw
     input_shape = (1, INPUT_CHANNELS, int(h), int(w))
-    shapes: list[tuple[int, int, int, int]] = []
     rows: list[LayerCost] = []
-    for spec, block in zip(model.config.layers[:n], model.blocks[:n]):
-        ins = ([input_shape] if spec.index == 0
-               else [shapes[s] for s in spec.sources])
-        out = block.out_shape(ins)
-        macs, flops = block.cost(ins)
-        rows.append(LayerCost(spec.index, spec.kind, spec.sources, out,
-                              block.param_count(), macs, flops))
-        shapes.append(out)
-    head = None
-    if truncate is None:
-        ins = [shapes[i] for i in model.detect_from]
-        macs, flops = model.detect.cost(ins)
-        out = model.detect.out_shapes(ins)[0]
-        head = LayerCost(n, "Detect", tuple(model.detect_from), out,
-                         model.detect.param_count(), macs, flops)
-    all_rows = rows + ([head] if head else [])
+
+    def step(index, block, ins):
+        with meter.isolated() as m:
+            out = block.forward(ins)
+        if block is model.detect:
+            kind, sources, shape = "Detect", model.detect_from, out[0].shape
+        else:
+            spec = model.config.layers[index]
+            kind, sources, shape = spec.kind, spec.sources, out.shape
+        rows.append(LayerCost(index, kind, tuple(sources), shape,
+                              block.param_count(), m.macs, m.flops))
+        return out
+
+    model.meta_walk(input_shape, upto=truncate, step=step)
+    n = len(model.blocks)
     return CostReport(
-        name=model.config.name, input_shape=input_shape, layers=tuple(rows),
-        head=head,
-        total_params=sum(r.params for r in all_rows),
-        total_macs=sum(r.macs for r in all_rows),
-        total_flops=sum(r.flops for r in all_rows))
+        name=model.config.name, input_shape=input_shape,
+        layers=tuple(rows[:n]), head=rows[n] if truncate is None else None,
+        total_params=sum(r.params for r in rows),
+        total_macs=sum(r.macs for r in rows),
+        total_flops=sum(r.flops for r in rows))
 
 
 def count_empirical(model: Model, input_hw=(640, 640), truncate=None):
     """Run the real forward pass under a meter; returns (macs, flops)."""
-    n = _check_truncate(model, truncate)
+    _check_truncate(model, truncate)
     h, w = input_hw
     x = Tensor(np.zeros((1, INPUT_CHANNELS, int(h), int(w)), np.float32))
     with meter.CostMeter() as m:
-        if truncate is None:
-            model.forward(x)
-        else:
-            cache: dict[int, Tensor] = {}
-            for spec, block in zip(model.config.layers[:n], model.blocks[:n]):
-                ins = ([x] if spec.index == 0
-                       else [cache[s] for s in spec.sources])
-                cache[spec.index] = block.forward(ins)
+        model.walk(x, upto=truncate)
     return m.macs, m.flops
 
 

@@ -37,6 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from . import blocks as _blocks
+from . import meter
 from .errors import ConfigError, ParseError, ShapeError, WeightError
 from .tensor import Tensor
 
@@ -236,6 +237,10 @@ def init_params(specs, seed: int) -> dict[str, np.ndarray]:
     return out
 
 
+def _forward_step(index: int, block: _blocks.Block, ins: list[Tensor]):
+    return block.forward(ins)
+
+
 class Model:
     """An executable layer graph plus its parameter store."""
 
@@ -267,7 +272,10 @@ class Model:
         self.detect_from = config.detect_from
         self.anchors = [np.array(row, dtype=np.float64)
                         for row in config.anchors]
-        self._keep = self._compute_keep()
+        # layer outputs the walk must hold: every source and every detect input
+        self._keep = set(config.detect_from) | {
+            s for spec in config.layers for s in spec.sources if s >= 0}
+        self.strides: tuple[int, ...] = ()
         self.strides = self._infer_strides()
         self.params = params if params is not None else init_params(
             self.param_specs(), seed)
@@ -275,37 +283,26 @@ class Model:
 
     # -- structure ---------------------------------------------------------
 
-    def _compute_keep(self) -> set[int]:
-        keep = set(self.detect_from)
-        for spec in self.config.layers:
-            for s in spec.sources:
-                if s >= 0:
-                    keep.add(s)
-        return keep
-
     def layer_out_shapes(self, input_shape) -> list[tuple[int, int, int, int]]:
         """Shape-infer every layer output for a given input shape."""
-        n, c, h, w = input_shape
-        if c != INPUT_CHANNELS:
-            raise ShapeError(
-                f"model expects {INPUT_CHANNELS} input channels, got {c}")
         shapes: list[tuple[int, int, int, int]] = []
-        for spec, block in zip(self.config.layers, self.blocks):
-            ins = ([tuple(input_shape)] if spec.index == 0
-                   else [shapes[s] for s in spec.sources])
-            shapes.append(block.out_shape(ins))
+
+        def step(index, block, ins):
+            out = block.forward(ins)
+            shapes.append(out.shape)
+            return out
+
+        self.meta_walk(input_shape, upto=len(self.blocks), step=step)
         return shapes
 
     def head_shapes(self, input_shape) -> list[tuple[int, int, int, int]]:
-        shapes = self.layer_out_shapes(input_shape)
-        return self.detect.out_shapes([shapes[i] for i in self.detect_from])
+        return [t.shape for t in self.meta_walk(input_shape)]
 
     def _infer_strides(self) -> tuple[int, ...]:
         side = REFERENCE_SIDE
-        shapes = self.layer_out_shapes((1, INPUT_CHANNELS, side, side))
         strides = []
-        for i in self.detect_from:
-            h = shapes[i][2]
+        for i, (_, _, h, _) in zip(self.detect_from,
+                                   self.head_shapes((1, INPUT_CHANNELS, side, side))):
             if side % h:
                 raise ConfigError(
                     f"detect layer {i} produces a {h}-row map at input "
@@ -348,25 +345,42 @@ class Model:
 
     # -- execution ---------------------------------------------------------
 
-    def forward(self, x: Tensor) -> list[Tensor]:
-        """Run the graph; returns one raw prediction map per detect scale."""
+    def walk(self, x: Tensor, upto: int | None = None, step=_forward_step):
+        """The one graph traversal: layers [0, upto), then the head's maps
+        if upto is None, else the last layer's output. A meta x makes it
+        shape-only. `step(index, block, ins)` runs each node in place of
+        `block.forward(ins)`; the head's index is len(self.blocks)."""
         n, c, h, w = x.shape
         if c != INPUT_CHANNELS:
             raise ShapeError(
                 f"model expects {INPUT_CHANNELS} input channels, got {c}")
-        max_stride = max(self.strides)
+        # strides are unknown only while __init__ infers them with a walk
+        max_stride = max(self.strides, default=1)
         if h % max_stride or w % max_stride:
             raise ShapeError(
                 f"input {h}x{w} must be divisible by the largest stride "
                 f"{max_stride}")
         cache: dict[int, Tensor] = {}
-        for spec, block in zip(self.config.layers, self.blocks):
+        for spec, block in zip(self.config.layers[:upto], self.blocks[:upto]):
             ins = ([x] if spec.index == 0
                    else [cache[s] for s in spec.sources])
-            out = block.forward(ins)
+            out = step(spec.index, block, ins)
             if spec.index in self._keep:
                 cache[spec.index] = out
-        return self.detect.forward([cache[i] for i in self.detect_from])
+        if upto is not None:
+            return out
+        return step(len(self.blocks), self.detect,
+                    [cache[i] for i in self.detect_from])
+
+    def meta_walk(self, input_shape, upto: int | None = None,
+                  step=_forward_step):
+        """`walk` over a shape-only input; records nothing to active meters."""
+        with meter.isolated():
+            return self.walk(Tensor.meta(input_shape), upto, step)
+
+    def forward(self, x: Tensor) -> list[Tensor]:
+        """Run the graph; returns one raw prediction map per detect scale."""
+        return self.walk(x)
 
     # -- weight files ------------------------------------------------------
 

@@ -1,10 +1,12 @@
-"""Operation cost bookkeeping shared by the analyzer and the executor.
+"""Operation cost bookkeeping: the one price table and the meters that tally it.
 
-There is exactly one table of per-primitive cost formulas. The static
-analyzer evaluates it over inferred shapes; the tensor kernels record it for
-the shapes they actually run. The two totals can therefore only diverge if
-shape inference and execution disagree, which is what the consistency tests
-are designed to catch.
+There is exactly one table of per-primitive cost formulas, and only the
+tensor kernels read it: each kernel records its price to every active
+CostMeter, whether it runs on real data or on shape-only (meta) tensors.
+The analyzer is a meta forward pass under a meter, so analyzed and
+executed totals agree by construction. The independent check is the
+loop-nest `conv2d_naive`, which tallies the multiply-accumulates it
+actually executes rather than reading this table.
 
 Counting convention (also stated in CLI reports):
   * convolution / matrix multiply: 2 FLOPs per multiply-accumulate,
@@ -16,6 +18,7 @@ Counting convention (also stated in CLI reports):
 from __future__ import annotations
 
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 _local = threading.local()
@@ -61,7 +64,9 @@ class CostMeter:
         return self
 
     def __exit__(self, *exc) -> None:
-        _stack().remove(self)
+        # By identity: dataclass equality matches any meter with equal tallies.
+        stack = _stack()
+        stack.pop(next(i for i, m in enumerate(stack) if m is self))
 
 
 def _stack() -> list:
@@ -69,6 +74,19 @@ def _stack() -> list:
     if stack is None:
         stack = _local.meters = []
     return stack
+
+
+@contextmanager
+def isolated():
+    """A fresh CostMeter for the block; meters already active receive
+    nothing from inside it, so inference never leaks into a measurement."""
+    saved = _stack()
+    _local.meters = []
+    try:
+        with CostMeter() as m:
+            yield m
+    finally:
+        _local.meters = saved
 
 
 def record(kind: str, macs: int, flops: int) -> None:

@@ -9,9 +9,17 @@ Convolution and matrix multiply accumulate in 64-bit before casting back to
 float32. That keeps the vectorized path and the loop-nest reference
 implementation numerically aligned to well under the 1e-5 tolerance the
 tests pin.
+
+Every kernel also accepts meta tensors (shape only, no array). It checks
+its arguments and records its cost to the active meters exactly as for
+real data, then returns a meta result, so a forward pass over meta inputs
+is shape inference and cost analysis in one. The loop-nest `conv2d_naive`
+is the exception: it is the independent oracle, so it has no meta path
+and tallies only the work it executes.
 """
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -26,41 +34,53 @@ TNS_MAGIC = b"TNS1"
 
 
 class Tensor:
-    """Dense (n, C, H, W) float32 array, treated as immutable once built."""
+    """Dense (n, C, H, W) float32 array, treated as immutable once built,
+    or a shape-only meta tensor whose `.data` raises (see `meta`)."""
 
-    __slots__ = ("data",)
+    __slots__ = ("_data", "shape")
 
     def __init__(self, data) -> None:
         arr = np.ascontiguousarray(data, dtype=np.float32)
-        if arr.ndim != 4:
-            raise ShapeError(f"tensor must have rank 4 (n, C, H, W), got rank {arr.ndim}")
-        if min(arr.shape) < 1:
-            raise ShapeError(f"every tensor dimension must be >= 1, got {tuple(arr.shape)}")
-        self.data = arr
+        self.shape = _checked_shape(arr.shape)
+        self._data = arr
+
+    @classmethod
+    def meta(cls, shape) -> "Tensor":
+        """A shape-only tensor for shape and cost inference."""
+        t = cls.__new__(cls)
+        t.shape = _checked_shape(tuple(shape))
+        t._data = None
+        return t
 
     @property
-    def shape(self) -> tuple[int, int, int, int]:
-        return tuple(self.data.shape)
+    def is_meta(self) -> bool:
+        return self._data is None
+
+    @property
+    def data(self) -> np.ndarray:
+        if self._data is None:
+            raise TypeError(f"meta tensor {self.shape} carries no data")
+        return self._data
 
     @property
     def n(self) -> int:
-        return self.data.shape[0]
+        return self.shape[0]
 
     @property
     def c(self) -> int:
-        return self.data.shape[1]
+        return self.shape[1]
 
     @property
     def h(self) -> int:
-        return self.data.shape[2]
+        return self.shape[2]
 
     @property
     def w(self) -> int:
-        return self.data.shape[3]
+        return self.shape[3]
 
     @property
     def numel(self) -> int:
-        return int(self.data.size)
+        return math.prod(self.shape)
 
     @classmethod
     def zeros(cls, n: int, c: int, h: int, w: int) -> "Tensor":
@@ -72,6 +92,14 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor{self.shape}"
+
+
+def _checked_shape(shape: tuple) -> tuple[int, int, int, int]:
+    if len(shape) != 4:
+        raise ShapeError(f"tensor must have rank 4 (n, C, H, W), got rank {len(shape)}")
+    if min(shape) < 1:
+        raise ShapeError(f"every tensor dimension must be >= 1, got {tuple(shape)}")
+    return tuple(shape)
 
 
 def save_tns(t: Tensor, path) -> None:
@@ -175,6 +203,11 @@ def conv2d(x: Tensor, spec: ConvSpec, weight: Tensor,
     g = spec.groups
     cing = cin // g
     coutg = spec.out_channels // g
+    macs, flops = meter.conv_cost(n, spec.out_channels, cing, kh, kw, oh, ow,
+                                  bias is not None)
+    meter.record("conv2d", macs, flops)
+    if x.is_meta:
+        return Tensor.meta((n, spec.out_channels, oh, ow))
 
     xp = _padded(x, spec)
     sn, sc, sh, sw = xp.strides
@@ -193,9 +226,6 @@ def conv2d(x: Tensor, spec: ConvSpec, weight: Tensor,
         out[:, gi * coutg:(gi + 1) * coutg] = res.reshape(n, coutg, oh, ow)
     if bias is not None:
         out += bias.astype(np.float32).reshape(1, -1, 1, 1)
-    macs, flops = meter.conv_cost(n, spec.out_channels, cing, kh, kw, oh, ow,
-                                  bias is not None)
-    meter.record("conv2d", macs, flops)
     return Tensor(out)
 
 
@@ -248,33 +278,34 @@ def _binary_check(a: Tensor, b: Tensor, op: str) -> None:
         raise ShapeError(f"{op} operands must match, got {a.shape} vs {b.shape}")
 
 
+def _elementwise(fn: str, x: Tensor, compute) -> Tensor:
+    """Price fn over x's elements, then run `compute` unless x is meta."""
+    meter.record(fn, 0, meter.elementwise_cost(fn, x.numel))
+    return x if x.is_meta else Tensor(compute())
+
+
 def add(a: Tensor, b: Tensor) -> Tensor:
     _binary_check(a, b, "add")
-    meter.record("add", 0, meter.elementwise_cost("add", a.numel))
-    return Tensor(a.data + b.data)
+    return _elementwise("add", a, lambda: a.data + b.data)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _binary_check(a, b, "mul")
-    meter.record("mul", 0, meter.elementwise_cost("mul", a.numel))
-    return Tensor(a.data * b.data)
+    return _elementwise("mul", a, lambda: a.data * b.data)
 
 
 def relu(x: Tensor) -> Tensor:
-    meter.record("relu", 0, meter.elementwise_cost("relu", x.numel))
-    return Tensor(np.maximum(x.data, 0.0))
+    return _elementwise("relu", x, lambda: np.maximum(x.data, 0.0))
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    meter.record("sigmoid", 0, meter.elementwise_cost("sigmoid", x.numel))
-    return Tensor(_sigmoid64(x.data))
+    return _elementwise("sigmoid", x, lambda: _sigmoid64(x.data))
 
 
 def silu(x: Tensor) -> Tensor:
     """x * sigmoid(x), the default activation behind every conv block."""
-    meter.record("silu", 0, meter.elementwise_cost("silu", x.numel))
-    d64 = x.data.astype(np.float64)
-    return Tensor(d64 * _sigmoid64(x.data))
+    return _elementwise(
+        "silu", x, lambda: x.data.astype(np.float64) * _sigmoid64(x.data))
 
 
 def _sigmoid64(arr: np.ndarray) -> np.ndarray:
@@ -285,6 +316,8 @@ def upsample_nearest(x: Tensor, factor: int = 2) -> Tensor:
     """Integer-factor nearest-neighbor upsampling (pure data movement)."""
     if factor < 1:
         raise ConfigError(f"upsample factor must be >= 1, got {factor}")
+    if x.is_meta:
+        return Tensor.meta((x.n, x.c, x.h * factor, x.w * factor))
     data = np.repeat(np.repeat(x.data, factor, axis=2), factor, axis=3)
     return Tensor(data)
 
@@ -298,7 +331,10 @@ def concat_channels(parts: list[Tensor]) -> Tensor:
         if (p.n, p.h, p.w) != (first.n, first.h, first.w):
             raise ShapeError(
                 f"concat input {i} has (n, H, W) = {(p.n, p.h, p.w)}, "
-                f"expected {(first.n, first.h, first.w)}")
+                f"expected {(first.n, first.h, first.w)}; sources must share "
+                f"spatial size")
+    if first.is_meta:
+        return Tensor.meta((first.n, sum(p.c for p in parts), first.h, first.w))
     return Tensor(np.concatenate([p.data for p in parts], axis=1))
 
 
@@ -310,6 +346,9 @@ def maxpool2d(x: Tensor, kernel: int, stride: int = 1, pad: int = 0) -> Tensor:
     ow = (x.w + 2 * pad - kernel) // stride + 1
     if oh < 1 or ow < 1:
         raise ConfigError(f"pool output size ({oh}, {ow}) is empty for input ({x.h}, {x.w})")
+    meter.record("maxpool", 0, meter.maxpool_cost(x.n * x.c * oh * ow, kernel, kernel))
+    if x.is_meta:
+        return Tensor.meta((x.n, x.c, oh, ow))
     xp = x.data
     if pad:
         xp = np.pad(xp, ((0, 0), (0, 0), (pad, pad), (pad, pad)),
@@ -321,32 +360,37 @@ def maxpool2d(x: Tensor, kernel: int, stride: int = 1, pad: int = 0) -> Tensor:
         strides=(sn, sc, sh * stride, sw * stride, sh, sw),
         writeable=False,
     )
-    out = view.max(axis=(4, 5))
-    meter.record("maxpool", 0, meter.maxpool_cost(out.size, kernel, kernel))
-    return Tensor(out)
+    return Tensor(view.max(axis=(4, 5)))
 
 
 def permute(x: Tensor, order: tuple[int, int, int, int]) -> Tensor:
     """Reorder axes; a pure relabeling, made contiguous on the way out."""
     if sorted(order) != [0, 1, 2, 3]:
         raise ConfigError(f"permute order must rearrange (0, 1, 2, 3), got {order}")
+    if x.is_meta:
+        return Tensor.meta(tuple(x.shape[i] for i in order))
     return Tensor(np.ascontiguousarray(np.transpose(x.data, order)))
 
 
-def linear(mat: np.ndarray, weight: np.ndarray,
-           bias: np.ndarray | None = None) -> np.ndarray:
-    """rows x in_features against (out_features, in_features), f64 accumulation."""
-    if mat.ndim != 2 or weight.ndim != 2:
-        raise ShapeError(f"linear expects 2-D operands, got {mat.shape} and {weight.shape}")
-    if mat.shape[1] != weight.shape[1]:
+def linear(x: Tensor, weight: np.ndarray,
+           bias: np.ndarray | None = None) -> Tensor:
+    """Fully connected layer over the last axis of x, one row per leading
+    position (x is channels-last); (out_features, in_features) weight,
+    f64 accumulation."""
+    *lead, fin = x.shape
+    if weight.ndim != 2:
+        raise ShapeError(f"linear expects a 2-D weight, got {weight.shape}")
+    if fin != weight.shape[1]:
         raise ShapeError(
-            f"linear in_features mismatch: input {mat.shape[1]} vs weight {weight.shape[1]}")
+            f"linear in_features mismatch: input {fin} vs weight {weight.shape[1]}")
     if bias is not None and bias.shape != (weight.shape[0],):
         raise ShapeError(f"linear bias shape {bias.shape} must be ({weight.shape[0]},)")
-    out = mat.astype(np.float64) @ weight.astype(np.float64).T
+    rows = math.prod(lead)
+    macs, flops = meter.linear_cost(rows, fin, weight.shape[0], bias is not None)
+    meter.record("linear", macs, flops)
+    if x.is_meta:
+        return Tensor.meta((*lead, weight.shape[0]))
+    out = x.data.reshape(rows, fin).astype(np.float64) @ weight.astype(np.float64).T
     if bias is not None:
         out += bias.astype(np.float64)
-    macs, flops = meter.linear_cost(mat.shape[0], mat.shape[1], weight.shape[0],
-                                    bias is not None)
-    meter.record("linear", macs, flops)
-    return out.astype(np.float32)
+    return Tensor(out.astype(np.float32).reshape(*lead, weight.shape[0]))

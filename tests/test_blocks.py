@@ -8,10 +8,12 @@ tensor primitives that must agree with the block's own forward.
 import numpy as np
 import pytest
 
-from yolotla import meter
+from yolotla import blocks, meter
 from yolotla.blocks import BLOCKS, C3_FAMILY
+from yolotla.cli import PARITY_CASES
 from yolotla.errors import ConfigError, ShapeError
-from yolotla.tensor import ConvSpec, Tensor, concat_channels, conv2d, maxpool2d
+from yolotla.tensor import (ConvSpec, Tensor, concat_channels, conv2d,
+                            conv2d_naive, maxpool2d)
 
 RNG_SEED = 42
 
@@ -380,40 +382,36 @@ class TestPlumbingBlocks:
 
 
 class TestCostParity:
-    """Symbolic per-block costs must equal what an instrumented run records."""
+    """Derived per-block costs must equal what an instrumented run records.
 
-    CASES = [
-        ("ConvBNAct", [6], {"out": 8, "k": 3, "s": 2}, (1, 6, 12, 12)),
-        ("Bottleneck", [8], {"out": 8}, (1, 8, 9, 9)),
-        ("C3", [8], {"out": 8, "n": 2}, (1, 8, 8, 8)),
-        ("CrossConv", [8], {"out": 8, "shortcut": True}, (1, 8, 8, 8)),
-        ("C3CrossConv", [8], {"out": 8, "n": 2}, (1, 8, 8, 8)),
-        ("GhostConv", [8], {"out": 12}, (1, 8, 8, 8)),
-        ("GhostBottleneck", [12], {"out": 12}, (1, 12, 8, 8)),
-        ("GhostBottleneck", [12], {"out": 16, "s": 2}, (1, 12, 8, 8)),
-        ("C3Ghost", [16], {"out": 16, "n": 1}, (1, 16, 8, 8)),
-        ("GAM", [16], {}, (1, 16, 8, 8)),
-        ("SPPF", [8], {"out": 8}, (1, 8, 8, 8)),
-        ("Upsample", [4], {}, (1, 4, 6, 6)),
-    ]
+    The run's convolutions go through conv2d_naive, which tallies the MACs
+    its loops execute rather than reading the price table that the derived
+    (meta-forward) cost is built from.
+    """
+
+    CASES = PARITY_CASES
 
     @pytest.mark.parametrize("kind,cins,args,shape",
                              CASES, ids=[f"{c[0]}-{i}" for i, c in enumerate(CASES)])
-    def test_block_cost_matches_metered_run(self, kind, cins, args, shape):
+    def test_block_cost_matches_metered_run(self, kind, cins, args, shape,
+                                            monkeypatch):
         blk, _ = make_block(kind, cins, args)
-        x = rand_input(*shape)
+        shapes = [shape] * len(cins)
+        want_macs, want_flops = blk.cost(shapes)
+        monkeypatch.setattr(blocks, "conv2d", conv2d_naive)
         with meter.CostMeter() as m:
-            blk.forward([x])
-        want_macs, want_flops = blk.cost([shape])
+            blk.forward([rand_input(*s, seed=7 + i) for i, s in enumerate(shapes)])
         assert m.macs == want_macs
         assert m.flops == want_flops
 
-    def test_detect_cost_matches(self):
+    def test_detect_cost_matches(self, monkeypatch):
         blk, _ = make_block("Detect", [8, 16], {"nc": 3})
         shapes = [(1, 8, 8, 8), (1, 16, 4, 4)]
+        want = blk.cost(shapes)
+        assert blk.out_shape(shapes) == [(1, 24, 8, 8), (1, 24, 4, 4)]
+        monkeypatch.setattr(blocks, "conv2d", conv2d_naive)
         with meter.CostMeter() as m:
             blk.forward([rand_input(*shapes[0]), rand_input(*shapes[1])])
-        want = blk.cost(shapes)
         assert (m.macs, m.flops) == want
 
     def test_concat_is_free(self):
@@ -421,6 +419,15 @@ class TestCostParity:
         with meter.CostMeter() as m:
             blk.forward([rand_input(1, 4, 5, 5), rand_input(1, 4, 5, 5, seed=1)])
         assert (m.macs, m.flops) == (0, 0)
+
+    def test_unloaded_block_derives_shape_and_cost(self):
+        # shapes and costs need no weights; a real input does
+        fresh = BLOCKS["GAM"]([16], {})
+        loaded, _ = make_block("GAM", [16], {})
+        assert fresh.out_shape([(1, 16, 8, 8)]) == (1, 16, 8, 8)
+        assert fresh.cost([(1, 16, 8, 8)]) == loaded.cost([(1, 16, 8, 8)])
+        with pytest.raises(TypeError, match="no data"):
+            fresh.forward([rand_input(1, 16, 8, 8)])
 
 
 def test_registry_covers_expected_kinds():

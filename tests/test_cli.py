@@ -163,6 +163,14 @@ class TestAnalyzeCommand:
         assert "diff vs yolov5s" in out
         assert "+2,098,143 params" in out
 
+    def test_input_off_the_stride_grid_exits_one(self, capsys):
+        code, _, err = run(
+            ["analyze", "--config", "yolov5s", "--input-size", "100"], capsys)
+        assert code == 1
+        assert err.count("\n") == 1
+        assert err.startswith("error: ")
+        assert "largest stride 32" in err
+
     def test_unknown_config_exits_one(self, capsys):
         code, _, err = run(["analyze", "--config", "no-such-model"], capsys)
         assert code == 1

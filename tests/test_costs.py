@@ -5,12 +5,16 @@ The per-variant totals below were derived by hand from the layer tables
 analyzer existed; they are pinned exactly so any structural drift in the
 bundled configs or the block cost rules shows up as a diff here.
 """
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
+from yolotla import meter
 from yolotla.costs import (CONVENTION, analyze, closed_form_cross,
                            closed_form_standard, count_empirical)
-from yolotla.errors import ConfigError
+from yolotla.errors import ConfigError, ShapeError
 from yolotla.graph import build_model, find_config
 
 FROZEN_TOTALS = {
@@ -104,6 +108,87 @@ class TestDualRouteConsistency:
             analyze(models["yolov5s"], truncate=0)
         with pytest.raises(ConfigError, match="truncate"):
             count_empirical(models["yolov5s"], truncate=99)
+
+
+# sha256 of json.dumps(analyze(m, (s, s)).to_dict(), sort_keys=True) at
+# s = 640 and 320, and of the json.dumps'd [[path, shape], ...] manifest,
+# recorded before the analyzer was rebuilt on shape-only forward passes.
+# Every field is an integer or a fixed division of one, so the digests
+# are machine-independent.
+REPORT_DIGESTS = {
+    "yolo-tla-m": (
+        "78cb8cd6d64d6f33f2f06222ed48b9c7778af4f958118bc426589e3646cde95b",
+        "507f18a83b5080d29898f2f185bcf59549e49e50f9be43a26750ff2c9f734f0f",
+        "7cb3efb213796d10c7c002e954cd49e0682b8fd13f30ce04b650a9c39cc66728"),
+    "yolo-tla-s": (
+        "c5c735a05586bbd78033c1056e681c54dc34d8212002595edb07b1612289ce70",
+        "5a2a0cf1cc7ad5edf14b7211466d673a54d31e1aeeeef1c5eb37830503d466ef",
+        "c7e80452e9187248c26082394c25cc37b1a1c338bd417b2cd279933ebf2c1ef9"),
+    "yolov5m": (
+        "2874bc8265854d1a35b49e7d3de72699152df71fa8086ab54dbd58a38c0d808c",
+        "14d704359891ad86a1b820027292e7350b92baedeb661d65264bafd7439e324a",
+        "bef8052ce008b49bb1880bd242e21f77d0858b4cd6c05ce22e0aa92f87c29f81"),
+    "yolov5s": (
+        "713c2ec97094c3e2aae3e1016e61f93493a0c93cb7b1e939671e0769d1ac4ae8",
+        "0e67088120b3710312dcdc5936e27e4db99be0a8b2f3801b5f3c227007f26a4e",
+        "3c30368ca02ee7a049ed651558a98f4412463e582449df80139f5a2a0161b4ec"),
+    "yolov5s-cc1": (
+        "a6d895734875b42e8d51e39cbe46f7a34d71cadcda62bab7396e867a1af903fb",
+        "f277793dfac3fd122bf7a34156a56659205ae1da2e2292c0ee9341b372ad4852",
+        "5280adbe7dfb8d9db7d9a41cdc2b770dd32aef7b9f779d689f93840b62cca099"),
+    "yolov5s-cc2": (
+        "6d831bb519a85f0f97960c4bcd0b01e09b37662b43d7e899bd362a9d59396038",
+        "99806adfc1b69628fbd92c6615c2b24f78a6a4d893d6de884a9220cd5622f128",
+        "c7d4ae0e27e6d667ae5120ee3819591ec98325a7c6f16f294038f52851254c15"),
+    "yolov5s-g1": (
+        "97a69e530838357e16b20589c1aa5f01044376b67c60db334876246327a32aba",
+        "206d320d9ad08b55b53de4a7067052d59ec029700759ba815662c197b518d021",
+        "d9ce5bfec411f871c90d756f63bdb02f733be1aa0ef415fb945749d845b20c20"),
+    "yolov5s-g2": (
+        "e2c088862f85422e94a18f616eee004f6cde29ae0a33d7119e23b21d85e115db",
+        "15f1291df7023162582bd33b64e47cb8e1ad5eaad65f16ea976bc6d6febf91a1",
+        "51b153cac1c7340194cbd7361d1eae530cfbd3fbcb51530ae4ef2876abeabe45"),
+    "yolov5s-gam": (
+        "157c31dd70f11abcc2ff6b48460233a92ad789f45318e1986374a1ac9d351d2b",
+        "dd14b4457586b2adedbe6ad19719c6396ea27a74eececd1a72e7977228f06953",
+        "89a3c17a85ce915d8cc374a07cb6028cf24aec0428c1dc85fa4330ab4dce1be5"),
+    "yolov5s-tiny": (
+        "2fa097896623a62ff2ae15bd22917001729bc7b50a7f5e0945ab2d77c043ddaf",
+        "42e57e3696965bb6efe735635ff737f09a1c1062b36c973bfee6a4c52bddb43c",
+        "119b0159dc0deeb850e00f0c35cb01573999d00694325d9ef991fbfdd3f4c743"),
+}
+
+
+def _sha(doc) -> str:
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+
+class TestRefactorGuard:
+
+    @pytest.mark.parametrize("name", sorted(REPORT_DIGESTS))
+    def test_reports_and_manifest_unchanged(self, models, name):
+        model = models[name]
+        got = (_sha(analyze(model, (640, 640)).to_dict()),
+               _sha(analyze(model, (320, 320)).to_dict()),
+               _sha([[p, list(s)] for p, s in model.param_specs()]))
+        assert got == REPORT_DIGESTS[name]
+
+
+class TestShapeOnlyWork:
+    """Shape and cost inference must never reach a caller's meter."""
+
+    def test_build_and_analyze_record_nothing(self):
+        with meter.CostMeter() as m:
+            model = build_model(find_config("yolov5s-gam"))
+            analyze(model, (64, 64))
+            analyze(model, (64, 64), truncate=3)
+            model.head_shapes((1, 3, 64, 64))
+            model.blocks[2].cost([(1, 64, 16, 16)])
+        assert (m.macs, m.flops) == (0, 0)
+
+    def test_analyze_checks_the_largest_stride(self, models):
+        with pytest.raises(ShapeError, match="largest stride 32"):
+            analyze(models["yolov5s"], (100, 100))
 
 
 class TestClosedFormEstimates:

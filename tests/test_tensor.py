@@ -308,13 +308,15 @@ class TestLinear:
         mat = rng.uniform(-1, 1, size=(6, 8)).astype(np.float32)
         w = rng.uniform(-1, 1, size=(3, 8)).astype(np.float32)
         b = rng.uniform(-1, 1, size=3).astype(np.float32)
-        out = linear(mat, w, b)
+        out = linear(Tensor(mat.reshape(1, 2, 3, 8)), w, b)
+        assert out.shape == (1, 2, 3, 3)
         expect = mat.astype(np.float64) @ w.astype(np.float64).T + b
-        np.testing.assert_allclose(out, expect.astype(np.float32), rtol=1e-6)
+        np.testing.assert_allclose(out.data.reshape(6, 3),
+                                   expect.astype(np.float32), rtol=1e-6)
 
     def test_feature_mismatch_rejected(self):
         with pytest.raises(ShapeError):
-            linear(np.zeros((2, 4), np.float32), np.zeros((3, 5), np.float32))
+            linear(Tensor.zeros(1, 1, 2, 4), np.zeros((3, 5), np.float32))
 
 
 class TestMeterHooks:
@@ -341,3 +343,67 @@ class TestMeterHooks:
                 relu(x)
         assert inner.flops == 4
         assert outer.flops == 8
+
+    def test_nested_meters_with_equal_tallies(self):
+        # both empty at the inner exit: the inner must leave, the outer stay
+        x = Tensor.full(1, 1, 2, 2, 1.0)
+        with meter.CostMeter() as outer:
+            with meter.CostMeter() as inner:
+                pass
+            relu(x)
+        assert (inner.flops, outer.flops) == (0, 4)
+
+    def test_isolated_scope_hides_enclosing_meters(self):
+        x = Tensor.full(1, 1, 2, 2, 1.0)
+        with meter.CostMeter() as outer:
+            with meter.isolated() as inner:
+                relu(x)
+            relu(x)
+        assert (inner.flops, outer.flops) == (4, 4)
+
+
+class TestMetaTensors:
+
+    def test_meta_has_shape_but_no_data(self):
+        t = Tensor.meta((1, 3, 4, 5))
+        assert t.is_meta and t.shape == (1, 3, 4, 5) and t.numel == 60
+        with pytest.raises(TypeError, match="no data"):
+            t.data
+
+    def test_meta_shape_validated_like_real(self):
+        with pytest.raises(ShapeError, match="rank 4"):
+            Tensor.meta((3, 4, 5))
+        with pytest.raises(ShapeError, match=">= 1"):
+            Tensor.meta((1, 0, 4, 5))
+
+    def test_kernels_price_meta_like_real(self):
+        rng = np.random.default_rng(4)
+        spec = ConvSpec(4, 6, 3, 3, stride_h=2, stride_w=1, pad_h=1, pad_w=0,
+                        groups=2, has_bias=True)
+        wt = Tensor(rng.uniform(-1, 1, spec.weight_shape()).astype(np.float32))
+        bias = np.zeros(6, np.float32)
+        fc = np.zeros((5, 12), np.float32)
+
+        def run(x):
+            y = silu(conv2d(x, spec, wt, bias))
+            y = maxpool2d(add(y, relu(y)), 3, 1, 1)
+            y = concat_channels([mul(y, sigmoid(y)), upsample_nearest(
+                maxpool2d(y, 2, 2), 2)])
+            return linear(permute(y, (0, 2, 3, 1)), fc)
+
+        real = random_tensor(rng, 2, 4, 11, 10)
+        with meter.CostMeter() as real_m:
+            want = run(real)
+        with meter.CostMeter() as meta_m:
+            got = run(Tensor.meta(real.shape))
+        assert got.is_meta and got.shape == want.shape
+        assert real_m.by_kind == meta_m.by_kind
+
+    def test_meta_inputs_are_still_validated(self):
+        spec = ConvSpec(4, 6, 3, 3)
+        wt = Tensor.meta(spec.weight_shape())
+        with pytest.raises(ShapeError, match="in_channels"):
+            conv2d(Tensor.meta((1, 5, 8, 8)), spec, wt)
+        with pytest.raises(ShapeError, match="spatial"):
+            concat_channels([Tensor.meta((1, 2, 4, 4)),
+                             Tensor.meta((1, 2, 4, 5))])
