@@ -63,6 +63,13 @@ def _json_print(doc) -> None:
     print(json.dumps(doc, sort_keys=True, indent=2))
 
 
+def _write_output(path, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as e:
+        raise ConfigError(f"cannot write {path}: {e.strerror or e}") from e
+
+
 # -- analyze -----------------------------------------------------------------
 
 def _formula_rows():
@@ -145,7 +152,11 @@ def cmd_anchors(args) -> int:
     lines.append("  " + " ".join(f"({w:.1f},{h:.1f})" for w, h in anchors))
     anchor_set = None
     if args.scales:
-        sizes = [int(s) for s in args.scales.split(",") if s]
+        try:
+            sizes = [int(s) for s in args.scales.split(",") if s]
+        except ValueError:
+            raise ConfigError(f"--scales must be comma-separated integers, "
+                              f"got {args.scales!r}") from None
         anchor_set = assign_to_scales(anchors, sizes)
         doc["scales"] = [
             {"map": size, "anchors": [[w, h] for w, h in triple]}
@@ -169,9 +180,7 @@ def cmd_anchors(args) -> int:
             [[round(w, 2), round(h, 2)] for w, h in triple]
             for _, triple in anchor_set.scales]
         parse_config(cfg_doc)   # re-validate before writing
-        with open(args.out, "w") as fh:
-            json.dump(cfg_doc, fh, indent=2)
-            fh.write("\n")
+        _write_output(args.out, json.dumps(cfg_doc, indent=2) + "\n")
         lines.append(f"wrote patched config to {args.out}")
         doc["patched"] = str(args.out)
     if args.json:
@@ -203,9 +212,8 @@ def cmd_infer(args) -> int:
              "bbox": [round(v, 3) for v in r["bbox"]],
              "score": round(r["score"], 6)} for r in rows]
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(rows, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        _write_output(args.out,
+                      json.dumps(rows, sort_keys=True, indent=2) + "\n")
     if args.json:
         _json_print(rows)
         return 0
@@ -254,11 +262,9 @@ def cmd_eval(args) -> int:
     dets = _load_results(args.results, ds)
     rep = evaluate(ds.gt_by_image(), dets)
     if args.pr_csv:
-        with open(args.pr_csv, "w") as fh:
-            fh.write("class,recall,precision\n")
-            for cls in rep.classes:
-                for r, p in rep.pr_curves.get(cls, []):
-                    fh.write(f"{cls},{r:.6f},{p:.6f}\n")
+        _write_output(args.pr_csv, "class,recall,precision\n" + "".join(
+            f"{cls},{r:.6f},{p:.6f}\n"
+            for cls in rep.classes for r, p in rep.pr_curves.get(cls, [])))
     if args.json:
         _json_print(rep.to_dict())
         return 0
@@ -359,6 +365,8 @@ def _ap_oracle(cases: int, rng) -> tuple[int, int]:
 
 
 def cmd_oracle_check(args) -> int:
+    if args.cases < 1:
+        raise ConfigError(f"--cases must be at least 1, got {args.cases}")
     rng = np.random.default_rng(args.seed)
     conv_ok, conv_n = _conv_oracle(args.cases, rng)
     parity_ok, parity_n = _cost_parity_oracle(rng)

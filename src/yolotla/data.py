@@ -153,6 +153,9 @@ def _parse_ppm(blob: bytes, path) -> Tensor:
     except ValueError:
         raise ParseError(f"{path}: non-numeric PPM header fields "
                          f"{fields}") from None
+    if width < 1 or height < 1:
+        raise ParseError(
+            f"{path}: PPM dimensions must be positive, got {width}x{height}")
     if maxval != 255:
         raise ParseError(f"{path}: only 8-bit PPM supported, maxval {maxval}")
     need = width * height * 3

@@ -456,13 +456,17 @@ def load_weights(path) -> dict[str, np.ndarray]:
             raise ParseError(f"{path} is truncated inside an entry header")
         (plen,) = struct.unpack_from("<I", blob, off)
         off += 4
-        name = blob[off:off + plen].decode("utf-8")
+        try:
+            name = blob[off:off + plen].decode("utf-8")
+        except UnicodeDecodeError:
+            raise ParseError(
+                f"{path} has a parameter name that is not UTF-8") from None
         off += plen
         if off + 16 > len(blob):
             raise ParseError(f"{path} is truncated in dims of {name}")
         dims = struct.unpack_from("<4I", blob, off)
         off += 16
-        numel = int(np.prod(dims))
+        numel = math.prod(dims)   # exact; np.prod wraps in int64
         end = off + 4 * numel
         if end > len(blob):
             raise ParseError(f"{path} is truncated in payload of {name}")

@@ -4,7 +4,9 @@ Matching is per image and per class: detections in confidence order each
 claim the highest-IOU unmatched ground truth at or above the threshold
 (true positive) or count as a false positive; leftover ground truths are
 false negatives. True negatives have no meaning in detection and are
-reported as "n/a".
+reported as "n/a". Each same-class (detection, ground truth) IOU of an
+image is computed once, and the matches at all ten thresholds are
+resolved from that one table.
 
 AP integrates the precision-recall curve after making the precision
 envelope monotone non-increasing, sampling it at the 101 recall points
@@ -35,10 +37,6 @@ class ClassCounts:
 
     TN = "n/a"   # detection defines no true-negative population
 
-    def add(self, other: "ClassCounts") -> "ClassCounts":
-        return ClassCounts(self.tp + other.tp, self.fp + other.fp,
-                           self.fn + other.fn)
-
 
 def precision_recall(counts: ClassCounts) -> tuple[float, float]:
     p = counts.tp / (counts.tp + counts.fp) if counts.tp + counts.fp else 0.0
@@ -55,50 +53,61 @@ def f1(p: float, r: float) -> float:
     return 2 * p * r / (p + r) if p + r > 0 else 0.0
 
 
+def _match(dets, gts, thresholds) -> list[list[bool]]:
+    """Greedy per-class matching of one image at every threshold.
+
+    ``gts`` is a list of (box, class_id). Detections are visited in
+    confidence order (stable, so ties keep list order); each claims the
+    unmatched same-class ground truth of highest IOU, the lowest index
+    winning a tie, if that IOU reaches the threshold. Returns one flag
+    row per threshold: rows[t][i] says whether dets[i] is a true
+    positive at thresholds[t].
+    """
+    gt_by_class: dict[int, list[int]] = {}
+    for gi, (_, cls) in enumerate(gts):
+        gt_by_class.setdefault(cls, []).append(gi)
+    order = sorted(range(len(dets)), key=lambda di: -dets[di].confidence)
+    table = []   # in visiting order: (det index, [(gt index, IOU) if > 0])
+    for di in order:
+        det = dets[di]
+        overlaps = [(gi, v) for gi in gt_by_class.get(det.class_id, [])
+                    if (v := iou(det.box, gts[gi][0])) > 0.0]
+        table.append((di, overlaps))
+    rows = []
+    for thr in thresholds:
+        flags = [False] * len(dets)
+        matched: set[int] = set()
+        for di, overlaps in table:
+            best_gi, best_iou = -1, 0.0
+            for gi, v in overlaps:
+                if v > best_iou and gi not in matched:
+                    best_gi, best_iou = gi, v
+            if best_gi >= 0 and best_iou >= thr:
+                matched.add(best_gi)
+                flags[di] = True
+        rows.append(flags)
+    return rows
+
+
 def match_image(dets, gts, iou_threshold: float):
-    """Greedy per-class matching for one image.
+    """Greedy per-class matching for one image at one threshold.
 
     ``gts`` is a list of (box, class_id). Returns (counts by class,
     flags) where flags[i] says whether dets[i] is a true positive.
     """
-    flags = [False] * len(dets)
-    counts: dict[int, ClassCounts] = {}
-    gt_classes = {}
-    for gi, (_, cls) in enumerate(gts):
-        gt_classes.setdefault(cls, []).append(gi)
-    det_classes = {}
-    for di, det in enumerate(dets):
-        det_classes.setdefault(det.class_id, []).append(di)
-    for cls in sorted(set(gt_classes) | set(det_classes)):
-        cc = counts.setdefault(cls, ClassCounts())
-        gt_idx = gt_classes.get(cls, [])
-        matched: set[int] = set()
-        order = sorted(det_classes.get(cls, []),
-                       key=lambda di: -dets[di].confidence)
-        for di in order:
-            best_gi, best_iou = -1, 0.0
-            for gi in gt_idx:
-                if gi in matched:
-                    continue
-                v = iou(dets[di].box, gts[gi][0])
-                if v > best_iou:
-                    best_gi, best_iou = gi, v
-            if best_gi >= 0 and best_iou >= iou_threshold:
-                matched.add(best_gi)
-                flags[di] = True
-                cc.tp += 1
-            else:
-                cc.fp += 1
-        cc.fn += len(gt_idx) - len(matched)
+    (flags,) = _match(dets, gts, (iou_threshold,))
+    classes = {cls for _, cls in gts} | {det.class_id for det in dets}
+    counts = {cls: ClassCounts() for cls in sorted(classes)}
+    for _, cls in gts:
+        counts[cls].fn += 1
+    for det, flag in zip(dets, flags):
+        cc = counts[det.class_id]
+        if flag:
+            cc.tp += 1
+            cc.fn -= 1
+        else:
+            cc.fp += 1
     return counts, flags
-
-
-def _merge_counts(per_image) -> dict[int, ClassCounts]:
-    total: dict[int, ClassCounts] = {}
-    for counts in per_image:
-        for cls, cc in counts.items():
-            total[cls] = total.get(cls, ClassCounts()).add(cc)
-    return total
 
 
 def ap_from_ranking(flags, n_gt: int):
@@ -184,17 +193,6 @@ class EvalReport:
         }
 
 
-def _ranked_class_flags(image_ids, dets_by_image, flags_by_image, cls):
-    pairs = []
-    for img in image_ids:
-        for det, flag in zip(dets_by_image.get(img, []),
-                             flags_by_image[img]):
-            if det.class_id == cls:
-                pairs.append((det.confidence, flag))
-    pairs.sort(key=lambda t: -t[0])
-    return [f for _, f in pairs]
-
-
 def evaluate(gt_by_image: dict, dets_by_image: dict) -> EvalReport:
     """Full report over a ground-truth and a prediction set.
 
@@ -207,36 +205,32 @@ def evaluate(gt_by_image: dict, dets_by_image: dict) -> EvalReport:
     n_gt = {cls: sum(1 for gts in gt_by_image.values()
                      for _, c in gts if c == cls) for cls in gt_classes}
 
-    ap_by_threshold: dict[float, dict[int, float]] = {}
-    counts50: dict[int, ClassCounts] = {}
-    curves: dict[int, list[tuple[float, float]]] = {}
-    for thr in RANGE_THRESHOLDS:
-        per_image_counts = []
-        flags_by_image = {}
-        for img in image_ids:
-            counts, flags = match_image(dets_by_image.get(img, []),
-                                        gt_by_image.get(img, []), thr)
-            per_image_counts.append(counts)
-            flags_by_image[img] = flags
-        aps = {}
-        for cls in gt_classes:
-            ranked = _ranked_class_flags(image_ids, dets_by_image,
-                                         flags_by_image, cls)
-            ap, points = ap_from_ranking(ranked, n_gt[cls])
-            aps[cls] = ap
-            if thr == 0.5:
-                curves[cls] = points
-        ap_by_threshold[thr] = aps
-        if thr == 0.5:
-            counts50 = _merge_counts(per_image_counts)
+    # per GT class: confidences and one flag column per threshold, image
+    # by image and in list order within an image
+    confs = {cls: [] for cls in gt_classes}
+    columns = {cls: [[] for _ in RANGE_THRESHOLDS] for cls in gt_classes}
+    for img in image_ids:
+        dets = dets_by_image.get(img, [])
+        flag_rows = _match(dets, gt_by_image.get(img, []), RANGE_THRESHOLDS)
+        for di, det in enumerate(dets):
+            if det.class_id in confs:
+                confs[det.class_id].append(det.confidence)
+                for column, flags in zip(columns[det.class_id], flag_rows):
+                    column.append(flags[di])
 
-    per_class = {}
+    per_class, curves = {}, {}
     for cls in gt_classes:
-        p, r = precision_recall(counts50.get(cls, ClassCounts()))
-        ap50 = ap_by_threshold[0.5][cls]
-        ap_range = macro_average(ap_by_threshold[t][cls]
-                                 for t in RANGE_THRESHOLDS)
-        per_class[cls] = ClassReport(p, r, ap50, ap_range)
+        order = sorted(range(len(confs[cls])), key=lambda i: -confs[cls][i])
+        aps = []
+        for t, column in enumerate(columns[cls]):
+            ap, points = ap_from_ranking([column[i] for i in order], n_gt[cls])
+            aps.append(ap)
+            if t == 0:   # RANGE_THRESHOLDS[0] is IOU 0.50
+                curves[cls] = points
+        tp = sum(columns[cls][0])
+        p, r = precision_recall(
+            ClassCounts(tp, len(order) - tp, n_gt[cls] - tp))
+        per_class[cls] = ClassReport(p, r, aps[0], macro_average(aps))
     precision = macro_average(r.precision for r in per_class.values())
     recall = macro_average(r.recall for r in per_class.values())
     return EvalReport(

@@ -116,7 +116,7 @@ def load_tns(path) -> Tensor:
     if len(raw) < 20 or raw[:4] != TNS_MAGIC:
         raise ParseError(f"{path}: not a .tns file (bad magic)")
     dims = struct.unpack("<4I", raw[4:20])
-    expect = 20 + 4 * int(np.prod(dims))
+    expect = 20 + 4 * math.prod(dims)   # exact; np.prod wraps in int64
     if len(raw) != expect:
         raise ParseError(
             f"{path}: payload is {len(raw) - 20} bytes, dims {dims} require {expect - 20}")

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from yolotla.cli import main
-from yolotla.graph import build_model, find_config
+from yolotla.graph import build_model, find_config, save_weights
 from yolotla.tensor import Tensor, save_tns
 
 
@@ -77,6 +77,12 @@ def run(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def assert_one_line_error(code, err):
+    assert code == 1
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
 
 
 class TestConfigsCommand:
@@ -236,6 +242,23 @@ class TestAnchorsCommand:
         assert code == 1
         assert "scales" in err
 
+    def test_non_integer_scales_exit_one(self, workdir, capsys):
+        code, _, err = run(
+            ["anchors", "--dataset", str(workdir["gt"]), "--k", "6",
+             "--scales", "a,b"], capsys)
+        assert_one_line_error(code, err)
+        assert "--scales" in err
+
+    def test_unwritable_out_exits_one(self, workdir, capsys):
+        out_cfg = workdir["root"] / "no-such-dir" / "patched.cfg"
+        code, _, err = run(
+            ["anchors", "--dataset", str(workdir["gt"]), "--k", "12",
+             "--scales", "160,80,40,20",
+             "--patch-config", "yolov5s-tiny", "--out", str(out_cfg)],
+            capsys)
+        assert_one_line_error(code, err)
+        assert "cannot write" in err
+
     def test_missing_dataset_exits_one(self, workdir, capsys):
         code, _, err = run(
             ["anchors", "--dataset", str(workdir["root"] / "nope.json")],
@@ -312,6 +335,45 @@ class TestInferCommand:
         assert err.startswith("error:")
 
 
+    def test_unwritable_out_exits_one(self, workdir, capsys):
+        code, _, err = run(
+            ["infer", "--config", "yolov5s", "--image",
+             str(workdir["image"]), "--input-size", "64",
+             "--out", str(workdir["root"] / "no-such-dir" / "dets.json")],
+            capsys)
+        assert_one_line_error(code, err)
+        assert "cannot write" in err
+
+    @pytest.mark.parametrize("name, blob", [
+        # 65536**4 == 2**64, which wraps to 0 in int64 size arithmetic
+        ("huge.tns", b"TNS1" + np.full(4, 65536, "<u4").tobytes()),
+        ("negative.ppm", b"P6\n-1 -1\n255\n" + b"\0" * 12),
+    ], ids=["tns-dims-wrap", "ppm-negative-dims"])
+    def test_malformed_image_exits_one(self, workdir, capsys, name, blob):
+        path = workdir["root"] / name
+        path.write_bytes(blob)
+        code, _, err = run(
+            ["infer", "--config", "yolov5s", "--image", str(path),
+             "--input-size", "64"], capsys)
+        assert_one_line_error(code, err)
+
+    # the entry name "ab" sits at bytes 13-14, its dims at 15-30
+    @pytest.mark.parametrize("name, patch", [
+        ("huge.tlaw", lambda blob: blob[:15] + np.full(4, 65536, "<u4")
+         .tobytes()),
+        ("latin1.tlaw", lambda blob: blob[:13] + b"\xff\xfe" + blob[15:]),
+    ], ids=["tlaw-dims-wrap", "tlaw-name-not-utf8"])
+    def test_malformed_weights_exit_one(self, workdir, capsys, name, patch):
+        path = workdir["root"] / name
+        save_weights(path, {"ab": np.zeros(1, np.float32)})
+        path.write_bytes(patch(path.read_bytes()))
+        code, _, err = run(
+            ["infer", "--config", "yolov5s", "--image",
+             str(workdir["image"]), "--input-size", "64",
+             "--weights", str(path)], capsys)
+        assert_one_line_error(code, err)
+
+
 class TestEvalCommand:
     def test_report_covers_both_classes(self, workdir, capsys):
         code, out, _ = run(
@@ -344,6 +406,15 @@ class TestEvalCommand:
         lines = csv_path.read_text().splitlines()
         assert lines[0] == "class,recall,precision"
         assert len(lines) > 1
+
+    def test_unwritable_pr_csv_exits_one(self, workdir, capsys):
+        code, _, err = run(
+            ["eval", "--gt", str(workdir["gt"]),
+             "--results", str(workdir["results"]),
+             "--pr-csv", str(workdir["root"] / "no-such-dir" / "c.csv")],
+            capsys)
+        assert_one_line_error(code, err)
+        assert "cannot write" in err
 
     def test_malformed_results_exit_one(self, workdir, capsys):
         bad = workdir["root"] / "bad.json"
@@ -383,6 +454,13 @@ class TestOracleCheckCommand:
         assert doc["ok"] is True
         assert {c["name"] for c in doc["checks"]} == {
             "conv oracle", "cost parity", "ap oracle"}
+
+
+    def test_negative_case_count_exits_one(self, capsys):
+        code, out, err = run(["oracle-check", "--cases", "-1"], capsys)
+        assert_one_line_error(code, err)
+        assert "--cases" in err
+        assert "result" not in out
 
 
 class TestProcessLevelInvocation:

@@ -137,6 +137,13 @@ class TestLoadImage:
         with pytest.raises(ParseError, match="8-bit"):
             load_image(p)
 
+    @pytest.mark.parametrize("dims", ["-1 -1", "0 4", "4 -2"])
+    def test_non_positive_dimensions_rejected(self, tmp_path, dims):
+        p = tmp_path / "neg.ppm"
+        p.write_bytes(f"P6\n{dims}\n255\n".encode() + b"\0" * 12)
+        with pytest.raises(ParseError, match="must be positive"):
+            load_image(p)
+
     def test_tns_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
         t = Tensor(rng.uniform(0, 1, (1, 3, 5, 4)).astype(np.float32))

@@ -229,6 +229,24 @@ class TestWeightFiles:
         with pytest.raises(ParseError, match="truncated|trailing"):
             load_weights(path)
 
+    def test_dims_whose_product_wraps_int64(self, tmp_path):
+        path = tmp_path / "huge.tlaw"
+        save_weights(path, {"w": np.zeros(1, np.float32)})
+        blob = path.read_bytes()
+        # header (9 bytes), name length and name (5), then 16 bytes of dims;
+        # 65536**4 == 2**64 wraps to 0 in int64
+        path.write_bytes(blob[:14] + np.full(4, 65536, "<u4").tobytes())
+        with pytest.raises(ParseError, match="truncated in payload of w"):
+            load_weights(path)
+
+    def test_name_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "name.tlaw"
+        save_weights(path, {"ab": np.zeros(1, np.float32)})
+        blob = path.read_bytes()
+        path.write_bytes(blob[:13] + b"\xff\xfe" + blob[15:])
+        with pytest.raises(ParseError, match="not UTF-8"):
+            load_weights(path)
+
     def test_vectors_stored_rank4(self, tmp_path):
         path = tmp_path / "v.tlaw"
         save_weights(path, {"x.norm.scale": np.arange(5, dtype=np.float32)})

@@ -1,17 +1,20 @@
-"""Metric correctness, pinned against a brute-force AP oracle.
+"""Metric correctness, pinned against brute-force oracles.
 
-The oracle integrates the exact area under the monotone precision
+The AP oracle integrates the exact area under the monotone precision
 envelope by summing rectangle strips between consecutive distinct recall
 values; it was written first and the 101-point implementation is held to
-it within 0.01 on randomized instances.
+it within 0.01 on randomized instances. The evaluation oracle matches
+every image once per IOU threshold, calling ``iou`` for each pair, and
+ranks each class separately; ``evaluate`` must reproduce it exactly.
 """
 import numpy as np
 import pytest
 
-from yolotla.metrics import (ClassCounts, EvalReport, ap_from_ranking,
-                             evaluate, f1, macro_average, match_image,
-                             precision_recall, RANGE_THRESHOLDS)
-from yolotla.postprocess import Detection
+from yolotla import metrics
+from yolotla.metrics import (ClassCounts, ClassReport, EvalReport,
+                             ap_from_ranking, evaluate, f1, macro_average,
+                             match_image, precision_recall, RANGE_THRESHOLDS)
+from yolotla.postprocess import Detection, iou
 
 
 def brute_force_ap(flags, n_gt):
@@ -34,6 +37,68 @@ def brute_force_ap(flags, n_gt):
         area += (r - prev) * envelope(r)
         prev = r
     return area
+
+
+def reference_match(dets, gts, thr):
+    """One threshold's greedy matching, class by class, one IOU per pair."""
+    flags = [False] * len(dets)
+    classes = {c for _, c in gts} | {d.class_id for d in dets}
+    for cls in sorted(classes):
+        gt_idx = [gi for gi, (_, c) in enumerate(gts) if c == cls]
+        order = sorted((di for di, d in enumerate(dets) if d.class_id == cls),
+                       key=lambda di: -dets[di].confidence)
+        matched = set()
+        for di in order:
+            best_gi, best_iou = -1, 0.0
+            for gi in gt_idx:
+                if gi in matched:
+                    continue
+                v = iou(dets[di].box, gts[gi][0])
+                if v > best_iou:
+                    best_gi, best_iou = gi, v
+            if best_gi >= 0 and best_iou >= thr:
+                matched.add(best_gi)
+                flags[di] = True
+    return flags
+
+
+def reference_evaluate(gt_by_image, dets_by_image):
+    """evaluate() as one full matching pass per threshold."""
+    image_ids = sorted(set(gt_by_image) | set(dets_by_image))
+    classes = sorted({c for gts in gt_by_image.values() for _, c in gts})
+    n_gt = {cls: sum(c == cls for gts in gt_by_image.values()
+                     for _, c in gts) for cls in classes}
+    aps = {cls: [] for cls in classes}
+    counts, curves = {}, {}
+    for thr in RANGE_THRESHOLDS:
+        flags = {img: reference_match(dets_by_image.get(img, []),
+                                      gt_by_image.get(img, []), thr)
+                 for img in image_ids}
+        for cls in classes:
+            pairs = [(d.confidence, f) for img in image_ids
+                     for d, f in zip(dets_by_image.get(img, []), flags[img])
+                     if d.class_id == cls]
+            pairs.sort(key=lambda t: -t[0])
+            ranked = [f for _, f in pairs]
+            ap, points = ap_from_ranking(ranked, n_gt[cls])
+            aps[cls].append(ap)
+            if thr == 0.5:
+                tp = sum(ranked)
+                counts[cls] = ClassCounts(tp, len(ranked) - tp, n_gt[cls] - tp)
+                curves[cls] = points
+    per_class = {}
+    for cls in classes:
+        p, r = precision_recall(counts[cls])
+        per_class[cls] = ClassReport(p, r, aps[cls][0],
+                                     macro_average(aps[cls]))
+    precision = macro_average(r.precision for r in per_class.values())
+    recall = macro_average(r.recall for r in per_class.values())
+    return EvalReport(
+        classes=tuple(classes), per_class=per_class,
+        precision=precision, recall=recall, f1=f1(precision, recall),
+        map50=macro_average(r.ap50 for r in per_class.values()),
+        map_range=macro_average(r.ap_range for r in per_class.values()),
+        pr_curves=curves)
 
 
 def det(box, cls=0, conf=0.9):
@@ -82,12 +147,18 @@ class TestMatching:
         assert flags == [False]
         assert counts[0].fn == 1 and counts[1].fp == 1
 
-    def test_counts_merge_associatively(self):
-        a = {0: ClassCounts(1, 2, 3)}
-        b = {0: ClassCounts(4, 0, 1), 1: ClassCounts(2, 2, 2)}
-        ab = a[0].add(b[0])
-        ba = b[0].add(a[0])
-        assert (ab.tp, ab.fp, ab.fn) == (ba.tp, ba.fp, ba.fn) == (5, 2, 4)
+    def test_equal_iou_tie_goes_to_the_lower_gt_index(self):
+        # the first detection has IOU 2/3 with both ground truths; the
+        # second reaches 2/3 only with the second one (1/4 with the first)
+        gts = [gt((0, 0, 10, 10)), gt((4, 0, 14, 10))]
+        dets = [det((2, 0, 12, 10), conf=0.9), det((6, 0, 16, 10), conf=0.8)]
+        assert iou(dets[0].box, gts[0][0]) == iou(dets[0].box, gts[1][0])
+        counts, flags = match_image(dets, gts, 0.5)
+        assert flags == [True, True]
+        assert (counts[0].tp, counts[0].fp, counts[0].fn) == (2, 0, 0)
+        rep = evaluate({1: gts}, {1: dets})
+        assert rep.per_class[0].precision == rep.per_class[0].recall == 1.0
+        assert rep.map50 == pytest.approx(1.0)
 
 
 class TestScalarMetrics:
@@ -266,3 +337,73 @@ class TestThresholdMonotonicity:
                 prev_tp = tp
             rep = evaluate(gts, dets)
             assert rep.map_range <= rep.map50 + 1e-12
+
+
+def random_eval_set(rng, n_images=12):
+    """Integer boxes in three GT classes plus a detection-only class 3.
+
+    Confidences come from a short list, so ties are common; some ground
+    truths get a twin shifted by 4 px and a detection centred between the
+    two, at equal IOU to both. Images alternate between holding both
+    sides, ground truth only and detections only.
+    """
+    gts, dets = {}, {}
+    for img in range(n_images):
+        rows, drows = [], []
+        for _ in range(int(rng.integers(1, 7))):
+            x, y = (int(v) for v in rng.integers(0, 40, 2))
+            w, h = (int(v) for v in rng.integers(5, 16, 2))
+            cls = int(rng.integers(3))
+            rows.append(gt((x, y, x + w, y + h), cls))
+            conf = float(rng.choice([0.3, 0.5, 0.9]))
+            if rng.uniform() < 0.3:
+                rows.append(gt((x + 4, y, x + w + 4, y + h), cls))
+                drows.append(det((x + 2, y, x + w + 2, y + h), cls, conf))
+            elif rng.uniform() < 0.8:
+                jx, jy = (int(v) for v in rng.integers(-3, 4, 2))
+                drows.append(det((x + jx, y + jy, x + w + jx, y + h + jy),
+                                 cls, conf))
+        for _ in range(int(rng.integers(0, 4))):
+            x, y = (int(v) for v in rng.integers(0, 40, 2))
+            drows.append(det((x, y, x + 10, y + 10), int(rng.integers(4)),
+                             float(rng.choice([0.3, 0.5, 0.9]))))
+        if img % 3 != 2:
+            gts[img] = rows
+        if img % 3 != 1:
+            dets[img] = drows
+    return gts, dets
+
+
+class TestAgainstReferenceEvaluate:
+
+    def test_report_and_curves_match_exactly(self):
+        rng = np.random.default_rng(23)
+        for _ in range(40):
+            gts, dets = random_eval_set(rng)
+            rep, ref = evaluate(gts, dets), reference_evaluate(gts, dets)
+            assert rep.to_dict() == ref.to_dict()
+            assert rep.pr_curves == ref.pr_curves
+
+    def test_match_image_flags_match_exactly(self):
+        rng = np.random.default_rng(29)
+        for _ in range(20):
+            gts, dets = random_eval_set(rng)
+            for img in set(gts) & set(dets):
+                for thr in RANGE_THRESHOLDS:
+                    _, flags = match_image(dets[img], gts[img], thr)
+                    assert flags == reference_match(dets[img], gts[img], thr)
+
+    def test_iou_computed_once_per_same_class_pair(self, monkeypatch):
+        calls = []
+
+        def counting_iou(a, b):
+            calls.append((a, b))
+            return iou(a, b)
+
+        monkeypatch.setattr(metrics, "iou", counting_iou)
+        gts, dets = random_eval_set(np.random.default_rng(31), n_images=30)
+        pairs = sum(1 for img in set(gts) & set(dets)
+                    for d in dets[img] for _, c in gts[img]
+                    if c == d.class_id)
+        evaluate(gts, dets)
+        assert 0 < len(calls) <= pairs

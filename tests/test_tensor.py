@@ -77,6 +77,14 @@ class TestTnsIO:
         with pytest.raises(ParseError):
             load_tns(path)
 
+    def test_dims_whose_product_wraps_int64_rejected(self, tmp_path):
+        # 65536**4 == 2**64 wraps to 0 in int64, which would match the
+        # empty payload of this 20-byte file
+        path = tmp_path / "huge.tns"
+        path.write_bytes(b"TNS1" + np.full(4, 65536, "<u4").tobytes())
+        with pytest.raises(ParseError, match="require"):
+            load_tns(path)
+
 
 class TestConvSpec:
 
