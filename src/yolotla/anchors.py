@@ -117,9 +117,6 @@ class AnchorSet:
     largest map (finest stride) first."""
     scales: tuple[tuple[int, tuple[tuple[float, float], ...]], ...]
 
-    def rows(self):
-        return list(self.scales)
-
 
 def assign_to_scales(anchors, scale_sizes) -> AnchorSet:
     """Split area-sorted anchors into triples, smallest → largest map."""

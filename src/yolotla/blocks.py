@@ -8,11 +8,14 @@ base `Block` derives the rest: output shapes and (macs, flops) from a
 parameter manifest, `load` and `param_count` from the child tree, whose
 leaves (conv units and linear layers) alone declare parameter shapes.
 
-Construction wires the structure from config arguments alone, which is
-enough for shapes, manifests and costs; `load` then binds actual weights
-(folding the norm affine into the convolution) so `forward` can run on
-real data. Blocks never mutate their inputs and hold no state beyond
-weights, so forwards are pure.
+A block's config arguments are the keyword-only parameters of its `build`
+method. The base constructor is their one binder: it checks the input
+count and each argument by name and by annotated type (a bool never passes
+as a number) in one place, then calls `build`, which wires the structure
+from those arguments alone. That is enough for shapes, manifests and
+costs; `load` then binds actual weights (folding the norm affine into the
+convolution) so `forward` can run on real data. Blocks never mutate their
+inputs and hold no state beyond weights, so forwards are pure.
 
 Normalization is represented as a folded per-channel affine: a `norm.scale`
 multiplied into the conv weight at load time and a `norm.shift` applied as
@@ -21,45 +24,36 @@ affine over the raw convolution.
 """
 from __future__ import annotations
 
+import functools
+import inspect
 import math
+import typing
 
 import numpy as np
 
 from . import meter
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ShapeError, is_instance
 from .tensor import (ConvSpec, Tensor, add, concat_channels, conv2d, linear,
                      maxpool2d, mul, permute, relu, sigmoid, silu,
                      upsample_nearest)
 
 Shape = tuple[int, int, int, int]
+IntPair = int | list | tuple   # an int or [a, b]; `_pair` checks the items
 
 
 def _pair(v, name: str) -> tuple[int, int]:
-    if isinstance(v, int):
+    if is_instance(v, int):
         return (v, v)
-    if isinstance(v, (list, tuple)) and len(v) == 2 and all(isinstance(x, int) for x in v):
-        return (int(v[0]), int(v[1]))
+    if isinstance(v, (list, tuple)) and len(v) == 2 and all(is_instance(x, int) for x in v):
+        return tuple(v)
     raise ConfigError(f"argument {name} must be an int or a pair of ints, got {v!r}")
 
 
-class _ArgReader:
-    """Pulls typed values out of a config args dict, rejecting leftovers."""
-
-    def __init__(self, kind: str, args: dict):
-        self.kind = kind
-        self.args = dict(args)
-
-    def take(self, name: str, default=None, required: bool = False):
-        if name in self.args:
-            return self.args.pop(name)
-        if required:
-            raise ConfigError(f"{self.kind}: missing required argument '{name}'")
-        return default
-
-    def finish(self) -> None:
-        if self.args:
-            raise ConfigError(
-                f"{self.kind}: unknown argument(s) {sorted(self.args)}")
+def _hidden(kind: str, out: int, e: float) -> int:
+    """Hidden width int(out * e), checked to be finite and >= 1."""
+    if not 1 <= out * e < math.inf:
+        raise ConfigError(f"{kind}: hidden width {out * e!r} must be >= 1")
+    return int(out * e)
 
 
 def _stand_in(shape: tuple[int, ...]) -> np.ndarray:
@@ -135,16 +129,53 @@ class _Linear:
         return linear(x, self.weight, self.bias)
 
 
+@functools.cache
+def _signature(cls: type) -> tuple[bool, dict[str, tuple[tuple[type, ...], bool]]]:
+    """(takes any number of inputs, {argument: (types, required)}) of cls.build."""
+    params = inspect.signature(cls.build, eval_str=True).parameters.values()
+    args = {}
+    for p in params:
+        if p.kind is p.KEYWORD_ONLY:
+            types = typing.get_args(p.annotation) or (p.annotation,)
+            if float in types:
+                types += (int,)   # an int passes as a float
+            args[p.name] = (types, p.default is p.empty)
+    return any(p.kind is p.VAR_POSITIONAL for p in params), args
+
+
 class Block:
     """Interface shared by every layer kind.
 
-    Subclasses write `__init__`, `out_channels`, `forward` and, when they
-    own parameters, `children`; shapes, costs and the manifest follow.
+    Subclasses write `build`, `out_channels`, `forward` and, when they own
+    parameters, `children`; shapes, costs and the manifest follow. `build`
+    takes one input channel count positionally (`*cins` for many) and the
+    config arguments as keyword-only parameters; their annotations are the
+    types the constructor accepts and their defaults make them optional.
     """
 
     KIND = ""
 
     def __init__(self, in_channels: list[int], args: dict):
+        """Check the inputs and `args` against `build`'s signature, then call it."""
+        kind = self.KIND
+        variadic, params = _signature(type(self))
+        if not variadic and len(in_channels) != 1:
+            raise ConfigError(f"{kind} takes exactly one input, got {len(in_channels)}")
+        for name, (types, required) in params.items():
+            if name not in args:
+                if required:
+                    raise ConfigError(f"{kind}: missing required argument '{name}'")
+            elif not is_instance(args[name], *types):
+                names = " or ".join("None" if t is type(None) else t.__name__
+                                    for t in types)
+                raise ConfigError(
+                    f"{kind}: argument '{name}' must be {names}, got {args[name]!r}")
+        unknown = sorted(set(args) - set(params))
+        if unknown:
+            raise ConfigError(f"{kind}: unknown argument(s) {unknown}")
+        self.build(*in_channels, **args)
+
+    def build(self, *cins: int) -> None:
         raise NotImplementedError
 
     @property
@@ -189,28 +220,14 @@ class Block:
         return m.macs, m.flops
 
 
-def _single(in_channels: list[int], kind: str) -> int:
-    if len(in_channels) != 1:
-        raise ConfigError(f"{kind} takes exactly one input, got {len(in_channels)}")
-    return in_channels[0]
-
-
 class ConvBNAct(Block):
     """Standard convolution brick: conv, folded norm, SiLU by default."""
 
     KIND = "ConvBNAct"
 
-    def __init__(self, in_channels: list[int], args: dict):
-        cin = _single(in_channels, self.KIND)
-        rd = _ArgReader(self.KIND, args)
-        cout = rd.take("out", required=True)
-        k = rd.take("k", 1)
-        s = rd.take("s", 1)
-        p = rd.take("p", None)
-        g = rd.take("g", 1)
-        act = rd.take("act", "silu")
-        rd.finish()
-        self.unit = _Unit(cin, cout, k, s, p, g, act=act)
+    def build(self, cin, *, out: int, k: IntPair = 1, s: IntPair = 1,
+              p: IntPair | None = None, g: int = 1, act: str | None = "silu"):
+        self.unit = _Unit(cin, out, k, s, p, g, act=act)
 
     @property
     def out_channels(self) -> int:
@@ -230,7 +247,7 @@ class _Residual(Block):
     bottleneck inside C3CrossConv, whose cv2 is itself a CrossConv.
     """
 
-    def __init__(self, cv1, cv2, add: bool):
+    def build(self, cin, *, cv1: _Unit | Block, cv2: _Unit | Block, add: bool):
         self.cv1 = cv1
         self.cv2 = cv2
         self.add = add
@@ -252,18 +269,10 @@ class Bottleneck(_Residual):
 
     KIND = "Bottleneck"
 
-    def __init__(self, in_channels: list[int], args: dict):
-        cin = _single(in_channels, self.KIND)
-        rd = _ArgReader(self.KIND, args)
-        cout = rd.take("out", required=True)
-        shortcut = rd.take("shortcut", True)
-        e = rd.take("e", 1.0)
-        rd.finish()
-        hidden = int(cout * e)
-        if hidden < 1:
-            raise ConfigError(f"Bottleneck hidden width {hidden} must be >= 1")
-        super().__init__(_Unit(cin, hidden, k=1), _Unit(hidden, cout, k=3),
-                         bool(shortcut) and cin == cout)
+    def build(self, cin, *, out: int, shortcut: bool = True, e: float = 1.0):
+        hidden = _hidden(self.KIND, out, e)
+        super().build(cin, cv1=_Unit(cin, hidden, k=1), cv2=_Unit(hidden, out, k=3),
+                      add=shortcut and cin == out)
 
 
 class CrossConv(_Residual):
@@ -275,41 +284,25 @@ class CrossConv(_Residual):
 
     KIND = "CrossConv"
 
-    def __init__(self, in_channels: list[int], args: dict):
-        cin = _single(in_channels, self.KIND)
-        rd = _ArgReader(self.KIND, args)
-        cout = rd.take("out", required=True)
-        k = rd.take("k", 3)
-        s = rd.take("s", 1)
-        e = rd.take("e", 1.0)
-        shortcut = rd.take("shortcut", False)
-        rd.finish()
-        hidden = int(cout * e)
-        super().__init__(_Unit(cin, hidden, k=(1, k), s=(1, 1), p=(0, k // 2)),
-                         _Unit(hidden, cout, k=(k, 1), s=(s, s), p=(k // 2, 0)),
-                         bool(shortcut) and cin == cout and s == 1)
+    def build(self, cin, *, out: int, k: int = 3, s: int = 1, e: float = 1.0,
+              shortcut: bool = False):
+        hidden = _hidden(self.KIND, out, e)
+        super().build(cin, cv1=_Unit(cin, hidden, k=(1, k), s=(1, 1), p=(0, k // 2)),
+                      cv2=_Unit(hidden, out, k=(k, 1), s=(s, s), p=(k // 2, 0)),
+                      add=shortcut and cin == out and s == 1)
 
 
 class _C3Base(Block):
     """Two 1x1 branches, a stack of inner units on one of them, concat, 1x1 out."""
 
-    def __init__(self, in_channels: list[int], args: dict):
-        cin = _single(in_channels, self.KIND)
-        rd = _ArgReader(self.KIND, args)
-        cout = rd.take("out", required=True)
-        n = rd.take("n", 1)
-        shortcut = rd.take("shortcut", True)
-        e = rd.take("e", 0.5)
-        rd.finish()
+    def build(self, cin, *, out: int, n: int = 1, shortcut: bool = True, e: float = 0.5):
         if n < 1:
             raise ConfigError(f"{self.KIND}: repeat count must be >= 1, got {n}")
-        hidden = int(cout * e)
-        if hidden < 1:
-            raise ConfigError(f"{self.KIND}: hidden width {hidden} must be >= 1")
+        hidden = _hidden(self.KIND, out, e)
         self.cv1 = _Unit(cin, hidden, k=1)
         self.cv2 = _Unit(cin, hidden, k=1)
-        self.cv3 = _Unit(2 * hidden, cout, k=1)
-        self.m = [self._inner(hidden, bool(shortcut)) for _ in range(n)]
+        self.cv3 = _Unit(2 * hidden, out, k=1)
+        self.m = [self._inner(hidden, shortcut) for _ in range(n)]
 
     def _inner(self, hidden: int, shortcut: bool) -> Block:
         raise NotImplementedError
@@ -343,9 +336,10 @@ class C3CrossConv(_C3Base):
     KIND = "C3CrossConv"
 
     def _inner(self, hidden, shortcut):
-        return _Residual(_Unit(hidden, hidden, k=1),
-                         CrossConv([hidden], {"out": hidden, "k": 3, "s": 1}),
-                         shortcut)
+        return _Residual([hidden], {
+            "cv1": _Unit(hidden, hidden, k=1),
+            "cv2": CrossConv([hidden], {"out": hidden, "k": 3, "s": 1}),
+            "add": shortcut})
 
 
 class GhostConv(Block):
@@ -356,17 +350,11 @@ class GhostConv(Block):
 
     KIND = "GhostConv"
 
-    def __init__(self, in_channels: list[int], args: dict):
-        cin = _single(in_channels, self.KIND)
-        rd = _ArgReader(self.KIND, args)
-        cout = rd.take("out", required=True)
-        k = rd.take("k", 1)
-        s = rd.take("s", 1)
-        act = rd.take("act", "silu")
-        rd.finish()
-        if cout % 2:
-            raise ConfigError(f"GhostConv out channels must be even, got {cout}")
-        half = cout // 2
+    def build(self, cin, *, out: int, k: IntPair = 1, s: IntPair = 1,
+              act: str | None = "silu"):
+        if out % 2:
+            raise ConfigError(f"GhostConv out channels must be even, got {out}")
+        half = out // 2
         self.primary = _Unit(cin, half, k=k, s=s, act=act)
         self.cheap = _Unit(half, half, k=5, s=1, p=2, g=half, act=act)
 
@@ -387,30 +375,25 @@ class GhostBottleneck(Block):
 
     KIND = "GhostBottleneck"
 
-    def __init__(self, in_channels: list[int], args: dict):
-        cin = _single(in_channels, self.KIND)
-        rd = _ArgReader(self.KIND, args)
-        cout = rd.take("out", required=True)
-        s = rd.take("s", 1)
-        rd.finish()
+    def build(self, cin, *, out: int, s: int = 1):
         if s not in (1, 2):
             raise ConfigError(f"GhostBottleneck stride must be 1 or 2, got {s}")
-        if s == 1 and cin != cout:
+        if s == 1 and cin != out:
             raise ConfigError(
                 f"GhostBottleneck at stride 1 needs in == out channels for the "
-                f"identity shortcut, got {cin} vs {cout}")
-        if cout % 4:
+                f"identity shortcut, got {cin} vs {out}")
+        if out % 4:
             raise ConfigError(
                 f"GhostBottleneck out channels must be divisible by 4 (two nested "
-                f"ghost halvings), got {cout}")
-        hidden = cout // 2
+                f"ghost halvings), got {out}")
+        hidden = out // 2
         self.stride = s
         self.g1 = GhostConv([cin], {"out": hidden, "act": "silu"})
-        self.g2 = GhostConv([hidden], {"out": cout, "act": None})
+        self.g2 = GhostConv([hidden], {"out": out, "act": None})
         if s == 2:
             self.dw = _Unit(hidden, hidden, k=3, s=2, g=hidden, act=None)
             self.sc_dw = _Unit(cin, cin, k=3, s=2, g=cin, act=None)
-            self.sc_pw = _Unit(cin, cout, k=1, act=None)
+            self.sc_pw = _Unit(cin, out, k=1, act=None)
 
     @property
     def out_channels(self) -> int:
@@ -452,22 +435,18 @@ class GAM(Block):
 
     KIND = "GAM"
 
-    def __init__(self, in_channels: list[int], args: dict):
-        cin = _single(in_channels, self.KIND)
-        rd = _ArgReader(self.KIND, args)
-        ratio = rd.take("ratio", 4)
-        residual = rd.take("residual", True)
-        groups = rd.take("spatial_groups", ratio)
-        rd.finish()
-        if cin % ratio:
+    def build(self, cin, *, ratio: int = 4, residual: bool = True,
+              spatial_groups: int | None = None):
+        if ratio < 1 or cin % ratio:
             raise ConfigError(f"GAM ratio {ratio} must divide channels {cin}")
         hidden = cin // ratio
+        groups = ratio if spatial_groups is None else spatial_groups
         if groups < 1 or cin % groups or hidden % groups:
             raise ConfigError(
                 f"GAM spatial_groups {groups} must divide both channels {cin} "
                 f"and reduced channels {hidden}")
         self.cin = cin
-        self.residual = bool(residual)
+        self.residual = residual
         self.fc1 = _Linear(cin, hidden)
         self.fc2 = _Linear(hidden, cin)
         self.sconv1 = _Unit(cin, hidden, k=7, p=3, g=groups, act="relu", norm=False)
@@ -498,20 +477,15 @@ class SPPF(Block):
 
     KIND = "SPPF"
 
-    def __init__(self, in_channels: list[int], args: dict):
-        cin = _single(in_channels, self.KIND)
-        rd = _ArgReader(self.KIND, args)
-        cout = rd.take("out", required=True)
-        k = rd.take("k", 5)
-        rd.finish()
-        if k % 2 == 0:
-            raise ConfigError(f"SPPF pool kernel must be odd, got {k}")
+    def build(self, cin, *, out: int, k: int = 5):
+        if k < 1 or k % 2 == 0:
+            raise ConfigError(f"SPPF pool kernel must be odd and positive, got {k}")
         hidden = cin // 2
         if hidden < 1:
             raise ConfigError(f"SPPF needs >= 2 input channels, got {cin}")
         self.k = k
         self.cv1 = _Unit(cin, hidden, k=1)
-        self.cv2 = _Unit(4 * hidden, cout, k=1)
+        self.cv2 = _Unit(4 * hidden, out, k=1)
 
     @property
     def out_channels(self) -> int:
@@ -533,13 +507,10 @@ class Upsample(Block):
 
     KIND = "Upsample"
 
-    def __init__(self, in_channels: list[int], args: dict):
-        cin = _single(in_channels, self.KIND)
-        rd = _ArgReader(self.KIND, args)
-        self.factor = rd.take("factor", 2)
-        rd.finish()
-        if self.factor < 1:
-            raise ConfigError(f"Upsample factor must be >= 1, got {self.factor}")
+    def build(self, cin, *, factor: int = 2):
+        if factor < 1:
+            raise ConfigError(f"Upsample factor must be >= 1, got {factor}")
+        self.factor = factor
         self.cin = cin
 
     @property
@@ -555,11 +526,10 @@ class Concat(Block):
 
     KIND = "Concat"
 
-    def __init__(self, in_channels: list[int], args: dict):
-        _ArgReader(self.KIND, args).finish()
-        if len(in_channels) < 2:
-            raise ConfigError(f"Concat needs >= 2 inputs, got {len(in_channels)}")
-        self.cins = list(in_channels)
+    def build(self, *cins):
+        if len(cins) < 2:
+            raise ConfigError(f"Concat needs >= 2 inputs, got {len(cins)}")
+        self.cins = cins
 
     @property
     def out_channels(self) -> int:
@@ -579,15 +549,12 @@ class Detect(Block):
 
     KIND = "Detect"
 
-    def __init__(self, in_channels: list[int], args: dict):
-        rd = _ArgReader(self.KIND, args)
-        nc = rd.take("nc", required=True)
-        rd.finish()
+    def build(self, *cins, nc: int):
         if nc < 1:
             raise ConfigError(f"Detect needs >= 1 class, got {nc}")
         self.per_scale = 3 * (5 + nc)
         self.m = [_Unit(cin, self.per_scale, k=1, act=None, norm=False)
-                  for cin in in_channels]
+                  for cin in cins]
 
     @property
     def out_channels(self) -> int:

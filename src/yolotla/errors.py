@@ -1,4 +1,5 @@
-"""Exception types raised across the package.
+"""Exception types raised across the package, and the one type test that
+config readers share.
 
 Every error message names the offending thing (dimension, field, parameter
 path) so failures in larger pipelines stay diagnosable.
@@ -23,3 +24,11 @@ class ParseError(YoloTlaError):
 
 class WeightError(YoloTlaError):
     """A parameter is missing, unexpected, or mis-shaped."""
+
+
+def is_instance(value, *types: type) -> bool:
+    """`isinstance(value, types)`, except that a bool passes only where bool
+    is named: a JSON `true` is never a count, a width or an index."""
+    if isinstance(value, bool):
+        return bool in types
+    return isinstance(value, types)

@@ -38,7 +38,8 @@ import numpy as np
 
 from . import blocks as _blocks
 from . import meter
-from .errors import ConfigError, ParseError, ShapeError, WeightError
+from .errors import (ConfigError, ParseError, ShapeError, WeightError,
+                     is_instance)
 from .tensor import Tensor
 
 WEIGHT_MAGIC = b"TLAW"
@@ -49,6 +50,9 @@ REFERENCE_SIDE = 640
 
 def scale_channels(base: int, width_multiple: float) -> int:
     """Width scaling: multiply, then round up to a multiple of 8."""
+    if not is_instance(base, int) or base < 1:
+        raise ConfigError(
+            f"base channel count must be a positive integer, got {base!r}")
     if base % 8:
         raise ConfigError(f"base channel count {base} is not a multiple of 8")
     return max(8, int(math.ceil(base * width_multiple / 8)) * 8)
@@ -96,7 +100,7 @@ def _parse_anchors(raw) -> tuple:
         pairs = []
         for pair in row:
             if (not isinstance(pair, list) or len(pair) != 2
-                    or not all(isinstance(v, (int, float)) and v > 0
+                    or not all(is_instance(v, int, float) and v > 0
                                for v in pair)):
                 raise ConfigError(
                     f"anchors row {si} entry {pair!r} is not a positive "
@@ -114,7 +118,7 @@ def _parse_layer(index: int, row) -> LayerSpec:
     sources = frm if isinstance(frm, list) else [frm]
     resolved = []
     for s in sources:
-        if not isinstance(s, int):
+        if not is_instance(s, int):
             raise ConfigError(f"layer {index} source {s!r} is not an index")
         if index == 0:
             if s != -1:
@@ -129,7 +133,7 @@ def _parse_layer(index: int, row) -> LayerSpec:
                 f"layer {index} references layer {s}, which does not "
                 f"precede it")
         resolved.append(abs_s)
-    if not isinstance(repeats, int) or repeats < 1:
+    if not is_instance(repeats, int) or repeats < 1:
         raise ConfigError(f"layer {index} repeats must be a positive integer")
     if kind == "Detect":
         raise ConfigError(
@@ -163,11 +167,11 @@ def parse_config(source) -> ModelConfig:
     if unknown:
         raise ConfigError(f"config has unknown fields: {sorted(unknown)}")
     nc = doc["nc"]
-    if not isinstance(nc, int) or nc < 1:
+    if not is_instance(nc, int) or nc < 1:
         raise ConfigError(f"nc must be a positive integer, got {nc!r}")
     for fld in ("depth_multiple", "width_multiple"):
         v = doc[fld]
-        if not isinstance(v, (int, float)) or v <= 0:
+        if not is_instance(v, int, float) or v <= 0:
             raise ConfigError(f"{fld} must be a positive number, got {v!r}")
     anchors = _parse_anchors(doc["anchors"])
     if not isinstance(doc["layers"], list) or not doc["layers"]:
@@ -175,7 +179,7 @@ def parse_config(source) -> ModelConfig:
     layers = tuple(_parse_layer(i, row) for i, row in enumerate(doc["layers"]))
     df = doc["detect_from"]
     if (not isinstance(df, list)
-            or not all(isinstance(i, int) for i in df)):
+            or not all(is_instance(i, int) for i in df)):
         raise ConfigError("detect_from must be a list of layer indices")
     if len(df) != len(anchors):
         raise ConfigError(
@@ -231,7 +235,7 @@ def init_params(specs, seed: int) -> dict[str, np.ndarray]:
             out[path] = np.zeros(shape, dtype=np.float32)
         else:
             if path.endswith(".weight"):
-                fan_in = int(np.prod(shape[1:]))
+                fan_in = math.prod(shape[1:])
                 bound = 1.0 / math.sqrt(fan_in)
             out[path] = rng.uniform(-bound, bound, size=shape).astype(np.float32)
     return out
@@ -256,12 +260,12 @@ class Model:
             else:
                 cins = [channels[s] for s in spec.sources]
             args = dict(spec.args)
-            if "out" in args:
-                args["out"] = scale_channels(args["out"],
-                                             config.width_multiple)
             if spec.kind in _blocks.C3_FAMILY:
                 args["n"] = scale_repeats(spec.repeats, config.depth_multiple)
             try:
+                if "out" in args:
+                    args["out"] = scale_channels(args["out"],
+                                                 config.width_multiple)
                 block = _blocks.BLOCKS[spec.kind](cins, args)
             except ConfigError as e:
                 raise ConfigError(f"layer {spec.index} ({spec.kind}): {e}") from e
@@ -320,7 +324,7 @@ class Model:
         return specs
 
     def param_count(self) -> int:
-        return sum(int(np.prod(s)) for _, s in self.param_specs())
+        return sum(math.prod(s) for _, s in self.param_specs())
 
     def _bind(self) -> None:
         specs = self.param_specs()
@@ -396,9 +400,9 @@ class Model:
                 raise WeightError(
                     f"weight file holds unexpected parameter {name}")
             want = expected[name]
-            if int(np.prod(arr.shape)) != int(np.prod(want)):
+            if arr.size != math.prod(want):
                 raise WeightError(
-                    f"parameter {name} holds {int(np.prod(arr.shape))} "
+                    f"parameter {name} holds {arr.size} "
                     f"values, expected shape {want}")
             params[name] = np.ascontiguousarray(arr).reshape(want)
         missing = sorted(set(expected) - set(params))

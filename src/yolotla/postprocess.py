@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
+from .tensor import sigmoid64
 
 DEFAULT_CONF_THRESHOLD = 0.25
 DEFAULT_IOU_THRESHOLD = 0.45
@@ -49,17 +50,13 @@ def iou(a, b) -> float:
     return inter / union if union > 0 else 0.0
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-x.astype(np.float64)))
-
-
-def decode(maps, anchors, strides, conf_threshold=DEFAULT_CONF_THRESHOLD,
-           image_hw=None) -> list[Detection]:
+def decode(maps, anchors, strides,
+           conf_threshold=DEFAULT_CONF_THRESHOLD) -> list[Detection]:
     """Decode raw per-scale maps into pixel-space detections.
 
     ``anchors``: one (3, 2) array of pixel (w, h) pairs per scale;
-    ``strides``: matching per-scale strides. The image size defaults to
-    map size times stride and is used to clip boxes.
+    ``strides``: matching per-scale strides. Boxes are clipped to the image
+    size, which is map size times stride.
     """
     if not (len(maps) == len(anchors) == len(strides)):
         raise ShapeError(
@@ -69,7 +66,7 @@ def decode(maps, anchors, strides, conf_threshold=DEFAULT_CONF_THRESHOLD,
     if len(sizes) != 1:
         raise ShapeError(
             f"maps disagree on image size under their strides: {sorted(sizes)}")
-    img_h, img_w = image_hw if image_hw is not None else next(iter(sizes))
+    img_h, img_w = next(iter(sizes))
     out: list[Detection] = []
     for si, (fmap, stride) in enumerate(zip(maps, strides)):
         n, c, h, w = fmap.shape
@@ -85,10 +82,10 @@ def decode(maps, anchors, strides, conf_threshold=DEFAULT_CONF_THRESHOLD,
                 f"map {si} has {c} channels, too few for 3*(5+classes)")
         row = np.asarray(anchors[si], dtype=np.float64).reshape(3, 2)
         arr = fmap.data.reshape(3, per, h, w)
-        xy = _sigmoid(arr[:, 0:2])
-        wh = _sigmoid(arr[:, 2:4])
-        obj = _sigmoid(arr[:, 4])
-        cls = _sigmoid(arr[:, 5:])
+        xy = sigmoid64(arr[:, 0:2])
+        wh = sigmoid64(arr[:, 2:4])
+        obj = sigmoid64(arr[:, 4])
+        cls = sigmoid64(arr[:, 5:])
         best_cls = cls.argmax(axis=1)
         best_score = cls.max(axis=1)
         conf = obj * best_score

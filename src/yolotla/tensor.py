@@ -31,6 +31,7 @@ from . import meter
 from .errors import ConfigError, ParseError, ShapeError
 
 TNS_MAGIC = b"TNS1"
+_MAX_DIM = np.iinfo(np.intp).max   # no numpy array, not even a stand-in, is longer
 
 
 class Tensor:
@@ -99,6 +100,9 @@ def _checked_shape(shape: tuple) -> tuple[int, int, int, int]:
         raise ShapeError(f"tensor must have rank 4 (n, C, H, W), got rank {len(shape)}")
     if min(shape) < 1:
         raise ShapeError(f"every tensor dimension must be >= 1, got {tuple(shape)}")
+    if max(shape) > _MAX_DIM:
+        raise ShapeError(f"tensor dimension {max(shape)} exceeds the array index "
+                         f"limit {_MAX_DIM}")
     return tuple(shape)
 
 
@@ -299,16 +303,17 @@ def relu(x: Tensor) -> Tensor:
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    return _elementwise("sigmoid", x, lambda: _sigmoid64(x.data))
+    return _elementwise("sigmoid", x, lambda: sigmoid64(x.data))
 
 
 def silu(x: Tensor) -> Tensor:
     """x * sigmoid(x), the default activation behind every conv block."""
     return _elementwise(
-        "silu", x, lambda: x.data.astype(np.float64) * _sigmoid64(x.data))
+        "silu", x, lambda: x.data.astype(np.float64) * sigmoid64(x.data))
 
 
-def _sigmoid64(arr: np.ndarray) -> np.ndarray:
+def sigmoid64(arr: np.ndarray) -> np.ndarray:
+    """Logistic of a plain array in float64 (also used by box decoding)."""
     return 1.0 / (1.0 + np.exp(-arr.astype(np.float64)))
 
 

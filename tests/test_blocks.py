@@ -5,13 +5,18 @@ checked two ways: analytic special cases small enough to reason out by
 hand, and a re-implementation of the block's wiring written directly in
 tensor primitives that must agree with the block's own forward.
 """
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from yolotla import blocks, meter
 from yolotla.blocks import BLOCKS, C3_FAMILY
 from yolotla.cli import PARITY_CASES
-from yolotla.errors import ConfigError, ShapeError
+from yolotla.errors import ConfigError, ShapeError, YoloTlaError
+from yolotla.graph import build_model, find_config
 from yolotla.tensor import (ConvSpec, Tensor, concat_channels, conv2d,
                             conv2d_naive, maxpool2d)
 
@@ -436,3 +441,108 @@ def test_registry_covers_expected_kinds():
                 "Upsample", "Concat", "Detect"}
     assert expected <= set(BLOCKS)
     assert set(C3_FAMILY) <= set(BLOCKS)
+
+
+class TestArgumentBinding:
+    """The base constructor checks names, types and the input count."""
+
+    def test_missing_required_argument_named(self):
+        with pytest.raises(ConfigError, match="missing required argument 'out'"):
+            BLOCKS["SPPF"]([8], {"k": 5})
+
+    def test_single_input_kind_rejects_two(self):
+        with pytest.raises(ConfigError, match="takes exactly one input, got 2"):
+            BLOCKS["ConvBNAct"]([3, 3], {"out": 8})
+
+    @pytest.mark.parametrize("kind,cins,args,message", [
+        ("SPPF", [8], {"out": 8, "k": "5"}, "'k' must be int, got '5'"),
+        ("C3", [8], {"out": 8, "e": "x"}, "'e' must be float or int"),
+        ("CrossConv", [8], {"out": 8, "e": "x"}, "'e' must be float or int"),
+        ("ConvBNAct", [3], {"out": 8, "act": ["x"]}, "'act' must be str or None"),
+        ("ConvBNAct", [3], {"out": True}, "'out' must be int, got True"),
+        ("ConvBNAct", [3], {"out": 8, "k": True}, "'k' must be int or list"),
+        ("ConvBNAct", [3], {"out": 8, "k": [True, 3]}, "pair of ints"),
+        ("C3", [8], {"out": 8, "shortcut": 1}, "'shortcut' must be bool, got 1"),
+        ("Detect", [8], {"nc": 2.0}, "'nc' must be int, got 2.0"),
+    ])
+    def test_mistyped_argument_rejected(self, kind, cins, args, message):
+        with pytest.raises(ConfigError, match=message):
+            BLOCKS[kind](cins, args)
+
+    @pytest.mark.parametrize("kind,args,message", [
+        ("GAM", {"ratio": 0}, "ratio 0 must divide"),
+        ("GAM", {"ratio": -4}, "ratio -4 must divide"),
+        ("SPPF", {"out": 8, "k": -1}, "odd and positive"),
+        ("C3", {"out": 8, "e": float("inf")}, "hidden width inf"),
+        ("Bottleneck", {"out": 8, "e": float("nan")}, "hidden width nan"),
+        ("CrossConv", {"out": 8, "e": 0.1}, "hidden width 0.8"),
+    ])
+    def test_out_of_range_value_rejected(self, kind, args, message):
+        with pytest.raises(ConfigError, match=message):
+            BLOCKS[kind]([16], args)
+
+    def test_width_beyond_the_array_index_limit_rejected(self):
+        with pytest.raises(ShapeError, match="index limit"):
+            BLOCKS["C3"]([16], {"out": 64, "e": 1e20})
+
+    def test_int_passes_as_float(self):
+        a = BLOCKS["Bottleneck"]([8], {"out": 8, "e": 1})
+        b = BLOCKS["Bottleneck"]([8], {"out": 8, "e": 1.0})
+        assert a.param_specs("b") == b.param_specs("b")
+
+    def test_signature_read_once_per_class(self):
+        blocks._signature.cache_clear()
+        build_model(find_config("yolo-tla-s"))
+        misses = blocks._signature.cache_info().misses
+        build_model(find_config("yolo-tla-s"))
+        assert blocks._signature.cache_info().misses == misses
+
+
+# small, so `n` never builds a million units, and weighted to the edge cases
+SMALL_INTS = st.one_of(st.integers(-2, 2), st.integers(-2, 64))
+VALUES = {
+    int: SMALL_INTS,
+    float: st.one_of(st.floats(), st.sampled_from([math.inf, math.nan, 1e300])),
+    bool: st.booleans(),
+    str: st.one_of(st.text(max_size=3), st.sampled_from(["silu", "relu"])),
+    type(None): st.none(),
+    list: st.lists(SMALL_INTS, max_size=3),
+    tuple: st.lists(SMALL_INTS, max_size=3).map(tuple),
+}
+HOSTILE = st.one_of(*(VALUES[t] for t in (int, float, bool, str, type(None), list)))
+
+# a well-formed (inputs, args) per kind, which each example then corrupts
+WELL_FORMED = {kind: (cins, args) for kind, cins, args, _ in PARITY_CASES}
+WELL_FORMED["Detect"] = ([8, 16], {"nc": 3})
+
+
+def argument_values(types):
+    """Values of the annotated types half the time (to get past the type
+    check), any hostile value otherwise."""
+    if not types:
+        return HOSTILE
+    typed = st.one_of(*(VALUES[t] for t in types))
+    return st.booleans().flatmap(lambda well_typed: typed if well_typed else HOSTILE)
+
+
+@pytest.mark.parametrize("kind", sorted(BLOCKS))
+@settings(derandomize=True, database=None, max_examples=50, deadline=None)
+@given(data=st.data())
+def test_hostile_block_arguments_raise_only_package_errors(kind, data):
+    """Construction plus shape inference with one or two arguments (or an
+    unknown name, or the input widths) replaced: only a YoloTlaError, which
+    the CLI turns into a one-line error, may escape."""
+    cins, args = WELL_FORMED[kind]
+    # {argument: accepted types}, as the binder reads them from `build`
+    types = {name: t for name, (t, _) in blocks._signature(BLOCKS[kind])[1].items()}
+    names = data.draw(st.lists(st.sampled_from([*types, "bogus"]),
+                               min_size=1, max_size=2, unique=True))
+    args = {**args, **{name: data.draw(argument_values(types.get(name, ())))
+                       for name in names}}
+    if data.draw(st.integers(0, 3)) == 0:
+        cins = data.draw(st.lists(st.integers(1, 16), min_size=1, max_size=3))
+    try:
+        block = BLOCKS[kind](cins, args)
+        block.out_shape([(1, c, 8, 8) for c in cins])
+    except YoloTlaError:
+        pass

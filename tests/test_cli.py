@@ -177,6 +177,21 @@ class TestAnalyzeCommand:
         assert err.startswith("error: ")
         assert "largest stride 32" in err
 
+    @pytest.mark.parametrize("kind,arg,value,message", [
+        ("GAM", "ratio", 0, "GAM ratio 0 must divide"),
+        ("SPPF", "k", "5", "argument 'k' must be int, got '5'"),
+    ])
+    def test_malformed_block_argument_exits_one(self, kind, arg, value,
+                                                message, tmp_path, capsys):
+        doc = json.loads(find_config("yolov5s-gam").read_text())
+        row = next(r for r in doc["layers"] if r[2] == kind)
+        row[3][arg] = value
+        path = tmp_path / "hostile.cfg"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(["analyze", "--config", str(path)], capsys)
+        assert_one_line_error(code, err)
+        assert message in err
+
     def test_unknown_config_exits_one(self, capsys):
         code, _, err = run(["analyze", "--config", "no-such-model"], capsys)
         assert code == 1

@@ -62,6 +62,18 @@ class TestScaling:
         assert scale_repeats(9, 0.67) == 6
         assert scale_repeats(1, 0.33) == 1
 
+    @pytest.mark.parametrize("base", ["64", -8, 0, True, 64.0])
+    def test_base_must_be_a_positive_int(self, base):
+        with pytest.raises(ConfigError, match="positive integer"):
+            scale_channels(base, 0.5)
+
+    @pytest.mark.parametrize("base", ["64", -8, 0])
+    def test_bad_base_width_names_the_layer(self, base):
+        doc = toy_config()
+        doc["layers"][3][3]["out"] = base
+        with pytest.raises(ConfigError, match="layer 3 .*positive integer"):
+            build_model(doc)
+
     def test_non_multiple_base_rejected(self):
         with pytest.raises(ConfigError, match="multiple of 8"):
             scale_channels(100, 0.5)
@@ -124,6 +136,27 @@ class TestParseValidation:
         doc["detect_from"] = [11]
         with pytest.raises(ConfigError, match="1 scales.*2"):
             parse_config(doc)
+
+    TRUE_SITES = {
+        "nc": lambda d: d.update(nc=True),
+        "width_multiple": lambda d: d.update(width_multiple=True),
+        "depth_multiple": lambda d: d.update(depth_multiple=True),
+        "repeats": lambda d: d["layers"][2].__setitem__(1, True),
+        "anchor": lambda d: d["anchors"][0].__setitem__(0, [True, 2]),
+        "detect_from": lambda d: d["detect_from"].__setitem__(0, True),
+        "from": lambda d: d["layers"][5].__setitem__(0, True),
+        "out": lambda d: d["layers"][0][3].update(out=True),
+        "k": lambda d: d["layers"][0][3].update(k=True),
+        "k-pair": lambda d: d["layers"][0][3].update(k=[True, 3]),
+    }
+
+    @pytest.mark.parametrize("site", TRUE_SITES)
+    def test_json_true_is_never_a_number(self, site):
+        # True is an int to isinstance; every numeric field must refuse it
+        doc = toy_config()
+        self.TRUE_SITES[site](doc)
+        with pytest.raises(ConfigError):
+            build_model(doc)
 
     def test_invalid_json_file(self, tmp_path):
         p = tmp_path / "broken.cfg"

@@ -384,6 +384,11 @@ class TestMetaTensors:
         with pytest.raises(ShapeError, match=">= 1"):
             Tensor.meta((1, 0, 4, 5))
 
+    def test_meta_dimension_beyond_the_array_index_limit(self):
+        # a width numpy cannot index must fail as a ShapeError, not ValueError
+        with pytest.raises(ShapeError, match="index limit"):
+            Tensor.meta((1, 2**63, 4, 5))
+
     def test_kernels_price_meta_like_real(self):
         rng = np.random.default_rng(4)
         spec = ConvSpec(4, 6, 3, 3, stride_h=2, stride_w=1, pad_h=1, pad_w=0,
