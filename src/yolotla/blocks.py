@@ -6,7 +6,9 @@ in `children`, the ordered named sub-units that own its parameters. The
 base `Block` derives the rest: output shapes and (macs, flops) from a
 `forward` over shape-only meta tensors under an isolated meter, and the
 parameter manifest, `load` and `param_count` from the child tree, whose
-leaves (conv units and linear layers) alone declare parameter shapes.
+leaves alone declare parameter shapes. Every leaf is a conv unit, so
+`conv2d` is the one kernel that carries weights; GAM's per-position MLP
+layers are 1x1 units that keep a linear layer's manifest.
 
 A block's config arguments are the keyword-only parameters of its `build`
 method. The base constructor is their one binder: it checks the input
@@ -33,9 +35,8 @@ import numpy as np
 
 from . import meter
 from .errors import ConfigError, ShapeError, is_instance
-from .tensor import (ConvSpec, Tensor, add, concat_channels, conv2d, linear,
-                     maxpool2d, mul, permute, relu, sigmoid, silu,
-                     upsample_nearest)
+from .tensor import (ConvSpec, Tensor, add, concat_channels, conv2d, maxpool2d,
+                     mul, relu, sigmoid, silu, upsample_nearest)
 
 Shape = tuple[int, int, int, int]
 IntPair = int | list | tuple   # an int or [a, b]; `_pair` checks the items
@@ -109,24 +110,24 @@ class _Unit:
         return _ACTIVATIONS[self.act](conv2d(x, self.spec, self.weight, self.bias))
 
 
-class _Linear:
-    """Fully connected layer applied at every position of a channels-last tensor."""
+class _Linear(_Unit):
+    """Fully connected layer at every spatial position, run as a biased 1x1 conv.
 
-    def __init__(self, fin: int, fout: int):
-        self.shape = (fout, fin)
-        self.weight = _stand_in(self.shape)
-        self.bias = _stand_in((fout,))
+    Its manifest is a linear layer's, `weight` as (out_features, in_features)
+    plus `bias`; `load` reshapes the weight to the conv's (out, in, 1, 1).
+    """
+
+    def __init__(self, fin: int, fout: int, act: str | None = None):
+        super().__init__(fin, fout, k=1, act=act, norm=False)
 
     def param_specs(self, prefix: str) -> list[tuple[str, tuple[int, ...]]]:
-        return [(f"{prefix}.weight", self.shape),
-                (f"{prefix}.bias", self.shape[:1])]
+        return [(f"{prefix}.weight", self.spec.weight_shape()[:2]),
+                (f"{prefix}.bias", (self.out_channels,))]
 
     def load(self, getw, prefix: str) -> None:
-        self.weight = np.asarray(getw(f"{prefix}.weight"), dtype=np.float32)
+        w = np.asarray(getw(f"{prefix}.weight"), dtype=np.float32)
+        self.weight = Tensor(w.reshape(*w.shape, 1, 1))
         self.bias = np.asarray(getw(f"{prefix}.bias"), dtype=np.float32)
-
-    def __call__(self, x: Tensor) -> Tensor:
-        return linear(x, self.weight, self.bias)
 
 
 @functools.cache
@@ -425,8 +426,9 @@ class GAM(Block):
     """Global attention: a channel gate from a per-position MLP, then a
     spatial gate from two 7x7 convolutions, with a residual add.
 
-    The channel branch permutes to channels-last, runs the two-layer MLP at
-    every spatial position, permutes back, and squashes to a sigmoid gate.
+    The channel branch runs the two-layer MLP at every spatial position,
+    as two 1x1 convolutions on the (n, C, H, W) input, and squashes it to a
+    sigmoid gate.
     The spatial branch convolves the gated tensor down to C/ratio channels
     and back up, grouped to keep its cost proportionate. Zero weights give
     0.5 gates everywhere, so the block output is 0.25x (or 1.25x with the
@@ -447,7 +449,7 @@ class GAM(Block):
                 f"and reduced channels {hidden}")
         self.cin = cin
         self.residual = residual
-        self.fc1 = _Linear(cin, hidden)
+        self.fc1 = _Linear(cin, hidden, act="relu")
         self.fc2 = _Linear(hidden, cin)
         self.sconv1 = _Unit(cin, hidden, k=7, p=3, g=groups, act="relu", norm=False)
         self.sconv2 = _Unit(hidden, cin, k=7, p=3, g=groups, act=None, norm=False)
@@ -464,8 +466,7 @@ class GAM(Block):
         x = xs[0]
         if x.c != self.cin:
             raise ShapeError(f"GAM built for {self.cin} channels, got {x.c}")
-        hid = relu(self.fc1(permute(x, (0, 2, 3, 1))))
-        channel_gate = sigmoid(permute(self.fc2(hid), (0, 3, 1, 2)))
+        channel_gate = sigmoid(self.fc2(self.fc1(x)))
         gated = mul(x, channel_gate)
         spatial_gate = sigmoid(self.sconv2(self.sconv1(gated)))
         out = mul(gated, spatial_gate)

@@ -27,7 +27,8 @@ from .costs import (CONVENTION, analyze, closed_form_cross,
                     closed_form_standard)
 from .data import letterbox, load_coco, load_image, unletterbox_box
 from .errors import ConfigError, YoloTlaError
-from .graph import build_model, bundled_config_names, find_config, parse_config
+from .graph import (build_model, bundled_config_names, find_config,
+                    parse_config, read_config)
 from .metrics import ap_from_ranking, evaluate, exact_envelope_ap
 from .postprocess import (DEFAULT_CONF_THRESHOLD, DEFAULT_IOU_THRESHOLD,
                           Detection, decode, nms, to_coco_results)
@@ -169,12 +170,11 @@ def cmd_anchors(args) -> int:
             raise ConfigError("--patch-config requires --scales")
         if not args.out:
             raise ConfigError("--patch-config requires --out")
-        src = find_config(args.patch_config)
-        cfg_doc = json.loads(src.read_text())
-        want = len(cfg_doc.get("detect_from", []))
-        if want != len(anchor_set.scales):
+        cfg_doc = read_config(find_config(args.patch_config))
+        cfg = parse_config(cfg_doc)
+        if len(cfg.detect_from) != len(anchor_set.scales):
             raise ConfigError(
-                f"config {cfg_doc.get('name')} detects on {want} scales, "
+                f"config {cfg.name} detects on {len(cfg.detect_from)} scales, "
                 f"fitted {len(anchor_set.scales)}")
         cfg_doc["anchors"] = [
             [[round(w, 2), round(h, 2)] for w, h in triple]

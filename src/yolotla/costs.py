@@ -13,8 +13,8 @@ Counting convention, stated wherever totals are reported: one
 multiply-accumulate costs 2 FLOPs; a biased layer adds one addition per
 output element; elementwise math is priced per element (sigmoid, ReLU,
 add, mul at 1; SiLU at 2); max pooling pays one comparison per window
-element beyond the first; concatenation, nearest upsampling, and
-permutation are free.
+element beyond the first; concatenation and nearest upsampling are
+free.
 
 The closed-form single-layer formulas at the bottom are deliberately
 quarantined from the analyzer: they estimate one square or factored

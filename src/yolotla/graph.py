@@ -14,7 +14,8 @@ A model config is a JSON document with extension ``.cfg``::
 
 Channel args in ``layers`` are base widths; the build multiplies them by
 ``width_multiple`` and rounds up to a multiple of 8. ``repeats`` is scaled
-by ``depth_multiple`` for the C3 family and must stay 1 elsewhere. The
+by ``depth_multiple`` for the C3 family and must stay 1 elsewhere; it is a
+C3 block's only repeat count, so an ``n`` arg is refused. The
 prediction head is not a layer row: it is assembled from ``detect_from``,
 ``nc`` and the anchor table, one 1x1 conv per scale.
 
@@ -148,18 +149,24 @@ def _parse_layer(index: int, row) -> LayerSpec:
     return LayerSpec(index, tuple(resolved), repeats, kind, dict(args))
 
 
-def parse_config(source) -> ModelConfig:
-    """Parse and validate a model config from a path, JSON text, or dict."""
-    if isinstance(source, dict):
-        doc = source
-    else:
-        text = Path(source).read_text()
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as e:
-            raise ParseError(f"config {source} is not valid JSON: {e}") from e
+def read_config(path) -> dict:
+    """The JSON object stored in a config file, before any validation."""
+    try:
+        doc = json.loads(Path(path).read_bytes().decode("utf-8"))
+    except OSError as e:
+        raise ParseError(f"cannot read config {path}: {e.strerror or e}") from e
+    except UnicodeDecodeError as e:
+        raise ParseError(f"config {path} is not UTF-8 text: {e}") from e
+    except json.JSONDecodeError as e:
+        raise ParseError(f"config {path} is not valid JSON: {e}") from e
     if not isinstance(doc, dict):
-        raise ConfigError("config root must be an object")
+        raise ConfigError(f"config {path}: root must be an object")
+    return doc
+
+
+def parse_config(source) -> ModelConfig:
+    """Parse and validate a model config from a path or an already-read dict."""
+    doc = source if isinstance(source, dict) else read_config(source)
     missing = _TOP_FIELDS - set(doc)
     if missing:
         raise ConfigError(f"config is missing fields: {sorted(missing)}")
@@ -260,9 +267,13 @@ class Model:
             else:
                 cins = [channels[s] for s in spec.sources]
             args = dict(spec.args)
-            if spec.kind in _blocks.C3_FAMILY:
-                args["n"] = scale_repeats(spec.repeats, config.depth_multiple)
             try:
+                if spec.kind in _blocks.C3_FAMILY:
+                    if "n" in args:
+                        raise ConfigError(
+                            "argument 'n' is not accepted; set the repeat "
+                            "count in the layer's repeats field")
+                    args["n"] = scale_repeats(spec.repeats, config.depth_multiple)
                 if "out" in args:
                     args["out"] = scale_channels(args["out"],
                                                  config.width_multiple)

@@ -9,11 +9,11 @@ loop-nest `conv2d_naive`, which tallies the multiply-accumulates it
 actually executes rather than reading this table.
 
 Counting convention (also stated in CLI reports):
-  * convolution / matrix multiply: 2 FLOPs per multiply-accumulate,
+  * convolution: 2 FLOPs per multiply-accumulate,
     plus 1 per output element when a bias (or folded norm shift) is added
   * elementwise arithmetic: 1 FLOP per scalar (SiLU costs 2: sigmoid + mul)
   * max pooling: kernel_area - 1 comparisons per output element
-  * data movement (concat, permute, nearest upsample): free
+  * data movement (concat, nearest upsample): free
 """
 from __future__ import annotations
 
@@ -102,16 +102,6 @@ def conv_cost(n: int, out_channels: int, in_per_group: int, kh: int, kw: int,
     flops = 2 * macs
     if bias:
         flops += n * oh * ow * out_channels
-    return macs, flops
-
-
-def linear_cost(rows: int, in_features: int, out_features: int,
-                bias: bool) -> tuple[int, int]:
-    """(macs, flops) of one matrix multiply against a weight matrix."""
-    macs = rows * in_features * out_features
-    flops = 2 * macs
-    if bias:
-        flops += rows * out_features
     return macs, flops
 
 

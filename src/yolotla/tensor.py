@@ -5,10 +5,9 @@ floats. Kernels are pure functions: they never write through an input and
 always allocate fresh outputs, so concurrent forward passes over shared
 weights are safe.
 
-Convolution and matrix multiply accumulate in 64-bit before casting back to
-float32. That keeps the vectorized path and the loop-nest reference
-implementation numerically aligned to well under the 1e-5 tolerance the
-tests pin.
+Convolution accumulates in 64-bit before casting back to float32. That
+keeps the vectorized path and the loop-nest reference implementation
+numerically aligned to well under the 1e-5 tolerance the tests pin.
 
 Every kernel also accepts meta tensors (shape only, no array). It checks
 its arguments and records its cost to the active meters exactly as for
@@ -197,6 +196,14 @@ def _padded(x: Tensor, spec: ConvSpec) -> np.ndarray:
                            (spec.pad_w, spec.pad_w)))
 
 
+def _windows(xp: np.ndarray, kh: int, kw: int, oh: int, ow: int,
+             sh: int, sw: int) -> np.ndarray:
+    """Read-only (n, C, kh, kw, oh, ow) view of every kernel window of xp."""
+    sn, sc, rh, rw = xp.strides
+    return as_strided(xp, shape=(*xp.shape[:2], kh, kw, oh, ow),
+                      strides=(sn, sc, rh, rw, rh * sh, rw * sw), writeable=False)
+
+
 def conv2d(x: Tensor, spec: ConvSpec, weight: Tensor,
            bias: np.ndarray | None = None) -> Tensor:
     """Grouped 2-D convolution via a strided patch view and one matmul per group."""
@@ -213,14 +220,7 @@ def conv2d(x: Tensor, spec: ConvSpec, weight: Tensor,
     if x.is_meta:
         return Tensor.meta((n, spec.out_channels, oh, ow))
 
-    xp = _padded(x, spec)
-    sn, sc, sh, sw = xp.strides
-    view = as_strided(
-        xp,
-        shape=(n, cin, kh, kw, oh, ow),
-        strides=(sn, sc, sh, sw, sh * spec.stride_h, sw * spec.stride_w),
-        writeable=False,
-    )
+    view = _windows(_padded(x, spec), kh, kw, oh, ow, spec.stride_h, spec.stride_w)
     wmat = weight.data.astype(np.float64).reshape(spec.out_channels, cing * kh * kw)
     out = np.empty((n, spec.out_channels, oh, ow), dtype=np.float32)
     for gi in range(g):
@@ -358,44 +358,4 @@ def maxpool2d(x: Tensor, kernel: int, stride: int = 1, pad: int = 0) -> Tensor:
     if pad:
         xp = np.pad(xp, ((0, 0), (0, 0), (pad, pad), (pad, pad)),
                     constant_values=-np.inf)
-    sn, sc, sh, sw = xp.strides
-    view = as_strided(
-        xp,
-        shape=(x.n, x.c, oh, ow, kernel, kernel),
-        strides=(sn, sc, sh * stride, sw * stride, sh, sw),
-        writeable=False,
-    )
-    return Tensor(view.max(axis=(4, 5)))
-
-
-def permute(x: Tensor, order: tuple[int, int, int, int]) -> Tensor:
-    """Reorder axes; a pure relabeling, made contiguous on the way out."""
-    if sorted(order) != [0, 1, 2, 3]:
-        raise ConfigError(f"permute order must rearrange (0, 1, 2, 3), got {order}")
-    if x.is_meta:
-        return Tensor.meta(tuple(x.shape[i] for i in order))
-    return Tensor(np.ascontiguousarray(np.transpose(x.data, order)))
-
-
-def linear(x: Tensor, weight: np.ndarray,
-           bias: np.ndarray | None = None) -> Tensor:
-    """Fully connected layer over the last axis of x, one row per leading
-    position (x is channels-last); (out_features, in_features) weight,
-    f64 accumulation."""
-    *lead, fin = x.shape
-    if weight.ndim != 2:
-        raise ShapeError(f"linear expects a 2-D weight, got {weight.shape}")
-    if fin != weight.shape[1]:
-        raise ShapeError(
-            f"linear in_features mismatch: input {fin} vs weight {weight.shape[1]}")
-    if bias is not None and bias.shape != (weight.shape[0],):
-        raise ShapeError(f"linear bias shape {bias.shape} must be ({weight.shape[0]},)")
-    rows = math.prod(lead)
-    macs, flops = meter.linear_cost(rows, fin, weight.shape[0], bias is not None)
-    meter.record("linear", macs, flops)
-    if x.is_meta:
-        return Tensor.meta((*lead, weight.shape[0]))
-    out = x.data.reshape(rows, fin).astype(np.float64) @ weight.astype(np.float64).T
-    if bias is not None:
-        out += bias.astype(np.float64)
-    return Tensor(out.astype(np.float32).reshape(*lead, weight.shape[0]))
+    return Tensor(_windows(xp, kernel, kernel, oh, ow, stride, stride).max(axis=(2, 3)))

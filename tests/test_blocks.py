@@ -409,6 +409,17 @@ class TestCostParity:
         assert m.macs == want_macs
         assert m.flops == want_flops
 
+    @pytest.mark.parametrize("kind,cins,args,shape",
+                             CASES, ids=[f"{c[0]}-{i}" for i, c in enumerate(CASES)])
+    def test_every_mac_runs_through_the_naive_conv(self, kind, cins, args, shape,
+                                                   monkeypatch):
+        # conv2d is the one weighted kernel, so the oracle executes every MAC
+        blk, _ = make_block(kind, cins, args)
+        monkeypatch.setattr(blocks, "conv2d", conv2d_naive)
+        with meter.CostMeter() as m:
+            blk.forward([rand_input(*shape, seed=7 + i) for i in range(len(cins))])
+        assert {k for k, c in m.by_kind.items() if c.macs} <= {"conv2d"}
+
     def test_detect_cost_matches(self, monkeypatch):
         blk, _ = make_block("Detect", [8, 16], {"nc": 3})
         shapes = [(1, 8, 8, 8), (1, 16, 4, 4)]

@@ -85,6 +85,13 @@ def assert_one_line_error(code, err):
     assert err.count("\n") == 1
 
 
+UNREADABLE_CONFIGS = pytest.mark.parametrize("raw,message", [
+    (b'{"name": "\xe9"}', "not UTF-8"),
+    (b'{"name": "toy", "nc"', "not valid JSON"),
+    (b"[1, 2]", "root must be an object"),
+], ids=["not-utf8", "truncated-json", "list-root"])
+
+
 class TestConfigsCommand:
     def test_lists_every_bundled_variant(self, capsys):
         code, out, _ = run(["configs"], capsys)
@@ -192,6 +199,14 @@ class TestAnalyzeCommand:
         assert_one_line_error(code, err)
         assert message in err
 
+    @UNREADABLE_CONFIGS
+    def test_unreadable_config_exits_one(self, raw, message, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(raw)
+        code, _, err = run(["analyze", "--config", str(path)], capsys)
+        assert_one_line_error(code, err)
+        assert message in err
+
     def test_unknown_config_exits_one(self, capsys):
         code, _, err = run(["analyze", "--config", "no-such-model"], capsys)
         assert code == 1
@@ -273,6 +288,18 @@ class TestAnchorsCommand:
             capsys)
         assert_one_line_error(code, err)
         assert "cannot write" in err
+
+    @UNREADABLE_CONFIGS
+    def test_unreadable_patch_config_exits_one(self, raw, message, workdir,
+                                               tmp_path, capsys):
+        src = tmp_path / "bad.cfg"
+        src.write_bytes(raw)
+        code, _, err = run(
+            ["anchors", "--dataset", str(workdir["gt"]), "--k", "12",
+             "--scales", "160,80,40,20", "--patch-config", str(src),
+             "--out", str(tmp_path / "patched.cfg")], capsys)
+        assert_one_line_error(code, err)
+        assert message in err
 
     def test_missing_dataset_exits_one(self, workdir, capsys):
         code, _, err = run(

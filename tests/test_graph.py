@@ -164,6 +164,33 @@ class TestParseValidation:
         with pytest.raises(ParseError, match="JSON"):
             parse_config(p)
 
+    UNREADABLE = {
+        "truncated-json": (b'{"name": "toy", "nc"', ParseError, "not valid JSON"),
+        "not-utf8": (b'{"name": "\xe9"}', ParseError, "not UTF-8"),
+        "list-root": (b"[1, 2]", ConfigError, "root must be an object"),
+    }
+
+    @pytest.mark.parametrize("name", UNREADABLE)
+    def test_unreadable_file_is_a_package_error(self, name, tmp_path):
+        raw, error, message = self.UNREADABLE[name]
+        p = tmp_path / "bad.cfg"
+        p.write_bytes(raw)
+        with pytest.raises(error, match=message):
+            build_model(p)
+
+    def test_missing_or_directory_path_is_a_parse_error(self, tmp_path):
+        with pytest.raises(ParseError, match="cannot read config no-such-path"):
+            build_model("no-such-path")
+        with pytest.raises(ParseError, match="cannot read config"):
+            parse_config(tmp_path)
+
+    def test_c3_repeat_count_comes_only_from_repeats(self):
+        # "n" used to be overwritten by the scaled repeats without a word
+        doc = toy_config()
+        doc["layers"][2][3]["n"] = 5
+        with pytest.raises(ConfigError, match=r"layer 2 \(C3\): argument 'n'.*repeats"):
+            build_model(doc)
+
 
 class TestBuildDeterminism:
 
