@@ -6,7 +6,8 @@ in `children`, the ordered named sub-units that own its parameters. The
 base `Block` derives the rest: output shapes and (macs, flops) from a
 `forward` over shape-only meta tensors under an isolated meter, and the
 parameter manifest, `load` and `param_count` from the child tree, whose
-leaves alone declare parameter shapes. Every leaf is a conv unit, so
+leaves alone declare parameter shapes. No block states its output width;
+a model reads it from the meta forward's output shape. Every leaf is a conv unit, so
 `conv2d` is the one kernel that carries weights; GAM's per-position MLP
 layers are 1x1 units that keep a linear layer's manifest.
 
@@ -147,11 +148,12 @@ def _signature(cls: type) -> tuple[bool, dict[str, tuple[tuple[type, ...], bool]
 class Block:
     """Interface shared by every layer kind.
 
-    Subclasses write `build`, `out_channels`, `forward` and, when they own
-    parameters, `children`; shapes, costs and the manifest follow. `build`
-    takes one input channel count positionally (`*cins` for many) and the
-    config arguments as keyword-only parameters; their annotations are the
-    types the constructor accepts and their defaults make them optional.
+    Subclasses write `build`, `forward` and, when they own parameters,
+    `children`; shapes, costs and the manifest follow. The output width is
+    the channel count of the meta forward's output shape. `build` takes one
+    input channel count positionally (`*cins` for many) and the config
+    arguments as keyword-only parameters; their annotations are the types
+    the constructor accepts and their defaults make them optional.
     """
 
     KIND = ""
@@ -177,10 +179,6 @@ class Block:
         self.build(*in_channels, **args)
 
     def build(self, *cins: int) -> None:
-        raise NotImplementedError
-
-    @property
-    def out_channels(self) -> int:
         raise NotImplementedError
 
     def children(self) -> list[tuple[str, object]]:
@@ -230,10 +228,6 @@ class ConvBNAct(Block):
               p: IntPair | None = None, g: int = 1, act: str | None = "silu"):
         self.unit = _Unit(cin, out, k, s, p, g, act=act)
 
-    @property
-    def out_channels(self) -> int:
-        return self.unit.out_channels
-
     def children(self):
         return [("", self.unit)]
 
@@ -252,10 +246,6 @@ class _Residual(Block):
         self.cv1 = cv1
         self.cv2 = cv2
         self.add = add
-
-    @property
-    def out_channels(self) -> int:
-        return self.cv2.out_channels
 
     def children(self):
         return [("cv1", self.cv1), ("cv2", self.cv2)]
@@ -308,10 +298,6 @@ class _C3Base(Block):
     def _inner(self, hidden: int, shortcut: bool) -> Block:
         raise NotImplementedError
 
-    @property
-    def out_channels(self) -> int:
-        return self.cv3.out_channels
-
     def children(self):
         return [("cv1", self.cv1), ("cv2", self.cv2),
                 *((f"m{i}", blk) for i, blk in enumerate(self.m)), ("cv3", self.cv3)]
@@ -359,10 +345,6 @@ class GhostConv(Block):
         self.primary = _Unit(cin, half, k=k, s=s, act=act)
         self.cheap = _Unit(half, half, k=5, s=1, p=2, g=half, act=act)
 
-    @property
-    def out_channels(self) -> int:
-        return 2 * self.primary.out_channels
-
     def children(self):
         return [("primary", self.primary), ("cheap", self.cheap)]
 
@@ -395,10 +377,6 @@ class GhostBottleneck(Block):
             self.dw = _Unit(hidden, hidden, k=3, s=2, g=hidden, act=None)
             self.sc_dw = _Unit(cin, cin, k=3, s=2, g=cin, act=None)
             self.sc_pw = _Unit(cin, out, k=1, act=None)
-
-    @property
-    def out_channels(self) -> int:
-        return self.g2.out_channels
 
     def children(self):
         if self.stride == 1:
@@ -454,10 +432,6 @@ class GAM(Block):
         self.sconv1 = _Unit(cin, hidden, k=7, p=3, g=groups, act="relu", norm=False)
         self.sconv2 = _Unit(hidden, cin, k=7, p=3, g=groups, act=None, norm=False)
 
-    @property
-    def out_channels(self) -> int:
-        return self.cin
-
     def children(self):
         return [("fc1", self.fc1), ("fc2", self.fc2),
                 ("sconv1", self.sconv1), ("sconv2", self.sconv2)]
@@ -488,10 +462,6 @@ class SPPF(Block):
         self.cv1 = _Unit(cin, hidden, k=1)
         self.cv2 = _Unit(4 * hidden, out, k=1)
 
-    @property
-    def out_channels(self) -> int:
-        return self.cv2.out_channels
-
     def children(self):
         return [("cv1", self.cv1), ("cv2", self.cv2)]
 
@@ -512,11 +482,6 @@ class Upsample(Block):
         if factor < 1:
             raise ConfigError(f"Upsample factor must be >= 1, got {factor}")
         self.factor = factor
-        self.cin = cin
-
-    @property
-    def out_channels(self) -> int:
-        return self.cin
 
     def forward(self, xs):
         return upsample_nearest(xs[0], self.factor)
@@ -530,11 +495,6 @@ class Concat(Block):
     def build(self, *cins):
         if len(cins) < 2:
             raise ConfigError(f"Concat needs >= 2 inputs, got {len(cins)}")
-        self.cins = cins
-
-    @property
-    def out_channels(self) -> int:
-        return sum(self.cins)
 
     def forward(self, xs):
         return concat_channels(xs)
@@ -553,13 +513,8 @@ class Detect(Block):
     def build(self, *cins, nc: int):
         if nc < 1:
             raise ConfigError(f"Detect needs >= 1 class, got {nc}")
-        self.per_scale = 3 * (5 + nc)
-        self.m = [_Unit(cin, self.per_scale, k=1, act=None, norm=False)
+        self.m = [_Unit(cin, 3 * (5 + nc), k=1, act=None, norm=False)
                   for cin in cins]
-
-    @property
-    def out_channels(self) -> int:
-        return self.per_scale
 
     def children(self):
         return [(f"m{i}", u) for i, u in enumerate(self.m)]

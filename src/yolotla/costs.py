@@ -38,8 +38,8 @@ from .tensor import Tensor
 CONVENTION = (
     "1 MAC = 2 FLOPs; +1 add per output element for biased layers; "
     "elementwise ops priced per element (silu 2; sigmoid, relu, add, mul 1); "
-    "maxpool k*k-1 comparisons per output element; concat, nearest "
-    "upsample, and permute are free.")
+    "maxpool k*k-1 comparisons per output element; concat and nearest "
+    "upsample are free.")
 
 
 @dataclass(frozen=True)

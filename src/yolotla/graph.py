@@ -19,6 +19,11 @@ C3 block's only repeat count, so an ``n`` arg is refused. The
 prediction head is not a layer row: it is assembled from ``detect_from``,
 ``nc`` and the anchor table, one 1x1 conv per scale.
 
+The build is one shape-only pass at a REFERENCE_SIDE square input. Each
+block is built from its sources' widths, then its meta forward gives its
+output shape. The next layers read their widths from those shapes, and
+the detect layers' row counts give the model's strides.
+
 Parameters live in a flat dict keyed by path ("layers.4.cv1.conv.weight",
 "detect.m0.conv.bias"). Initialization draws from a single seeded
 generator in manifest order, so a rebuild with the same seed is
@@ -252,20 +257,32 @@ def _forward_step(index: int, block: _blocks.Block, ins: list[Tensor]):
     return block.forward(ins)
 
 
+def _detect_strides(detect_from, shapes, side: int) -> tuple[int, ...]:
+    """Each detect map's stride, from its row count at a side x side input."""
+    strides = []
+    for i in detect_from:
+        h = shapes[i][2]
+        if side % h:
+            raise ConfigError(
+                f"detect layer {i} produces a {h}-row map at input "
+                f"{side}; stride is not integral")
+        strides.append(side // h)
+    if len(set(strides)) != len(strides):
+        raise ConfigError(f"detect scales share a stride: {strides}")
+    return tuple(strides)
+
+
 class Model:
     """An executable layer graph plus its parameter store."""
 
-    def __init__(self, config: ModelConfig, seed: int = 0,
-                 params: dict[str, np.ndarray] | None = None):
+    def __init__(self, config: ModelConfig, seed: int = 0):
         self.config = config
         self.nc = config.nc
         self.blocks: list[_blocks.Block] = []
-        channels: list[int] = []
+        side = REFERENCE_SIDE
+        shapes = {-1: (1, INPUT_CHANNELS, side, side)}
         for spec in config.layers:
-            if spec.index == 0:
-                cins = [INPUT_CHANNELS]
-            else:
-                cins = [channels[s] for s in spec.sources]
+            ins = [shapes[s] for s in spec.sources]
             args = dict(spec.args)
             try:
                 if spec.kind in _blocks.C3_FAMILY:
@@ -277,24 +294,28 @@ class Model:
                 if "out" in args:
                     args["out"] = scale_channels(args["out"],
                                                  config.width_multiple)
-                block = _blocks.BLOCKS[spec.kind](cins, args)
-            except ConfigError as e:
-                raise ConfigError(f"layer {spec.index} ({spec.kind}): {e}") from e
+                block = _blocks.BLOCKS[spec.kind]([s[1] for s in ins], args)
+                shapes[spec.index] = block.out_shape(ins)
+            except (ConfigError, ShapeError) as e:
+                raise type(e)(f"layer {spec.index} ({spec.kind}): {e}") from e
             self.blocks.append(block)
-            channels.append(block.out_channels)
         self.detect = _blocks.Detect(
-            [channels[i] for i in config.detect_from], {"nc": config.nc})
+            [shapes[i][1] for i in config.detect_from], {"nc": config.nc})
         self.detect_from = config.detect_from
+        self.strides = _detect_strides(config.detect_from, shapes, side)
         self.anchors = [np.array(row, dtype=np.float64)
                         for row in config.anchors]
         # layer outputs the walk must hold: every source and every detect input
         self._keep = set(config.detect_from) | {
             s for spec in config.layers for s in spec.sources if s >= 0}
-        self.strides: tuple[int, ...] = ()
-        self.strides = self._infer_strides()
-        self.params = params if params is not None else init_params(
-            self.param_specs(), seed)
-        self._bind()
+        try:
+            params = init_params(self.param_specs(), seed)
+        except MemoryError:
+            count = self.param_count()
+            raise WeightError(
+                f"cannot allocate {count} parameters ({4 * count} bytes "
+                f"of float32)") from None
+        self._bind(params)
 
     # -- structure ---------------------------------------------------------
 
@@ -313,20 +334,6 @@ class Model:
     def head_shapes(self, input_shape) -> list[tuple[int, int, int, int]]:
         return [t.shape for t in self.meta_walk(input_shape)]
 
-    def _infer_strides(self) -> tuple[int, ...]:
-        side = REFERENCE_SIDE
-        strides = []
-        for i, (_, _, h, _) in zip(self.detect_from,
-                                   self.head_shapes((1, INPUT_CHANNELS, side, side))):
-            if side % h:
-                raise ConfigError(
-                    f"detect layer {i} produces a {h}-row map at input "
-                    f"{side}; stride is not integral")
-            strides.append(side // h)
-        if len(set(strides)) != len(strides):
-            raise ConfigError(f"detect scales share a stride: {strides}")
-        return tuple(strides)
-
     def param_specs(self) -> list[tuple[str, tuple[int, ...]]]:
         specs: list[tuple[str, tuple[int, ...]]] = []
         for i, block in enumerate(self.blocks):
@@ -337,23 +344,27 @@ class Model:
     def param_count(self) -> int:
         return sum(math.prod(s) for _, s in self.param_specs())
 
-    def _bind(self) -> None:
-        specs = self.param_specs()
-        expected = {p: tuple(s) for p, s in specs}
-        missing = sorted(set(expected) - set(self.params))
+    def _bind(self, params: dict[str, np.ndarray]) -> None:
+        """Check params against the manifest, then load them into the blocks.
+
+        The one way weights enter the model; a rejected dict changes nothing.
+        """
+        expected = dict(self.param_specs())
+        missing = sorted(set(expected) - set(params))
         if missing:
             raise WeightError(f"missing parameter {missing[0]} "
                               f"({len(missing)} missing in total)")
-        extra = sorted(set(self.params) - set(expected))
+        extra = sorted(set(params) - set(expected))
         if extra:
             raise WeightError(f"unexpected parameter {extra[0]} "
                               f"({len(extra)} unexpected in total)")
         for path, shape in expected.items():
-            got = tuple(self.params[path].shape)
+            got = tuple(params[path].shape)
             if got != shape:
                 raise WeightError(
                     f"parameter {path} has shape {got}, expected {shape}")
-        getw = self.params.__getitem__
+        self.params = params
+        getw = params.__getitem__
         for i, block in enumerate(self.blocks):
             block.load(getw, f"layers.{i}")
         self.detect.load(getw, "detect")
@@ -369,16 +380,14 @@ class Model:
         if c != INPUT_CHANNELS:
             raise ShapeError(
                 f"model expects {INPUT_CHANNELS} input channels, got {c}")
-        # strides are unknown only while __init__ infers them with a walk
-        max_stride = max(self.strides, default=1)
+        max_stride = max(self.strides)
         if h % max_stride or w % max_stride:
             raise ShapeError(
                 f"input {h}x{w} must be divisible by the largest stride "
                 f"{max_stride}")
-        cache: dict[int, Tensor] = {}
+        cache: dict[int, Tensor] = {-1: x}
         for spec, block in zip(self.config.layers[:upto], self.blocks[:upto]):
-            ins = ([x] if spec.index == 0
-                   else [cache[s] for s in spec.sources])
+            ins = [cache[s] for s in spec.sources]
             out = step(spec.index, block, ins)
             if spec.index in self._keep:
                 cache[spec.index] = out
@@ -403,26 +412,17 @@ class Model:
         save_weights(path, self.params)
 
     def load_weight_file(self, path) -> None:
-        raw = load_weights(path)
-        expected = {p: tuple(s) for p, s in self.param_specs()}
-        params: dict[str, np.ndarray] = {}
-        for name, arr in raw.items():
-            if name not in expected:
-                raise WeightError(
-                    f"weight file holds unexpected parameter {name}")
-            want = expected[name]
-            if arr.size != math.prod(want):
-                raise WeightError(
-                    f"parameter {name} holds {arr.size} "
-                    f"values, expected shape {want}")
-            params[name] = np.ascontiguousarray(arr).reshape(want)
-        missing = sorted(set(expected) - set(params))
-        if missing:
-            raise WeightError(
-                f"weight file is missing parameter {missing[0]} "
-                f"({len(missing)} missing in total)")
-        self.params = params
-        self._bind()
+        """Bind a weight file. Entries are stored at rank 4; each one whose
+        size matches its manifest shape takes that shape, and `_bind`
+        rejects the rest."""
+        expected = dict(self.param_specs())
+        params = {}
+        for name, arr in load_weights(path).items():
+            want = expected.get(name)
+            if want is not None and arr.size == math.prod(want):
+                arr = arr.reshape(want)
+            params[name] = arr
+        self._bind(params)
 
 
 def build_model(config_source, seed: int = 0) -> Model:

@@ -368,7 +368,6 @@ class TestPlumbingBlocks:
         a, b = rand_input(1, 4, 5, 5), rand_input(1, 6, 5, 5, seed=8)
         out = blk.forward([a, b])
         assert out.shape == (1, 10, 5, 5)
-        assert blk.out_channels == 10
 
     def test_concat_spatial_mismatch_rejected(self):
         blk = BLOCKS["Concat"]([4, 4], {})

@@ -199,6 +199,18 @@ class TestAnalyzeCommand:
         assert_one_line_error(code, err)
         assert message in err
 
+    def test_shape_error_names_its_layer(self, tmp_path, capsys):
+        doc = json.loads(find_config("yolov5s").read_text())
+        row = next(r for r in doc["layers"] if r[2] == "Concat")
+        row[0] = [-1, 0]   # layer 0's map is larger than the upsampled one
+        path = tmp_path / "mismatch.cfg"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(["analyze", "--config", str(path)], capsys)
+        assert_one_line_error(code, err)
+        index = doc["layers"].index(row)
+        assert err.startswith(
+            f"error: layer {index} (Concat): concat input 1 has (n, H, W) = ")
+
     @UNREADABLE_CONFIGS
     def test_unreadable_config_exits_one(self, raw, message, tmp_path, capsys):
         path = tmp_path / "bad.cfg"

@@ -112,49 +112,52 @@ class TestDualRouteConsistency:
 
 # sha256 of json.dumps(analyze(m, (s, s)).to_dict(), sort_keys=True) at
 # s = 640 and 320, and of the json.dumps'd [[path, shape], ...] manifest,
-# recorded before the analyzer was rebuilt on shape-only forward passes.
+# recorded before the analyzer was rebuilt on shape-only forward passes,
+# then re-recorded when the convention string dropped "permute" (that
+# string is the reports' only change: the report dicts of the earlier
+# code, with it swapped in, hash to these digests).
 # Every field is an integer or a fixed division of one, so the digests
 # are machine-independent.
 REPORT_DIGESTS = {
     "yolo-tla-m": (
-        "78cb8cd6d64d6f33f2f06222ed48b9c7778af4f958118bc426589e3646cde95b",
-        "507f18a83b5080d29898f2f185bcf59549e49e50f9be43a26750ff2c9f734f0f",
+        "0716f02095e61cc070114c514c922d9d84cc5a5276c9c253f36d33015eb1a89b",
+        "2ce188853ff38fd86da110225131a756dc3f3bd529f32c8aa842cbfd91badbab",
         "7cb3efb213796d10c7c002e954cd49e0682b8fd13f30ce04b650a9c39cc66728"),
     "yolo-tla-s": (
-        "c5c735a05586bbd78033c1056e681c54dc34d8212002595edb07b1612289ce70",
-        "5a2a0cf1cc7ad5edf14b7211466d673a54d31e1aeeeef1c5eb37830503d466ef",
+        "d6610cdde33be680107663104f197a10adc145bbfa0296352e30725d5ae109cd",
+        "20a032d25cf90d4bbd5691d3d4cf5034a0ca777a496f42534583534aa06f1322",
         "c7e80452e9187248c26082394c25cc37b1a1c338bd417b2cd279933ebf2c1ef9"),
     "yolov5m": (
-        "2874bc8265854d1a35b49e7d3de72699152df71fa8086ab54dbd58a38c0d808c",
-        "14d704359891ad86a1b820027292e7350b92baedeb661d65264bafd7439e324a",
+        "af1623650f2989308bb9c535e1d0193be5be72dd645b02d588e0dfa1a4729866",
+        "90683631ff7ecf67041e74c6ae196c96c854b36bff53996c9d8ffcb36209ec56",
         "bef8052ce008b49bb1880bd242e21f77d0858b4cd6c05ce22e0aa92f87c29f81"),
     "yolov5s": (
-        "713c2ec97094c3e2aae3e1016e61f93493a0c93cb7b1e939671e0769d1ac4ae8",
-        "0e67088120b3710312dcdc5936e27e4db99be0a8b2f3801b5f3c227007f26a4e",
+        "bb9da6301b55ed671e5bff878beec26669d55ad9a7849c4d8f002f893499d49f",
+        "0ebc976db4487b21c0c655fde73d9fd519fd80dec952a6637b0449be1ac72a15",
         "3c30368ca02ee7a049ed651558a98f4412463e582449df80139f5a2a0161b4ec"),
     "yolov5s-cc1": (
-        "a6d895734875b42e8d51e39cbe46f7a34d71cadcda62bab7396e867a1af903fb",
-        "f277793dfac3fd122bf7a34156a56659205ae1da2e2292c0ee9341b372ad4852",
+        "99e9aa675fa1f70ecb9e69bb76c2600ee0d15abab12215c655a38a18d1631047",
+        "f4027bdb208d876067a7bfcbdd2056f7b9947b4ac3a861c06e5f472df84e8835",
         "5280adbe7dfb8d9db7d9a41cdc2b770dd32aef7b9f779d689f93840b62cca099"),
     "yolov5s-cc2": (
-        "6d831bb519a85f0f97960c4bcd0b01e09b37662b43d7e899bd362a9d59396038",
-        "99806adfc1b69628fbd92c6615c2b24f78a6a4d893d6de884a9220cd5622f128",
+        "fe6c9c6ce9ecf19280f412b21e67ce8ef220f212681751e597ff8f306b9a3f48",
+        "e8911cd5da8dccf6cbbcdcaf0a7d26cfb7c277859b25b7b417d7ab0b5cc1a828",
         "c7d4ae0e27e6d667ae5120ee3819591ec98325a7c6f16f294038f52851254c15"),
     "yolov5s-g1": (
-        "97a69e530838357e16b20589c1aa5f01044376b67c60db334876246327a32aba",
-        "206d320d9ad08b55b53de4a7067052d59ec029700759ba815662c197b518d021",
+        "062a6b2d4a2598d4d8017acfbd354a6c21b552ff6ec254a0a17538e52c9f3e6a",
+        "eaf03759362686f51fdfb543d826fbbea77b4d06772a60e7c2b43d3ea28b42bc",
         "d9ce5bfec411f871c90d756f63bdb02f733be1aa0ef415fb945749d845b20c20"),
     "yolov5s-g2": (
-        "e2c088862f85422e94a18f616eee004f6cde29ae0a33d7119e23b21d85e115db",
-        "15f1291df7023162582bd33b64e47cb8e1ad5eaad65f16ea976bc6d6febf91a1",
+        "b08bf731ce0a7dd94d1f5760af5921e6a8277e02d55d2248fbcca6fa09da0107",
+        "bb4e6dceb821ce32318a8acf884b90b3c9708f0f456ac1db0d33e8ae19a13d0f",
         "51b153cac1c7340194cbd7361d1eae530cfbd3fbcb51530ae4ef2876abeabe45"),
     "yolov5s-gam": (
-        "157c31dd70f11abcc2ff6b48460233a92ad789f45318e1986374a1ac9d351d2b",
-        "dd14b4457586b2adedbe6ad19719c6396ea27a74eececd1a72e7977228f06953",
+        "51cdb2dc14733871cef0e8b89502615a336c2db4129739057b7dcd973580e15f",
+        "27bbff0ca65473d0ca2e0890cd0c0afb75495a1aca031707932ebc5b7dfd27d2",
         "89a3c17a85ce915d8cc374a07cb6028cf24aec0428c1dc85fa4330ab4dce1be5"),
     "yolov5s-tiny": (
-        "2fa097896623a62ff2ae15bd22917001729bc7b50a7f5e0945ab2d77c043ddaf",
-        "42e57e3696965bb6efe735635ff737f09a1c1062b36c973bfee6a4c52bddb43c",
+        "4e666f0ab36543341b8f552c19dd95cb5ca90fa4b70bafce3f4ab3b794ccaa8e",
+        "c3e1a50b84b9cdd7f548d3d67bdbeb4852f8f8596a153ecdf7bed0f2887a98ec",
         "119b0159dc0deeb850e00f0c35cb01573999d00694325d9ef991fbfdd3f4c743"),
 }
 

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from yolotla import graph
 from yolotla.errors import ConfigError, ParseError, ShapeError, WeightError
 from yolotla.graph import (Model, build_model, bundled_config_names,
                            find_config, init_params, load_weights,
@@ -192,6 +193,62 @@ class TestParseValidation:
             build_model(doc)
 
 
+def two_scale_config(args0, args1):
+    """Two ConvBNAct layers, each feeding one detect scale."""
+    doc = toy_config()
+    doc["layers"] = [[-1, 1, "ConvBNAct", {"out": 8, **args0}],
+                     [-1, 1, "ConvBNAct", {"out": 16, **args1}]]
+    doc["detect_from"] = [0, 1]
+    return doc
+
+
+class TestBuildPassChecks:
+    """Checks made by the one shape-only build pass at the reference side."""
+
+    def test_fractional_stride_rejected(self):
+        # 640 rows at k 3, s 3, pad 1 give 214 rows, and 640 / 214 is no integer
+        doc = two_scale_config({"k": 3, "s": 3}, {"k": 3, "s": 2})
+        with pytest.raises(ConfigError, match="detect layer 0 produces a "
+                           "214-row map at input 640; stride is not integral"):
+            build_model(doc)
+
+    def test_detect_scales_at_one_resolution_rejected(self):
+        doc = two_scale_config({"k": 3, "s": 2}, {"k": 3, "s": 1})
+        with pytest.raises(ConfigError,
+                           match=r"detect scales share a stride: \[2, 2\]"):
+            build_model(doc)
+
+    LAYER_ERRORS = {
+        "kernel-larger-than-input": (
+            lambda d: d["layers"][0][3].update(k=700, p=0),
+            ConfigError, r"^layer 0 \(ConvBNAct\): conv output size"),
+        # layer 0's 32-row map next to the 16-row upsample
+        "concat-of-two-resolutions": (
+            lambda d: d["layers"][7].__setitem__(0, [-1, 0]),
+            ShapeError, r"^layer 7 \(Concat\): concat input 1 has"),
+    }
+
+    @pytest.mark.parametrize("case", LAYER_ERRORS)
+    def test_shape_error_names_its_layer_and_keeps_its_type(self, case):
+        edit, error, message = self.LAYER_ERRORS[case]
+        doc = toy_config()
+        edit(doc)
+        with pytest.raises(error, match=message):
+            build_model(doc)
+
+    def test_allocation_failure_is_one_line_weight_error(self, monkeypatch):
+        count = build_model(toy_config()).param_count()
+
+        def fail(specs, seed):
+            raise MemoryError("Unable to allocate 72.0 GiB")
+
+        monkeypatch.setattr(graph, "init_params", fail)
+        with pytest.raises(WeightError) as info:
+            build_model(toy_config())
+        assert str(info.value) == (f"cannot allocate {count} parameters "
+                                   f"({4 * count} bytes of float32)")
+
+
 class TestBuildDeterminism:
 
     def test_same_seed_bit_identical(self):
@@ -247,32 +304,38 @@ class TestWeightFiles:
         m.save_weight_file(path)
         assert weight_file_float_count(path) == m.param_count()
 
-    def test_missing_parameter_named(self, tmp_path):
+    @staticmethod
+    def assert_rejected_unchanged(edit, message, tmp_path):
+        """A file the binder rejects leaves the params and forward bytes alone."""
         m = build_model(toy_config(), seed=0)
-        partial = dict(m.params)
-        del partial["layers.3.conv.weight"]
-        path = tmp_path / "partial.tlaw"
-        save_weights(path, partial)
-        with pytest.raises(WeightError, match="layers.3.conv.weight"):
-            build_model(toy_config(), seed=0).load_weight_file(path)
-
-    def test_unexpected_parameter_named(self, tmp_path):
-        m = build_model(toy_config(), seed=0)
-        extra = dict(m.params)
-        extra["layers.99.conv.weight"] = np.zeros((1, 1, 1, 1), np.float32)
-        path = tmp_path / "extra.tlaw"
-        save_weights(path, extra)
-        with pytest.raises(WeightError, match="layers.99.conv.weight"):
-            build_model(toy_config(), seed=0).load_weight_file(path)
-
-    def test_wrong_size_named(self, tmp_path):
-        m = build_model(toy_config(), seed=0)
-        bad = dict(m.params)
-        bad["layers.0.conv.weight"] = np.zeros((8, 3, 2, 2), np.float32)
+        bad = dict(build_model(toy_config(), seed=1).params)
+        edit(bad)
         path = tmp_path / "bad.tlaw"
         save_weights(path, bad)
-        with pytest.raises(WeightError, match="layers.0.conv.weight"):
-            build_model(toy_config(), seed=0).load_weight_file(path)
+        x = rand_image(64, 64)
+        params = m.params
+        before = [t.data.tobytes() for t in m.forward(x)]
+        with pytest.raises(WeightError, match=message):
+            m.load_weight_file(path)
+        assert m.params is params
+        assert [t.data.tobytes() for t in m.forward(x)] == before
+
+    def test_missing_parameter_named(self, tmp_path):
+        self.assert_rejected_unchanged(
+            lambda p: p.pop("layers.3.conv.weight"),
+            "layers.3.conv.weight", tmp_path)
+
+    def test_unexpected_parameter_named(self, tmp_path):
+        self.assert_rejected_unchanged(
+            lambda p: p.update({"layers.99.conv.weight":
+                                np.zeros((1, 1, 1, 1), np.float32)}),
+            "layers.99.conv.weight", tmp_path)
+
+    def test_wrong_size_named(self, tmp_path):
+        self.assert_rejected_unchanged(
+            lambda p: p.update({"layers.0.conv.weight":
+                                np.zeros((8, 3, 2, 2), np.float32)}),
+            "layers.0.conv.weight", tmp_path)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.tlaw"
