@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import sys
 from pathlib import Path
 from unittest import mock
@@ -33,6 +34,8 @@ from .metrics import ap_from_ranking, evaluate, exact_envelope_ap
 from .postprocess import (DEFAULT_CONF_THRESHOLD, DEFAULT_IOU_THRESHOLD,
                           Detection, decode, nms, to_coco_results)
 from .tensor import ConvSpec, Tensor, conv2d, conv2d_naive
+
+log = logging.getLogger("yolotla")
 
 NON_REPRODUCIBILITY_NOTE = (
     "Accuracy metrics (precision, recall, mAP) of these architectures "
@@ -201,9 +204,12 @@ def cmd_infer(args) -> int:
     boxed, scale, pads = letterbox(img, target=args.input_size,
                                    stretch=args.stretch)
     maps = model.forward(boxed)
-    dets = decode(maps, model.anchors, model.strides,
-                  conf_threshold=args.conf)
-    dets = nms(dets, iou_threshold=args.iou)
+    candidates = decode(maps, model.anchors, model.strides,
+                        conf_threshold=args.conf)
+    dets = nms(candidates, iou_threshold=args.iou)
+    log.debug("infer: %d candidates at conf>=%s, %d kept by nms, "
+              "%d suppressed", len(candidates), args.conf, len(dets),
+              len(candidates) - len(dets))
     restored = [Detection(box=unletterbox_box(d.box, scale, pads, orig_hw),
                           class_id=d.class_id, confidence=d.confidence)
                 for d in dets]

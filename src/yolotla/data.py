@@ -179,6 +179,8 @@ def load_image(path) -> Tensor:
         if t.n != 1 or t.c != 3:
             raise ParseError(
                 f"{path}: expected a (1, 3, H, W) tensor, got {t.shape}")
+        if not np.isfinite(t.data).all():
+            raise ParseError(f"{path}: pixel values must be finite")
         return t
     if name.endswith(".ppm"):
         try:

@@ -412,12 +412,14 @@ class Model:
         save_weights(path, self.params)
 
     def load_weight_file(self, path) -> None:
-        """Bind a weight file. Entries are stored at rank 4; each one whose
-        size matches its manifest shape takes that shape, and `_bind`
-        rejects the rest."""
+        """Bind a weight file. An entry holding a NaN or an infinity is
+        refused. Entries are stored at rank 4; each one whose size matches
+        its manifest shape takes that shape, and `_bind` rejects the rest."""
         expected = dict(self.param_specs())
         params = {}
         for name, arr in load_weights(path).items():
+            if not np.isfinite(arr).all():
+                raise WeightError(f"parameter {name} holds a non-finite value")
             want = expected.get(name)
             if want is not None and arr.size == math.prod(want):
                 arr = arr.reshape(want)

@@ -5,7 +5,9 @@ directory. Output determinism matters as much as correctness here: the
 same invocation must print the same bytes, so JSON output can be
 golden-file tested downstream.
 """
+import hashlib
 import json
+import logging
 import subprocess
 import sys
 
@@ -426,6 +428,93 @@ class TestInferCommand:
              str(workdir["image"]), "--input-size", "64",
              "--weights", str(path)], capsys)
         assert_one_line_error(code, err)
+
+
+    def test_non_finite_weights_exit_one(self, workdir, capsys):
+        model = build_model(find_config("yolov5s"), seed=0)
+        params = dict(model.params)
+        bias = params["detect.m0.conv.bias"].copy()
+        bias[[0, 85, 170]] = np.nan   # each anchor's x logit
+        params["detect.m0.conv.bias"] = bias
+        path = workdir["root"] / "nan.tlaw"
+        save_weights(path, params)
+        code, out, err = run(
+            ["infer", "--config", "yolov5s", "--image",
+             str(workdir["image"]), "--input-size", "64",
+             "--weights", str(path), "--json"], capsys)
+        assert_one_line_error(code, err)
+        assert "detect.m0.conv.bias" in err
+        assert out == ""
+
+    def test_non_finite_tns_pixels_exit_one(self, workdir, capsys):
+        data = np.full((1, 3, 8, 8), 0.5, np.float32)
+        data[0, 1, 2, 3] = np.inf
+        path = workdir["root"] / "inf.tns"
+        save_tns(Tensor(data), path)
+        code, _, err = run(
+            ["infer", "--config", "yolov5s", "--image", str(path),
+             "--input-size", "64", "--json"], capsys)
+        assert_one_line_error(code, err)
+        assert "finite" in err
+
+    def test_head_overflow_exits_one(self, workdir, capsys):
+        # finite weights whose detect sums leave the float32 range
+        model = build_model(find_config("yolov5s"), seed=0)
+        params = dict(model.params)
+        for name, value in (("weight", 3e38),
+                            ("bias", np.finfo(np.float32).max)):
+            key = f"detect.m0.conv.{name}"
+            params[key] = np.full_like(params[key], value)
+        path = workdir["root"] / "overflow.tlaw"
+        save_weights(path, params)
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, out, err = run(
+                ["infer", "--config", "yolov5s", "--image",
+                 str(workdir["image"]), "--input-size", "64",
+                 "--weights", str(path), "--json"], capsys)
+        assert_one_line_error(code, err)
+        assert "head map 0 holds non-finite values" in err
+        assert out == ""
+
+    def test_candidate_counts_are_logged(self, workdir, capsys, caplog):
+        argv = ["infer", "--config", "yolov5s", "--image",
+                str(workdir["image"]), "--input-size", "64",
+                "--conf", "0.18", "--json"]
+        _, quiet, _ = run(argv, capsys)
+        with caplog.at_level(logging.DEBUG, logger="yolotla"):
+            _, out, _ = run(argv, capsys)
+        kept = len(json.loads(out))
+        lines = [r.getMessage() for r in caplog.records
+                 if r.name == "yolotla" and r.levelno == logging.DEBUG]
+        assert lines == [f"infer: 252 candidates at conf>=0.18, {kept} kept "
+                         f"by nms, {252 - kept} suppressed"]
+        assert out == quiet   # no count reaches the JSON
+
+
+# sha256 of `infer --json` stdout for the module's seeded PPM, seed-0
+# weights, default thresholds; recorded before NMS became row-wise
+INFER_DIGESTS = {
+    ("yolov5s", 128):
+        "ff8e80c702af19fffc85d80e93c729694a3f39597d5b7a33cb123d58a192e5ea",
+    ("yolov5s", 256):
+        "9fc33efa6b320e81028f27d59e5c4d72df28e83a04d94e97ff55af7aecac8840",
+    ("yolo-tla-s", 128):
+        "45ec95a4fe60bbbe296a618aab5bd86c4184244a53c289e049a935ee0a853fe4",
+    ("yolo-tla-s", 256):
+        "87f8d92efb71a8728eb0a8c01f7b25e6734e079c21ff821e4a3f49db66b30d08",
+}
+
+
+class TestInferOutputGuard:
+
+    @pytest.mark.parametrize("config, side", sorted(INFER_DIGESTS))
+    def test_json_bytes_unchanged(self, workdir, capsys, config, side):
+        code, out, _ = run(
+            ["infer", "--config", config, "--image", str(workdir["image"]),
+             "--input-size", str(side), "--json"], capsys)
+        assert code == 0
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == INFER_DIGESTS[config, side]
 
 
 class TestEvalCommand:

@@ -337,6 +337,15 @@ class TestWeightFiles:
                                 np.zeros((8, 3, 2, 2), np.float32)}),
             "layers.0.conv.weight", tmp_path)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_parameter_named(self, value, tmp_path):
+        def poison(p):
+            p["layers.3.conv.weight"] = p["layers.3.conv.weight"].copy()
+            p["layers.3.conv.weight"].flat[3] = value
+        self.assert_rejected_unchanged(
+            poison, "parameter layers.3.conv.weight holds a non-finite",
+            tmp_path)
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.tlaw"
         path.write_bytes(b"NOPE" + b"\x00" * 16)

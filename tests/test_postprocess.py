@@ -3,9 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from yolotla.errors import ShapeError
-from yolotla.postprocess import (Detection, decode, iou, nms,
+from yolotla.data import letterbox
+from yolotla.errors import ShapeError, YoloTlaError
+from yolotla.graph import build_model, find_config
+from yolotla.postprocess import (Detection, decode, iou, nms, nms_reference,
                                  to_coco_results)
 from yolotla.tensor import Tensor
 
@@ -109,6 +113,21 @@ class TestDecode:
         with pytest.raises(ShapeError, match="image size"):
             decode(maps, anchors, [8, 32])
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_map_rejected(self, value):
+        arr = raw_map(3, 2, 2)
+        arr[0, 9, 1, 0] = value
+        maps = [Tensor(raw_map(3, 4, 4)), Tensor(arr)]
+        with pytest.raises(YoloTlaError, match="head map 1 holds non-finite"):
+            decode(maps, [ANCHORS[0], ANCHORS[0]], [8, 16])
+
+    def test_fields_are_python_scalars(self):
+        maps = [Tensor(raw_map(3, 2, 2))]
+        for d in decode(maps, ANCHORS, [32], conf_threshold=0.2):
+            assert all(type(v) is float for v in d.box)
+            assert type(d.class_id) is int
+            assert type(d.confidence) is float
+
     def test_multi_scale_decode(self):
         maps = [Tensor(raw_map(3, 4, 4)), Tensor(raw_map(3, 2, 2))]
         anchors = [ANCHORS[0], 2 * ANCHORS[0]]
@@ -177,6 +196,85 @@ class TestNms:
         b = det(0, 0, 4, 4, cls=0, conf=0.7)
         assert nms([a, b]) == [b, a]
         assert nms([b, a]) == [b, a]
+
+
+# Coordinates on a quarter-pixel grid of a 16x16 image: sums, products and
+# differences stay exact, so IOUs land exactly on thresholds like 1/2 or
+# 1/3 (fl(a/b) on both sides), and x1 == x2 gives zero-area boxes.
+GRID = st.integers(-2, 66).map(lambda v: min(max(v, 0), 64) / 4)
+THRESHOLDS = st.sampled_from([0.0, 0.25, 1 / 3, 0.45, 0.5, 0.6, 1.0, -0.5])
+
+
+@st.composite
+def detection_sets(draw):
+    n_classes = draw(st.sampled_from([1, 1, 2, 3, 12]))
+    confs = draw(st.sampled_from([[0.5], [0.3, 0.6, 0.9], None]))
+    conf = (st.sampled_from(confs) if confs
+            else st.floats(0.01, 1.0, allow_nan=False))
+    out = []
+    for _ in range(draw(st.integers(0, 60))):
+        if out and draw(st.integers(0, 5)) == 0:   # an exact duplicate
+            out.append(draw(st.sampled_from(out)))
+            continue
+        xa, xb, ya, yb = (draw(GRID) for _ in range(4))
+        out.append(det(min(xa, xb), min(ya, yb), max(xa, xb), max(ya, yb),
+                       cls=draw(st.integers(0, n_classes - 1)),
+                       conf=draw(conf)))
+    return out
+
+
+class TestNmsAgainstReference:
+    """`nms` must return exactly the list the pairwise loop returns."""
+
+    @settings(derandomize=True, database=None, max_examples=150,
+              deadline=None)
+    @given(dets=detection_sets(), thr=THRESHOLDS, data=st.data())
+    @example(dets=[], thr=0.45, data=None)
+    def test_equals_reference(self, dets, thr, data):
+        if data is not None and len(dets) >= 2 and data.draw(st.booleans()):
+            # a threshold equal to an IOU that occurs in the set
+            i, j = (data.draw(st.integers(0, len(dets) - 1))
+                    for _ in range(2))
+            thr = iou(dets[i].box, dets[j].box)
+        got = nms(dets, thr)
+        want = nms_reference(dets, thr)
+        assert got == want
+        assert all(a is b for a, b in zip(got, want))
+
+    def test_threshold_ties_at_an_exact_iou(self):
+        # inter 16, union 32: IOU exactly 1/2 under either argument order
+        a = det(0, 0, 6, 4, conf=0.9)
+        b = det(2, 0, 8, 4, conf=0.8)
+        c = det(0, 0, 6, 4, conf=0.7)   # a's twin
+        dets = [c, b, a]
+        assert nms(dets, 0.5) == nms_reference(dets, 0.5) == [a, b]
+        assert nms(dets, 0.49) == nms_reference(dets, 0.49) == [a]
+
+    def test_many_classes_interleaved(self):
+        rng = np.random.default_rng(8)
+        dets = []
+        for _ in range(600):
+            x, y = rng.uniform(0, 60, 2).tolist()
+            w, h = rng.uniform(2, 30, 2).tolist()
+            dets.append(det(x, y, x + w, y + h, cls=int(rng.integers(40)),
+                            conf=float(rng.uniform())))
+        for thr in (0.3, 0.45, 0.7):
+            assert nms(dets, thr) == nms_reference(dets, thr)
+
+    def test_yolo_tla_s_decoder_output(self):
+        """Every one of the 4,080 anchor cells of a seeded yolo-tla-s at 128
+        passes the threshold, so the real box layout reaches the window."""
+        rng = np.random.default_rng(3)
+        img = Tensor(rng.uniform(0, 1, (1, 3, 48, 64)).astype(np.float32))
+        model = build_model(find_config("yolo-tla-s"), seed=0)
+        boxed, _, _ = letterbox(img, target=128)
+        cands = decode(model.forward(boxed), model.anchors, model.strides)
+        assert len(cands) == 4080
+        shuffled = [cands[i] for i in rng.permutation(len(cands))]
+        for dets in (cands, shuffled):
+            got = nms(dets)
+            assert got == nms_reference(dets)
+        assert 0 < len(got) < len(cands)
 
 
 class TestCocoSerialization:
