@@ -7,9 +7,9 @@ base `Block` derives the rest: output shapes and (macs, flops) from a
 `forward` over shape-only meta tensors under an isolated meter, and the
 parameter manifest, `load` and `param_count` from the child tree, whose
 leaves alone declare parameter shapes. No block states its output width;
-a model reads it from the meta forward's output shape. Every leaf is a conv unit, so
-`conv2d` is the one kernel that carries weights; GAM's per-position MLP
-layers are 1x1 units that keep a linear layer's manifest.
+a model reads it from the meta forward's output shape. Every leaf (see
+`units`) is a conv unit, so `conv2d` is the one kernel with weights; GAM's
+per-position MLP layers are 1x1 units that keep a linear layer's manifest.
 
 A block's config arguments are the keyword-only parameters of its `build`
 method. The base constructor is their one binder: it checks the input
@@ -84,18 +84,13 @@ class _Unit:
         self.weight = Tensor.meta(self.spec.weight_shape())
         self.bias = _stand_in((cout,))
 
-    @property
-    def out_channels(self) -> int:
-        return self.spec.out_channels
-
     def param_specs(self, prefix: str) -> list[tuple[str, tuple[int, ...]]]:
-        specs = [(f"{prefix}.conv.weight", self.spec.weight_shape())]
+        cout = (self.spec.out_channels,)
         if self.norm:
-            specs.append((f"{prefix}.norm.scale", (self.out_channels,)))
-            specs.append((f"{prefix}.norm.shift", (self.out_channels,)))
+            tail = [(f"{prefix}.norm.scale", cout), (f"{prefix}.norm.shift", cout)]
         else:
-            specs.append((f"{prefix}.conv.bias", (self.out_channels,)))
-        return specs
+            tail = [(f"{prefix}.conv.bias", cout)]
+        return [(f"{prefix}.conv.weight", self.spec.weight_shape()), *tail]
 
     def load(self, getw, prefix: str) -> None:
         w = np.asarray(getw(f"{prefix}.conv.weight"), dtype=np.float32)
@@ -123,7 +118,7 @@ class _Linear(_Unit):
 
     def param_specs(self, prefix: str) -> list[tuple[str, tuple[int, ...]]]:
         return [(f"{prefix}.weight", self.spec.weight_shape()[:2]),
-                (f"{prefix}.bias", (self.out_channels,))]
+                (f"{prefix}.bias", (self.spec.out_channels,))]
 
     def load(self, getw, prefix: str) -> None:
         w = np.asarray(getw(f"{prefix}.weight"), dtype=np.float32)
@@ -195,6 +190,11 @@ class Block:
 
     def param_count(self) -> int:
         return sum(math.prod(s) for _, s in self.param_specs(""))
+
+    def units(self) -> list[_Unit]:
+        """Every conv unit in the child tree, in manifest order."""
+        return [u for _, child in self.children()
+                for u in (child.units() if isinstance(child, Block) else [child])]
 
     def forward(self, xs: list[Tensor]) -> Tensor:
         raise NotImplementedError

@@ -17,11 +17,10 @@ import json
 import logging
 import sys
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 
-from . import blocks, meter
+from . import meter
 from .anchors import assign_to_scales, fit_anchors
 from .blocks import BLOCKS
 from .costs import (CONVENTION, analyze, closed_form_cross,
@@ -196,6 +195,9 @@ def cmd_anchors(args) -> int:
 # -- infer -------------------------------------------------------------------
 
 def cmd_infer(args) -> int:
+    for flag, value in (("--conf", args.conf), ("--iou", args.iou)):
+        if not 0.0 <= value <= 1.0:
+            raise ConfigError(f"{flag} must be within [0, 1], got {value}")
     model = build_model(find_config(args.config), seed=args.seed)
     if args.weights:
         model.load_weight_file(args.weights)
@@ -293,6 +295,22 @@ def cmd_eval(args) -> int:
 
 # -- oracle-check ------------------------------------------------------------
 
+def _uniform(rng, shape, bound: float = 1.0) -> np.ndarray:
+    return rng.uniform(-bound, bound, shape).astype(np.float32)
+
+
+def conv_agrees(x: Tensor, spec: ConvSpec, weight: Tensor, bias=None) -> bool:
+    """conv2d against the loop-nest conv2d_naive: values within criterion
+    4's rtol=1e-5, atol=1e-6, and the same recorded (macs, flops), which
+    the loop nest tallies as executed instead of reading the price table."""
+    with meter.isolated() as fast_m:
+        fast = conv2d(x, spec, weight, bias)
+    with meter.isolated() as slow_m:
+        slow = conv2d_naive(x, spec, weight, bias)
+    return ((fast_m.macs, fast_m.flops) == (slow_m.macs, slow_m.flops)
+            and np.allclose(fast.data, slow.data, rtol=1e-5, atol=1e-6))
+
+
 def _conv_oracle(cases: int, rng) -> tuple[int, int]:
     passed = 0
     for _ in range(cases):
@@ -308,14 +326,10 @@ def _conv_oracle(cases: int, rng) -> tuple[int, int]:
                         pad_h=int(rng.integers(0, 2)),
                         pad_w=int(rng.integers(0, 2)),
                         groups=groups, has_bias=bool(rng.integers(0, 2)))
-        x = Tensor(rng.uniform(-1, 1, (1, cin, h, w)).astype(np.float32))
-        wgt = Tensor(rng.uniform(-1, 1, spec.weight_shape()).astype(np.float32))
-        bias = (rng.uniform(-1, 1, cout).astype(np.float32)
-                if spec.has_bias else None)
-        fast = conv2d(x, spec, wgt, bias)
-        slow = conv2d_naive(x, spec, wgt, bias)
-        if np.allclose(fast.data, slow.data, rtol=1e-5, atol=1e-6):
-            passed += 1
+        x = Tensor(_uniform(rng, (1, cin, h, w)))
+        wgt = Tensor(_uniform(rng, spec.weight_shape()))
+        bias = _uniform(rng, cout) if spec.has_bias else None
+        passed += conv_agrees(x, spec, wgt, bias)
     return passed, cases
 
 
@@ -338,22 +352,23 @@ PARITY_CASES = [
 
 
 def _cost_parity_oracle(rng) -> tuple[int, int]:
-    """block.cost against a real run through conv2d_naive, which tallies
-    the MACs its loops execute instead of reading the price table."""
+    """Per block: its meta-derived cost equals a metered real forward, and
+    each of its conv units passes `conv_agrees` at the block's input side,
+    so every conv spec a block builds is priced as a loop nest executes."""
     passed = 0
     for kind, cins, kwargs, shape in PARITY_CASES:
         block = BLOCKS[kind](cins, dict(kwargs))
-        weights = {path: rng.uniform(-0.5, 0.5, shp).astype(np.float32)
+        weights = {path: _uniform(rng, shp, 0.5)
                    for path, shp in block.param_specs("b")}
         block.load(weights.__getitem__, "b")
-        ins = [Tensor(rng.uniform(-1, 1, shape).astype(np.float32))
-               for _ in cins]
-        want = block.cost([shape] * len(cins))
-        with mock.patch.object(blocks, "conv2d", conv2d_naive), \
-                meter.CostMeter() as m:
+        ins = [Tensor(_uniform(rng, shape)) for _ in cins]
+        with meter.CostMeter() as m:
             block.forward(ins)
-        if (m.macs, m.flops) == want:
-            passed += 1
+        metered = (m.macs, m.flops) == block.cost([shape] * len(cins))
+        side = shape[2:]
+        passed += metered and all(
+            conv_agrees(Tensor(_uniform(rng, (1, u.spec.in_channels, *side))),
+                        u.spec, u.weight, u.bias) for u in block.units())
     return passed, len(PARITY_CASES)
 
 
@@ -374,12 +389,9 @@ def cmd_oracle_check(args) -> int:
     if args.cases < 1:
         raise ConfigError(f"--cases must be at least 1, got {args.cases}")
     rng = np.random.default_rng(args.seed)
-    conv_ok, conv_n = _conv_oracle(args.cases, rng)
-    parity_ok, parity_n = _cost_parity_oracle(rng)
-    ap_ok, ap_n = _ap_oracle(args.cases, rng)
-    checks = [("conv oracle", conv_ok, conv_n),
-              ("cost parity", parity_ok, parity_n),
-              ("ap oracle", ap_ok, ap_n)]
+    checks = [("conv oracle", *_conv_oracle(args.cases, rng)),
+              ("cost parity", *_cost_parity_oracle(rng)),
+              ("ap oracle", *_ap_oracle(args.cases, rng))]
     failed = any(ok != n for _, ok, n in checks)
     if args.json:
         _json_print({"checks": [

@@ -4,10 +4,8 @@ The analyzer runs the model's one graph walk over a shape-only (meta)
 input with a CostMeter per layer: every kernel prices itself from the
 table in yolotla.meter without computing anything. The instrumented
 route (count_empirical) runs the same walk on real zeros under one
-meter. The two must agree exactly, which the test suite and the
-acceptance gate check block by block and on truncated models; the
-independent check is a real run through the loop-nest `conv2d_naive`,
-which tallies the multiply-accumulates it actually executes.
+meter, and the two agree exactly. The conv rule in yolotla.tensor keeps
+the prices honest: conv2d records what the loop-nest `conv2d_naive` executes.
 
 Counting convention, stated wherever totals are reported: one
 multiply-accumulate costs 2 FLOPs; a biased layer adds one addition per

@@ -55,7 +55,7 @@ class Dataset:
 
     def class_index(self, category_id: int) -> int:
         """Contiguous class index of a category id (position in the
-        ascending id list); the same mapping serializes results back."""
+        ascending id list); `eval` reads result rows through it too."""
         ids = self.category_ids()
         try:
             return ids.index(category_id)

@@ -319,18 +319,6 @@ class Model:
 
     # -- structure ---------------------------------------------------------
 
-    def layer_out_shapes(self, input_shape) -> list[tuple[int, int, int, int]]:
-        """Shape-infer every layer output for a given input shape."""
-        shapes: list[tuple[int, int, int, int]] = []
-
-        def step(index, block, ins):
-            out = block.forward(ins)
-            shapes.append(out.shape)
-            return out
-
-        self.meta_walk(input_shape, upto=len(self.blocks), step=step)
-        return shapes
-
     def head_shapes(self, input_shape) -> list[tuple[int, int, int, int]]:
         return [t.shape for t in self.meta_walk(input_shape)]
 

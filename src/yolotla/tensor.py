@@ -5,16 +5,17 @@ floats. Kernels are pure functions: they never write through an input and
 always allocate fresh outputs, so concurrent forward passes over shared
 weights are safe.
 
-Convolution accumulates in 64-bit before casting back to float32. That
-keeps the vectorized path and the loop-nest reference implementation
-numerically aligned to well under the 1e-5 tolerance the tests pin.
-
 Every kernel also accepts meta tensors (shape only, no array). It checks
 its arguments and records its cost to the active meters exactly as for
 real data, then returns a meta result, so a forward pass over meta inputs
-is shape inference and cost analysis in one. The loop-nest `conv2d_naive`
-is the exception: it is the independent oracle, so it has no meta path
-and tallies only the work it executes.
+is shape inference and cost analysis in one.
+
+The loop-nest `conv2d_naive` is the exception and the oracle: it has no
+meta path and tallies only the work it executes. Every conv path keeps one
+rule against it, at every spec and input: its values agree to the 1e-5
+tolerance the tests pin (convolution accumulates in 64-bit before casting
+back to float32), and the (macs, flops) it records equal the tally
+`conv2d_naive` executes.
 """
 from __future__ import annotations
 

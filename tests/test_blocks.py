@@ -14,11 +14,11 @@ from hypothesis import strategies as st
 
 from yolotla import blocks, meter
 from yolotla.blocks import BLOCKS, C3_FAMILY
-from yolotla.cli import PARITY_CASES
+from yolotla.cli import PARITY_CASES, conv_agrees
 from yolotla.errors import ConfigError, ShapeError, YoloTlaError
 from yolotla.graph import build_model, find_config
 from yolotla.tensor import (ConvSpec, Tensor, concat_channels, conv2d,
-                            conv2d_naive, maxpool2d)
+                            maxpool2d)
 
 RNG_SEED = 42
 
@@ -385,24 +385,32 @@ class TestPlumbingBlocks:
             BLOCKS["ConvBNAct"]([3], {"out": 8, "bogus": 1})
 
 
-class TestCostParity:
-    """Derived per-block costs must equal what an instrumented run records.
+def assert_units_agree(blk, side):
+    """Every conv unit of blk passes `conv_agrees` on an input of that side."""
+    for i, unit in enumerate(blk.units()):
+        assert isinstance(unit, blocks._Unit)
+        x = rand_input(1, unit.spec.in_channels, *side, seed=11 + i)
+        assert conv_agrees(x, unit.spec, unit.weight, unit.bias), f"unit {i}"
 
-    The run's convolutions go through conv2d_naive, which tallies the MACs
-    its loops execute rather than reading the price table that the derived
-    (meta-forward) cost is built from.
+
+class TestCostParity:
+    """Derived per-block costs must equal what the kernels record and execute.
+
+    Two checks, the ones `oracle-check` makes: the derived (meta-forward)
+    cost equals a metered real forward, and every conv unit of the block
+    agrees with conv2d_naive on values and on the recorded (macs, flops).
+    The loop nest tallies the MACs it executes rather than reading the
+    price table that both the derived cost and conv2d are built from.
     """
 
     CASES = PARITY_CASES
 
     @pytest.mark.parametrize("kind,cins,args,shape",
                              CASES, ids=[f"{c[0]}-{i}" for i, c in enumerate(CASES)])
-    def test_block_cost_matches_metered_run(self, kind, cins, args, shape,
-                                            monkeypatch):
+    def test_block_cost_matches_metered_run(self, kind, cins, args, shape):
         blk, _ = make_block(kind, cins, args)
         shapes = [shape] * len(cins)
         want_macs, want_flops = blk.cost(shapes)
-        monkeypatch.setattr(blocks, "conv2d", conv2d_naive)
         with meter.CostMeter() as m:
             blk.forward([rand_input(*s, seed=7 + i) for i, s in enumerate(shapes)])
         assert m.macs == want_macs
@@ -410,24 +418,36 @@ class TestCostParity:
 
     @pytest.mark.parametrize("kind,cins,args,shape",
                              CASES, ids=[f"{c[0]}-{i}" for i, c in enumerate(CASES)])
-    def test_every_mac_runs_through_the_naive_conv(self, kind, cins, args, shape,
-                                                   monkeypatch):
-        # conv2d is the one weighted kernel, so the oracle executes every MAC
+    def test_every_unit_agrees_with_the_naive_conv(self, kind, cins, args, shape):
         blk, _ = make_block(kind, cins, args)
-        monkeypatch.setattr(blocks, "conv2d", conv2d_naive)
+        assert_units_agree(blk, shape[2:])
+
+    @pytest.mark.parametrize("kind,cins,args,shape",
+                             CASES, ids=[f"{c[0]}-{i}" for i, c in enumerate(CASES)])
+    def test_every_mac_runs_through_the_naive_conv(self, kind, cins, args, shape):
+        # conv2d is the one weighted kernel, and the unit check holds it to
+        # the naive conv at every spec the block builds
+        blk, _ = make_block(kind, cins, args)
         with meter.CostMeter() as m:
             blk.forward([rand_input(*shape, seed=7 + i) for i in range(len(cins))])
         assert {k for k, c in m.by_kind.items() if c.macs} <= {"conv2d"}
 
-    def test_detect_cost_matches(self, monkeypatch):
+    def test_units_walk_the_child_tree(self):
+        blk = BLOCKS["C3Ghost"]([16], {"out": 16, "n": 2})
+        specs = [s for s in blk.param_specs("b") if s[0].endswith("conv.weight")]
+        assert [u.spec.weight_shape() for u in blk.units()] == [s for _, s in specs]
+        assert len(specs) == 3 + 2 * 4   # cv1-cv3; 2 inner x 2 GhostConv x 2 units
+        assert BLOCKS["Concat"]([4, 4], {}).units() == []
+
+    def test_detect_cost_matches(self):
         blk, _ = make_block("Detect", [8, 16], {"nc": 3})
         shapes = [(1, 8, 8, 8), (1, 16, 4, 4)]
         want = blk.cost(shapes)
         assert blk.out_shape(shapes) == [(1, 24, 8, 8), (1, 24, 4, 4)]
-        monkeypatch.setattr(blocks, "conv2d", conv2d_naive)
         with meter.CostMeter() as m:
             blk.forward([rand_input(*shapes[0]), rand_input(*shapes[1])])
         assert (m.macs, m.flops) == want
+        assert_units_agree(blk, (4, 4))
 
     def test_concat_is_free(self):
         blk = BLOCKS["Concat"]([4, 4], {})

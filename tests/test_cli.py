@@ -14,6 +14,7 @@ import sys
 import numpy as np
 import pytest
 
+from yolotla import meter
 from yolotla.cli import main
 from yolotla.graph import build_model, find_config, save_weights
 from yolotla.tensor import Tensor, save_tns
@@ -383,6 +384,29 @@ class TestInferCommand:
              "--input-size", "64", "--json"], capsys)
         assert code == 0
 
+    @pytest.mark.parametrize("flag", ["--conf", "--iou"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1", "1.5"])
+    def test_threshold_outside_unit_interval_exits_one(self, workdir, capsys,
+                                                       flag, value):
+        code, out, err = run(
+            ["infer", "--config", "yolov5s", "--image",
+             str(workdir["image"]), "--input-size", "64", flag, value],
+            capsys)
+        assert_one_line_error(code, err)
+        assert f"{flag} must be within [0, 1], got {float(value)}" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("flag", ["--conf", "--iou"])
+    @pytest.mark.parametrize("value", ["0", "1"])
+    def test_threshold_at_either_end_is_accepted(self, workdir, capsys,
+                                                 flag, value):
+        code, out, _ = run(
+            ["infer", "--config", "yolov5s", "--image",
+             str(workdir["image"]), "--input-size", "64", flag, value,
+             "--json"], capsys)
+        assert code == 0
+        assert isinstance(json.loads(out), list)
+
     def test_missing_image_exits_one(self, workdir, capsys):
         code, _, err = run(
             ["infer", "--config", "yolov5s", "--image",
@@ -598,6 +622,25 @@ class TestOracleCheckCommand:
         assert {c["name"] for c in doc["checks"]} == {
             "conv oracle", "cost parity", "ap oracle"}
 
+
+    def test_miscounted_kernel_fails_with_exit_two(self, capsys, monkeypatch):
+        # 7x7 convs exist only inside GAM, never among the random conv
+        # cases, so only cost parity's per-unit check can see this
+        priced = meter.conv_cost
+
+        def off_by_one_at_7x7(n, cout, cin_g, kh, kw, oh, ow, bias):
+            macs, flops = priced(n, cout, cin_g, kh, kw, oh, ow, bias)
+            return (macs + 1, flops) if (kh, kw) == (7, 7) else (macs, flops)
+
+        monkeypatch.setattr(meter, "conv_cost", off_by_one_at_7x7)
+        code, out, _ = run(["oracle-check", "--cases", "10"], capsys)
+        assert code == 2
+        assert "conv oracle: 10/10" in out
+        assert "cost parity: 12/13" in out
+        assert "result: FAIL" in out
+        code, out, _ = run(["oracle-check", "--cases", "10", "--json"], capsys)
+        assert code == 2
+        assert json.loads(out)["ok"] is False
 
     def test_negative_case_count_exits_one(self, capsys):
         code, out, err = run(["oracle-check", "--cases", "-1"], capsys)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from yolotla import graph
+from yolotla.costs import analyze
 from yolotla.errors import ConfigError, ParseError, ShapeError, WeightError
 from yolotla.graph import (Model, build_model, bundled_config_names,
                            find_config, init_params, load_weights,
@@ -399,7 +400,7 @@ class TestForward:
     def test_executed_shapes_match_inference(self):
         m = build_model(toy_config(), seed=0)
         x = rand_image(32, 48, seed=2)
-        shapes = m.layer_out_shapes((1, 3, 32, 48))
+        shapes = [row.out_shape for row in analyze(m, (32, 48)).layers]
         cache = {}
         for spec, block in zip(m.config.layers, m.blocks):
             ins = [x] if spec.index == 0 else [cache[s] for s in spec.sources]

@@ -179,7 +179,8 @@ class TestConvHandCases:
 
 
 class TestConvOracle:
-    """Vectorized conv must match the loop nest to 1e-5 relative tolerance."""
+    """Vectorized conv must match the loop nest to 1e-5 relative tolerance
+    and record exactly the (macs, flops) the loop nest executes."""
 
     def _random_case(self, rng):
         g = int(rng.choice([1, 1, 1, 2, 4]))
@@ -214,9 +215,12 @@ class TestConvOracle:
             if case is None:
                 continue
             x, spec, wt, bias = case
-            fast = conv2d(x, spec, wt, bias)
-            slow = conv2d_naive(x, spec, wt, bias)
+            with meter.CostMeter() as fast_m:
+                fast = conv2d(x, spec, wt, bias)
+            with meter.CostMeter() as slow_m:
+                slow = conv2d_naive(x, spec, wt, bias)
             np.testing.assert_allclose(fast.data, slow.data, rtol=1e-5, atol=1e-6)
+            assert (fast_m.macs, fast_m.flops) == (slow_m.macs, slow_m.flops), spec
             done += 1
             grouped += spec.groups > 1
         assert grouped >= 10, "case generator should exercise grouped convs"
