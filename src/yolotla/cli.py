@@ -144,7 +144,13 @@ def cmd_analyze(args) -> int:
 
 # -- anchors -----------------------------------------------------------------
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise ConfigError(f"--seed must be non-negative, got {seed}")
+
+
 def cmd_anchors(args) -> int:
+    _check_seed(args.seed)
     ds = load_coco(args.dataset)
     boxes = [(ann.bbox[2], ann.bbox[3]) for ann in ds.annotations]
     anchors = fit_anchors(boxes, k=args.k, seed=args.seed)
@@ -195,6 +201,7 @@ def cmd_anchors(args) -> int:
 # -- infer -------------------------------------------------------------------
 
 def cmd_infer(args) -> int:
+    _check_seed(args.seed)
     for flag, value in (("--conf", args.conf), ("--iou", args.iou)):
         if not 0.0 <= value <= 1.0:
             raise ConfigError(f"{flag} must be within [0, 1], got {value}")
@@ -388,6 +395,7 @@ def _ap_oracle(cases: int, rng) -> tuple[int, int]:
 def cmd_oracle_check(args) -> int:
     if args.cases < 1:
         raise ConfigError(f"--cases must be at least 1, got {args.cases}")
+    _check_seed(args.seed)
     rng = np.random.default_rng(args.seed)
     checks = [("conv oracle", *_conv_oracle(args.cases, rng)),
               ("cost parity", *_cost_parity_oracle(rng)),

@@ -6,12 +6,13 @@ it across randomized shapes, strides, padding, and group counts.
 """
 import itertools
 import time
+import warnings
 
 import numpy as np
 import pytest
 
 from yolotla.errors import ConfigError, ParseError, ShapeError
-from yolotla import meter
+from yolotla import meter, tensor
 from yolotla.tensor import (ConvSpec, Tensor, add, concat_channels, conv2d,
                             conv2d_naive, load_tns, maxpool2d, mul, relu,
                             save_tns, sigmoid, silu, upsample_nearest)
@@ -33,6 +34,28 @@ def maxpool_reference(x: np.ndarray, kernel: int, stride: int, pad: int) -> np.n
             if 0 <= iy < h and 0 <= ix < w:
                 out[b, ch, oy, ox] = max(out[b, ch, oy, ox], x[b, ch, iy, ix])
     return out
+
+
+def conv_reference64(x: np.ndarray, spec: ConvSpec, w: np.ndarray,
+                     bias: np.ndarray | None) -> np.ndarray:
+    """Float64 convolution over sliding windows, for sizes the loop nest
+    cannot reach in test time."""
+    n, c = x.shape[:2]
+    g = spec.groups
+    oh, ow = spec.out_hw(*x.shape[2:])
+    xp = np.pad(x.astype(np.float64), ((0, 0), (0, 0), (spec.pad_h, spec.pad_h),
+                                       (spec.pad_w, spec.pad_w)))
+    win = np.lib.stride_tricks.sliding_window_view(
+        xp, (spec.kernel_h, spec.kernel_w), axis=(2, 3))
+    win = win[:, :, ::spec.stride_h, ::spec.stride_w][:, :, :oh, :ow]
+    win = win.reshape(n, g, c // g, oh, ow, spec.kernel_h, spec.kernel_w)
+    wg = w.astype(np.float64).reshape(g, spec.out_channels // g, c // g,
+                                      spec.kernel_h, spec.kernel_w)
+    y = np.einsum("ngcyxij,gocij->ngoyx", win, wg, optimize=True)
+    y = y.reshape(n, spec.out_channels, oh, ow)
+    if bias is not None:
+        y += bias.astype(np.float64).reshape(1, -1, 1, 1)
+    return y
 
 
 class TestTensorType:
@@ -226,6 +249,69 @@ class TestConvOracle:
         assert grouped >= 10, "case generator should exercise grouped convs"
         assert time.monotonic() - start < 120.0
 
+    # Each fast path of conv2d at the specs that select it; `windows` is how
+    # many window views the call builds (0 for the stride-1 unpadded 1x1).
+    @pytest.mark.parametrize("spec, n, h, w, windows", [
+        (ConvSpec(4, 6, 1, 1), 2, 5, 7, 0),
+        (ConvSpec(4, 6, 1, 1, groups=2, has_bias=True), 2, 5, 7, 0),
+        (ConvSpec(4, 6, 1, 1, stride_h=2, stride_w=2), 2, 5, 7, 1),
+        (ConvSpec(4, 6, 1, 1, pad_h=1, pad_w=1, groups=2), 2, 5, 7, 1),
+        (ConvSpec(6, 6, 3, 3, pad_h=1, pad_w=1, groups=6, has_bias=True), 2, 6, 5, 1),
+        (ConvSpec(6, 12, 5, 5, pad_h=2, pad_w=2, groups=6), 1, 7, 6, 1),
+        (ConvSpec(4, 4, 1, 3, stride_h=2, stride_w=1, pad_w=1), 2, 7, 6, 1),
+        (ConvSpec(2, 4, 3, 2, stride_h=1, stride_w=2, pad_h=1, groups=2,
+                  has_bias=True), 2, 6, 7, 1),
+    ], ids=["1x1", "1x1-g2", "1x1-stride2", "1x1-pad1", "depthwise-3x3",
+            "depthwise-5x5-x2", "1x3-stride2x1", "3x2-stride1x2-g2"])
+    def test_each_fast_path_agrees_with_the_loop_nest(self, monkeypatch, spec,
+                                                      n, h, w, windows):
+        rng = np.random.default_rng(11)
+        x = random_tensor(rng, n, spec.in_channels, h, w)
+        wt = Tensor(rng.uniform(-1, 1, size=spec.weight_shape()).astype(np.float32))
+        bias = (rng.uniform(-1, 1, size=spec.out_channels).astype(np.float32)
+                if spec.has_bias else None)
+        views = []
+        real_windows = tensor._windows
+
+        def counted_windows(*args):
+            views.append(args)
+            return real_windows(*args)
+
+        monkeypatch.setattr(tensor, "_windows", counted_windows)
+        with meter.CostMeter() as fast_m:
+            fast = conv2d(x, spec, wt, bias)
+        assert len(views) == windows
+        with meter.CostMeter() as slow_m:
+            slow = conv2d_naive(x, spec, wt, bias)
+        np.testing.assert_allclose(fast.data, slow.data, rtol=1e-5, atol=1e-6)
+        assert (fast_m.macs, fast_m.flops) == (slow_m.macs, slow_m.flops)
+
+    # Float32 dot products of length K: whatever the summation order,
+    # |y - y64| <= (K + 2) * 2**-24 * (|W| . |X| + |b|). Specs at the
+    # models' real reduction sizes, past criterion 4's small cases.
+    @pytest.mark.parametrize("spec, side", [
+        (ConvSpec(1024, 64, 1, 1, has_bias=True), 8),
+        (ConvSpec(256, 32, 3, 3, pad_h=1, pad_w=1), 10),
+        (ConvSpec(256, 32, 3, 3, 2, 2, 1, 1, has_bias=True), 10),
+        (ConvSpec(128, 32, 7, 7, pad_h=3, pad_w=3, groups=4), 12),
+        (ConvSpec(64, 64, 5, 5, pad_h=2, pad_w=2, groups=64), 12),
+        (ConvSpec(3, 32, 6, 6, 2, 2, 2, 2, has_bias=True), 32),
+    ], ids=["1x1-1024", "3x3-256", "3x3-256-stride2", "gam-7x7-g4",
+            "depthwise-5x5", "stem-6x6-stride2"])
+    def test_float32_error_within_the_dot_product_bound(self, spec, side):
+        rng = np.random.default_rng(21)
+        x = rng.uniform(-1, 1, size=(2, spec.in_channels, side, side)).astype(np.float32)
+        wt = rng.uniform(-1, 1, size=spec.weight_shape()).astype(np.float32)
+        bias = (rng.uniform(-1, 1, size=spec.out_channels).astype(np.float32)
+                if spec.has_bias else None)
+        y = conv2d(Tensor(x), spec, Tensor(wt), bias).data
+        ref = conv_reference64(x, spec, wt, bias)
+        scale = conv_reference64(np.abs(x), spec, np.abs(wt),
+                                 None if bias is None else np.abs(bias))
+        k = spec.in_channels // spec.groups * spec.kernel_h * spec.kernel_w
+        bound = (k + 2) * 2.0 ** -24 * scale
+        assert np.all(np.abs(y - ref) <= bound)
+
     def test_linearity_without_bias(self):
         rng = np.random.default_rng(5)
         spec = ConvSpec(3, 4, 3, 3, pad_h=1, pad_w=1)
@@ -262,6 +348,24 @@ class TestElementwise:
         assert out[1] == pytest.approx(1.0)
         assert out[2] == pytest.approx(0.0, abs=1e-7)
         assert out[3] == pytest.approx(1.0 / (1.0 + np.exp(-1.0)))
+
+    def test_float32_activations_at_extremes(self):
+        vals = np.array([-1e4, -100.0, 0.0, 100.0, 1e4], dtype=np.float32)
+        x = Tensor(vals.reshape(1, 1, 1, -1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sig = sigmoid(x).data.ravel()
+            act = silu(x).data.ravel()
+        assert sig.dtype == act.dtype == np.float32
+        assert (sig[0], sig[2], sig[4]) == (0.0, 0.5, 1.0)
+        assert act[0] == 0.0 and act[4] == 1e4
+        with np.errstate(over="ignore"):
+            ref = 1.0 / (1.0 + np.exp(-vals.astype(np.float64)))
+        # below float32's normal range (sigmoid(-100) = 3.7e-44) no relative
+        # tolerance is possible, so the absolute one is the smallest normal
+        tiny = np.finfo(np.float32).tiny
+        np.testing.assert_allclose(sig, ref, rtol=1e-6, atol=tiny)
+        np.testing.assert_allclose(act, vals * ref, rtol=1e-6, atol=tiny)
 
     def test_relu_clamps_negatives(self):
         x = Tensor(np.array([[[[-2.0, 0.0, 3.5]]]], dtype=np.float32))
