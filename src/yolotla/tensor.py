@@ -20,8 +20,10 @@ value y64, on any BLAS build:
 
     |y - y64| <= (K + 2) * 2**-24 * (|W| . |X| + |b|)
 
-At criterion 4's sizes (K <= 48) that keeps conv2d within 1e-5 of
-`conv2d_naive`; at the models' widths (K in the thousands) the error
+The bound alone does not keep conv2d within 1e-5 of `conv2d_naive`: at
+K = 48 with inputs in [-1, 1] it allows about 1.4e-4. Criterion 4's cases
+(K <= 48) are observed to stay within 1e-5, which the randomized oracle
+test checks. At the models' widths (K in the thousands) the observed error
 relative to max(|y64|, 1) reaches 2e-5 to 3e-5, still inside the bound.
 `sigmoid` and `silu` compute in float32 as well; box decoding keeps the
 float64 `sigmoid64`.
@@ -216,11 +218,8 @@ def _windows(xp: np.ndarray, kh: int, kw: int, oh: int, ow: int,
 
 def conv2d(x: Tensor, spec: ConvSpec, weight: Tensor,
            bias: np.ndarray | None = None) -> Tensor:
-    """Grouped 2-D convolution as float32 GEMMs written into the output.
-
-    A stride-1, unpadded 1x1 conv multiplies the input itself; every other
-    spec multiplies each group's window view, one group at a time.
-    """
+    """Grouped 2-D convolution as float32 GEMMs, one per group, each
+    written straight into that group's slice of the output."""
     _check_conv_args(x, spec, weight, bias)
     n, cin = x.n, x.c
     oh, ow = spec.out_hw(x.h, x.w)
@@ -237,13 +236,10 @@ def conv2d(x: Tensor, spec: ConvSpec, weight: Tensor,
     k, p = cing * kh * kw, oh * ow
     wmat = weight.data.reshape(g, coutg, k)
     out = np.empty((n, g, coutg, p), dtype=np.float32)
-    if (kh, kw, spec.stride_h, spec.stride_w, spec.pad_h, spec.pad_w) == (1, 1, 1, 1, 0, 0):
-        np.matmul(wmat, x.data.reshape(n, g, cing, p), out=out)
-    else:
-        view = _windows(_padded(x, spec), kh, kw, oh, ow, spec.stride_h, spec.stride_w)
-        for gi in range(g):
-            np.matmul(wmat[gi], view[:, gi * cing:(gi + 1) * cing].reshape(n, k, p),
-                      out=out[:, gi])
+    view = _windows(_padded(x, spec), kh, kw, oh, ow, spec.stride_h, spec.stride_w)
+    for gi in range(g):
+        np.matmul(wmat[gi], view[:, gi * cing:(gi + 1) * cing].reshape(n, k, p),
+                  out=out[:, gi])
     out = out.reshape(n, spec.out_channels, oh, ow)
     if bias is not None:
         out += bias.astype(np.float32).reshape(1, -1, 1, 1)

@@ -539,6 +539,11 @@ class TestInferCommand:
 # so the candidates are near-ties, and a last-bit change in the head maps
 # (at most 7.5e-9) changes which of them NMS keeps (4 of 1,021 rows at 128,
 # 31 of 4,111 at 256). The yolov5s bytes did not change.
+# So the two yolo-tla-s entries guard one host and one BLAS build only
+# (recorded on OpenBLAS 0.3.31, DYNAMIC_ARCH, SkylakeX kernel; they match at
+# 1 and 2 BLAS threads there): another sgemm kernel may sum in another
+# order and reorder the near-ties. The yolov5s entries have survived the
+# change from float64 to float32 accumulation.
 INFER_DIGESTS = {
     ("yolov5s", 128):
         "ff8e80c702af19fffc85d80e93c729694a3f39597d5b7a33cb123d58a192e5ea",
