@@ -8,14 +8,16 @@ success, 1 validation or usage error, 2 internal oracle failure.
 Everything is driven by flags; there are no environment variables, and
 identical invocations with identical seeds print byte-identical output.
 JSON output is sorted and carries no timestamps so it can be golden-file
-tested.
+tested; `infer --timings` writes its per-stage wall seconds to stderr only.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import logging
+import math
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -200,22 +202,31 @@ def cmd_anchors(args) -> int:
 
 # -- infer -------------------------------------------------------------------
 
+INFER_STAGES = ("load", "letterbox", "forward", "decode", "nms", "serialize")
+
+
 def cmd_infer(args) -> int:
     _check_seed(args.seed)
     for flag, value in (("--conf", args.conf), ("--iou", args.iou)):
         if not 0.0 <= value <= 1.0:
             raise ConfigError(f"{flag} must be within [0, 1], got {value}")
+    clock = [time.perf_counter()]   # one reading after each of INFER_STAGES
     model = build_model(find_config(args.config), seed=args.seed)
     if args.weights:
         model.load_weight_file(args.weights)
     img = load_image(args.image)
     orig_hw = (img.h, img.w)
+    clock.append(time.perf_counter())
     boxed, scale, pads = letterbox(img, target=args.input_size,
                                    stretch=args.stretch)
+    clock.append(time.perf_counter())
     maps = model.forward(boxed)
+    clock.append(time.perf_counter())
     candidates = decode(maps, model.anchors, model.strides,
                         conf_threshold=args.conf)
+    clock.append(time.perf_counter())
     dets = nms(candidates, iou_threshold=args.iou)
+    clock.append(time.perf_counter())
     log.debug("infer: %d candidates at conf>=%s, %d kept by nms, "
               "%d suppressed", len(candidates), args.conf, len(dets),
               len(candidates) - len(dets))
@@ -230,21 +241,26 @@ def cmd_infer(args) -> int:
         _write_output(args.out,
                       json.dumps(rows, sort_keys=True, indent=2) + "\n")
     if args.json:
-        _json_print(rows)
-        return 0
-    lines = [f"{len(restored)} detection(s) from {args.image} "
-             f"(conf>={args.conf}, nms iou {args.iou})"]
-    if not args.weights:
-        lines.append(f"weights: random init, seed {args.seed}; detection "
-                     f"quality is meaningless, this mode exercises the "
-                     f"pipeline only")
-    for d in restored:
-        x1, y1, x2, y2 = d.box
-        lines.append(f"  class {d.class_id:>3} conf {d.confidence:.4f} "
-                     f"box ({x1:.1f}, {y1:.1f}, {x2:.1f}, {y2:.1f})")
-    if args.out:
-        lines.append(f"wrote results to {args.out}")
-    print("\n".join(lines))
+        text = json.dumps(rows, sort_keys=True, indent=2)
+    else:
+        lines = [f"{len(restored)} detection(s) from {args.image} "
+                 f"(conf>={args.conf}, nms iou {args.iou})"]
+        if not args.weights:
+            lines.append(f"weights: random init, seed {args.seed}; "
+                         f"detection quality is meaningless, this mode "
+                         f"exercises the pipeline only")
+        for d in restored:
+            x1, y1, x2, y2 = d.box
+            lines.append(f"  class {d.class_id:>3} conf {d.confidence:.4f} "
+                         f"box ({x1:.1f}, {y1:.1f}, {x2:.1f}, {y2:.1f})")
+        if args.out:
+            lines.append(f"wrote results to {args.out}")
+        text = "\n".join(lines)
+    clock.append(time.perf_counter())
+    print(text)
+    if args.timings:
+        for stage, begin, end in zip(INFER_STAGES, clock, clock[1:]):
+            print(f"timing {stage:<9} {end - begin:.4f} s", file=sys.stderr)
     return 0
 
 
@@ -266,6 +282,9 @@ def _load_results(path, ds):
             score = float(row["score"])
         except (KeyError, TypeError, ValueError) as e:
             raise ConfigError(f"{path}: results[{i}] is malformed: {e}") from e
+        if not all(map(math.isfinite, (x, y, w, h, score))):
+            raise ConfigError(f"{path}: results[{i}] has a non-finite bbox "
+                              f"{row['bbox']} or score {row['score']}")
         dets.setdefault(img, []).append(Detection(
             box=(x, y, x + w, y + h), class_id=ds.class_index(cat),
             confidence=score))
@@ -484,6 +503,8 @@ def build_parser() -> _Parser:
     inf.add_argument("--image-id", type=int, default=0)
     inf.add_argument("--out", help="write COCO-style results JSON here")
     inf.add_argument("--json", action="store_true")
+    inf.add_argument("--timings", action="store_true",
+                     help="write each stage's wall seconds to stderr")
     inf.set_defaults(fn=cmd_infer)
 
     ev = sub.add_parser("eval", help="score results against ground truth")

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -111,6 +112,9 @@ def load_coco(path) -> Dataset:
         except (KeyError, TypeError, ValueError) as e:
             raise ParseError(
                 f"{path}: annotations[{i}] is malformed: {e}") from e
+        if not all(map(math.isfinite, (x, y, w, h))):
+            raise ParseError(f"{path}: annotations[{i}] has a non-finite "
+                             f"bbox {rec['bbox']}")
         if img not in image_ids:
             raise ParseError(
                 f"{path}: annotations[{i}] references missing image {img}")

@@ -7,30 +7,51 @@ all-zero logits every gate sits at 0.5, so a cell decodes to a box of
 exactly the anchor size centered on the cell with confidence 0.25. A head
 map holding a NaN or an infinity is refused, never decoded.
 
+`decode` finds the passing cells before it decodes any. For every cell it
+computes only the objectness and the bound sigmoid(objectness) *
+sigmoid(largest class logit), which is at least the confidence up to the
+last bits of `exp`, the one step of `sigmoid64` that need not be monotone
+(adding one and dividing are, and so is rounding a product). Cells whose
+bound falls below threshold * (1 - 1e-9) - 1e-300 cannot pass: the
+relative margin is far wider than any error of `exp`, and the absolute one
+covers products rounded among subnormals. The selected cells then go
+through exactly the full-map computation: every class score in float64,
+the first best class, the confidence and the `>=` test, then the box. The
+cells come out in (scale, anchor, y, x) order, as a mask over the whole
+map would give them.
+
 NMS is greedy and class-wise with a fully specified order: detections
 sorted by (-confidence, class_id, x1, y1), a box kept iff its IOU with
 every kept box of the same class stays at or below the threshold. The
-tie-break makes outputs reproducible bit for bit.
+tie-break makes outputs reproducible bit for bit. `nms` ranks once with a
+stable lexsort on those keys, which orders finite keys as `sorted` does.
 
-`nms` runs that rule once per kept box instead of once per candidate.
-Within a class, in rank order, each box still alive is kept, and one
-float64 numpy row holds its IOU with the class's boxes in an x-window;
-every later box whose IOU is not at or below the threshold dies. The
-window is exact: with the class sorted by x1 it spans the positions whose
-x1 lies below the kept box's x2 and whose running maximum of x2 lies
-above its x1, and no box outside it can have a positive intersection
-width. (A negative or NaN threshold suppresses even disjoint boxes, so
-there each class keeps its first box.) The row repeats `iou`'s operations
-in `iou`'s order, and `iou` is bit-symmetric for finite boxes because min,
-max and the sum of the two areas commute in IEEE arithmetic, so the kept
-list equals the one the pairwise loop, `nms_reference`, builds. That
-holds for boxes of finite coordinates that float64 holds exactly, such as
-Python floats and small ints; `decode` produces no other kind.
+Within a class, `nms` settles the alive boxes in rank order, up to 64 at a
+time. A block's boxes decide among themselves through one 64x64 matrix of
+"earlier suppresses later" bits, swept in rank order: a box is kept iff no
+kept box of the block has its bit set. Each kept box of the block then
+kills the later boxes whose IOU with it is not at or below the threshold,
+all in one vectorized pass over x-windows. With boxes sorted by x1, the
+window of a kept box spans the positions whose x1 lies below its x2 and
+whose running maximum of x2 lies above its x1; no box outside it has a
+positive intersection width. That holds for any x1-sorted subset, so the
+window arrays hold only unvisited boxes, and they are compacted, with the
+running maximum recomputed, once fewer than 3/4 of their entries are still
+alive and unvisited; a visited box, kept or dead, never needs another
+kill. Pairs whose intersection height is not positive have IOU 0 and are
+dropped before any division. (A negative or NaN threshold suppresses even
+disjoint boxes, so there each class keeps its first box.) Every IOU
+repeats `iou`'s operations in `iou`'s order, and `iou` is bit-symmetric
+for finite boxes because min, max and the sum of the two areas commute in
+IEEE arithmetic, so the kept list equals the one the pairwise loop,
+`nms_reference`, builds, and holds the same objects. That holds for boxes
+of finite coordinates that float64 holds exactly, such as Python floats
+and small ints; `decode` produces no other kind.
 """
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -39,6 +60,15 @@ from .tensor import sigmoid64
 
 DEFAULT_CONF_THRESHOLD = 0.25
 DEFAULT_IOU_THRESHOLD = 0.45
+# NMS settles up to this many alive boxes of a class at a time. 64 packs
+# each box's row of suppression bits into one uint64; blocks of 16 or 32
+# measured slower on the dense seed-0 heads of yolo-tla-s and yolov5s.
+_BLOCK = 64
+_LATER = np.triu(np.ones((_BLOCK, _BLOCK), dtype=bool), 1)   # row < column
+# The window arrays are compacted once fewer than this share of their
+# entries is alive and unvisited; 0.5, 0.9 and "every block" each measured
+# slower on the same heads.
+_COMPACT = 0.75
 
 
 @dataclass(frozen=True)
@@ -102,6 +132,9 @@ def decode(maps, anchors, strides,
         raise ShapeError(
             f"maps disagree on image size under their strides: {sorted(sizes)}")
     img_h, img_w = next(iter(sizes))
+    # Every cell that passes the exact test below has its upper bound at or
+    # above this floor; the module docstring gives both margins.
+    floor = conf_threshold * (1.0 - 1e-9) - 1e-300
     out: list[Detection] = []
     for si, (fmap, stride) in enumerate(zip(maps, strides)):
         n, c, h, w = fmap.shape
@@ -119,29 +152,46 @@ def decode(maps, anchors, strides,
             raise YoloTlaError(
                 f"head map {si} holds non-finite values (NaN or infinity)")
         row = np.asarray(anchors[si], dtype=np.float64).reshape(3, 2)
-        arr = fmap.data.reshape(3, per, h, w)
-        xy = sigmoid64(arr[:, 0:2])
-        wh = sigmoid64(arr[:, 2:4])
+        arr = fmap.data.reshape(3, per, h * w)
         obj = sigmoid64(arr[:, 4])
-        cls = sigmoid64(arr[:, 5:])
+        upper = obj * sigmoid64(arr[:, 5:].max(axis=1))
+        anchor, cell = np.nonzero(upper >= floor)
+        cls = sigmoid64(arr[anchor, 5:, cell])     # (cells, nc)
         best_cls = cls.argmax(axis=1)
-        best_score = cls.max(axis=1)
-        conf = obj * best_score
-        gy, gx = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
-        cx = (2.0 * xy[:, 0] - 0.5 + gx) * stride
-        cy = (2.0 * xy[:, 1] - 0.5 + gy) * stride
-        bw = np.square(2.0 * wh[:, 0]) * row[:, 0, None, None]
-        bh = np.square(2.0 * wh[:, 1]) * row[:, 1, None, None]
+        # the row maximum, read at its first argmax
+        conf = obj[anchor, cell] * cls[np.arange(len(cls)), best_cls]
+        keep = conf >= conf_threshold
+        anchor, cell = anchor[keep], cell[keep]
+        gy, gx = np.divmod(cell, w)
+        xywh = sigmoid64(arr[anchor, :4, cell])
+        cx = (2.0 * xywh[:, 0] - 0.5 + gx) * stride
+        cy = (2.0 * xywh[:, 1] - 0.5 + gy) * stride
+        bw = np.square(2.0 * xywh[:, 2]) * row[anchor, 0]
+        bh = np.square(2.0 * xywh[:, 3]) * row[anchor, 1]
         x1 = np.clip(cx - bw / 2, 0.0, img_w)
         y1 = np.clip(cy - bh / 2, 0.0, img_h)
         x2 = np.clip(cx + bw / 2, 0.0, img_w)
         y2 = np.clip(cy + bh / 2, 0.0, img_h)
-        keep = conf >= conf_threshold
-        columns = (v[keep].tolist() for v in (x1, y1, x2, y2, best_cls, conf))
+        columns = (v.tolist() for v in (x1, y1, x2, y2, best_cls[keep],
+                                        conf[keep]))
         out.extend(Detection(box=(bx1, by1, bx2, by2), class_id=c,
                              confidence=p)
                    for bx1, by1, bx2, by2, c, p in zip(*columns))
     return out
+
+
+def _overlap(lo_a, hi_a, lo_b, hi_b):
+    """Intersection length along one axis, as `iou` computes it."""
+    return np.minimum(hi_b, hi_a) - np.maximum(lo_b, lo_a)
+
+
+def _suppresses(iw, ih, area_a, area_b, iou_threshold) -> np.ndarray:
+    """Where kept boxes suppress others, from their `_overlap`s and areas:
+    `iou`'s operations in `iou`'s order, for a threshold of at least 0."""
+    inter = iw * ih
+    union = area_b + area_a - inter
+    return (iw > 0) & (ih > 0) & (union > 0) & ~(inter / union
+                                                  <= iou_threshold)
 
 
 def _keep_class(boxes: np.ndarray, iou_threshold) -> list[int]:
@@ -150,48 +200,91 @@ def _keep_class(boxes: np.ndarray, iou_threshold) -> list[int]:
     if not 0.0 <= iou_threshold:   # even an IOU of 0 exceeds it
         return [0]
     n = len(boxes)
-    rank = np.argsort(boxes[:, 0], kind="stable")   # rank at each x position
-    pos = np.empty(n, dtype=np.intp)                # x position of each rank
-    pos[rank] = np.arange(n)
-    by_x = boxes[rank]
-    x1, y1, x2, y2 = by_x.T.copy()
+    x1, y1, x2, y2 = boxes.T.copy()
     area = (x2 - x1) * (y2 - y1)
-    rows = by_x.tolist()
-    x1_list = x1.tolist()
-    reach = np.maximum.accumulate(x2).tolist()
     alive = np.ones(n, dtype=bool)
-    kept = []
-    for k, p in enumerate(pos.tolist()):
-        if not alive[p]:
-            continue
-        kept.append(k)
-        bx1, by1, bx2, by2 = rows[p]
-        w = slice(bisect_right(reach, bx1), bisect_left(x1_list, bx2))
-        iw = np.minimum(x2[w], bx2) - np.maximum(x1[w], bx1)
-        ih = np.minimum(y2[w], by2) - np.maximum(y1[w], by1)
-        inter = iw * ih
-        union = area[w] + area[p] - inter
-        row = np.where((iw <= 0) | (ih <= 0) | ~(union > 0), 0.0,
-                       inter / union)
-        alive[w] &= (rank[w] <= k) | (row <= iou_threshold)
+    unseen = n                  # alive ranks not yet visited
+    kept: list[int] = []
+    start = 0                   # every rank below it has been visited
+    live = np.arange(0)   # ranks by x1: every unvisited alive one, and more
+    while unseen:
+        if unseen < _COMPACT * len(live) or not len(live):
+            live = start + np.flatnonzero(alive[start:])
+            live = live[np.argsort(x1[live], kind="stable")]
+            reach = np.maximum.accumulate(x2[live])
+            lx1, ly1, lx2, ly2 = x1[live], y1[live], x2[live], y2[live]
+        # (a) the next alive ranks, at most _BLOCK of them
+        block = np.flatnonzero(alive[start:])[:_BLOCK] + start
+        start = int(block[-1]) + 1
+        unseen -= len(block)
+        # (b) greedy sweep inside the block over packed suppression rows
+        bx1, by1, bx2, by2 = x1[block], y1[block], x2[block], y2[block]
+        hits = _LATER[:len(block), :len(block)] & _suppresses(
+            _overlap(bx1[:, None], bx2[:, None], bx1, bx2),
+            _overlap(by1[:, None], by2[:, None], by1, by2),
+            area[block, None], area[block], iou_threshold)
+        packed = np.zeros((len(block), 8), dtype=np.uint8)
+        packed[:, :(len(block) + 7) // 8] = np.packbits(
+            hits, axis=1, bitorder="little")
+        dead = 0
+        won = []
+        for i, bits in enumerate(packed.view("<u8").ravel().tolist()):
+            if not dead >> i & 1:
+                won.append(i)
+                dead |= bits
+        winners = block[won]
+        kept.extend(winners.tolist())
+        if not unseen:
+            break
+        # (c, d) each winner's x-window over the window arrays, laid end
+        # to end
+        lo = np.searchsorted(reach, x1[winners], side="right")
+        hi = np.maximum(np.searchsorted(lx1, x2[winners], side="left"), lo)
+        length = hi - lo
+        ends = np.cumsum(length)
+        spans = [slice(a, b) for a, b in zip(lo.tolist(), hi.tolist())]
+        # (e) a pair with no positive intersection height has IOU 0
+        ih = _overlap(np.repeat(y1[winners], length),
+                      np.repeat(y2[winners], length),
+                      np.concatenate([ly1[w] for w in spans]),
+                      np.concatenate([ly2[w] for w in spans]))
+        near = np.flatnonzero(ih > 0)
+        which = np.searchsorted(ends, near, side="right")
+        at = near + (hi - ends)[which]   # positions in the window arrays
+        owner, rival = winners[which], live[at]
+        # (f, g) the remaining pairs' IOUs; later ranks above it die
+        hit = (rival >= start) & _suppresses(
+            _overlap(x1[owner], x2[owner], lx1[at], lx2[at]), ih[near],
+            area[owner], area[rival], iou_threshold)
+        victims = np.unique(rival[hit])
+        victims = victims[alive[victims]]
+        alive[victims] = False
+        unseen -= len(victims)
     return kept
 
 
 def nms(dets, iou_threshold=DEFAULT_IOU_THRESHOLD) -> list[Detection]:
     """Greedy class-wise suppression with a deterministic tie-break; equal
-    to `nms_reference`, with one IOU row per kept box."""
-    ranked = sorted(dets, key=_sort_key)
-    by_class: dict[int, list[int]] = {}
-    for i, d in enumerate(ranked):
-        by_class.setdefault(d.class_id, []).append(i)
+    to `nms_reference`, returning the same objects."""
+    dets = list(dets)
+    if not dets:
+        return []
+    n = len(dets)
+    boxes = np.fromiter(chain.from_iterable([d.box for d in dets]),
+                        np.float64, 4 * n).reshape(n, 4)
+    class_id = np.fromiter((d.class_id for d in dets), np.int64, n)
+    conf = np.fromiter((d.confidence for d in dets), np.float64, n)
+    ranked = np.lexsort((boxes[:, 1], boxes[:, 0], class_id, -conf))
+    ranked_class = class_id[ranked]
+    grouped = np.argsort(ranked_class, kind="stable")   # ranks, by class
+    cuts = np.flatnonzero(np.diff(ranked_class[grouped])) + 1
     kept = []
     with np.errstate(all="ignore"):   # for quotients the mask discards
-        for members in by_class.values():
-            boxes = np.array([ranked[i].box for i in members],
-                             dtype=np.float64)
-            kept.extend(members[k]
-                        for k in _keep_class(boxes, iou_threshold))
-    return [ranked[i] for i in sorted(kept)]
+        for members in np.split(grouped, cuts):
+            kept.extend(members[_keep_class(boxes[ranked[members]],
+                                            iou_threshold)].tolist())
+    kept.sort()
+    return [dets[i] for i in ranked[kept].tolist()]
 
 
 def to_coco_results(dets, image_id: int, category_ids=None) -> list[dict]:

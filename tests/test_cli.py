@@ -8,6 +8,7 @@ golden-file tested downstream.
 import hashlib
 import json
 import logging
+import math
 import subprocess
 import sys
 
@@ -64,6 +65,15 @@ def write_ppm(root, seed=3, w=64, h=48):
     path = root / "img.ppm"
     payload = rng.integers(0, 256, (h, w, 3), dtype=np.uint8).tobytes()
     path.write_bytes(f"P6\n{w} {h}\n255\n".encode() + payload)
+    return path
+
+
+def non_finite_dataset(workdir, width):
+    """The workdir's ground truth with ``width`` as annotation 2's width."""
+    doc = json.loads(workdir["gt"].read_text())
+    doc["annotations"][2]["bbox"][2] = width
+    path = workdir["root"] / "non-finite-instances.json"
+    path.write_text(json.dumps(doc))
     return path
 
 
@@ -265,6 +275,16 @@ class TestAnchorsCommand:
         assert "--seed must be non-negative, got -1" in err
         assert out == ""
 
+    @pytest.mark.parametrize("width", [math.nan, math.inf],
+                             ids=["nan", "infinity"])
+    def test_non_finite_box_exits_one(self, workdir, capsys, width):
+        code, out, err = run(
+            ["anchors", "--dataset", str(non_finite_dataset(workdir, width)),
+             "--k", "6"], capsys)
+        assert_one_line_error(code, err)
+        assert "annotations[2] has a non-finite bbox" in err
+        assert out == ""
+
     def test_patch_config_writes_a_buildable_model(self, workdir, capsys):
         out_cfg = workdir["root"] / "patched.cfg"
         code, out, _ = run(
@@ -363,6 +383,24 @@ class TestInferCommand:
         _, first, _ = run(argv, capsys)
         _, second, _ = run(argv, capsys)
         assert first == second
+
+    @pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
+    def test_timings_go_to_stderr_only(self, workdir, capsys, mode):
+        outs = []
+        for extra in ([], ["--timings"]):
+            out_json = workdir["root"] / f"timed{len(extra)}.json"
+            code, out, err = run(
+                ["infer", "--config", "yolov5s", "--image",
+                 str(workdir["image"]), "--input-size", "64", "--conf",
+                 "0.18", "--out", str(out_json)] + mode + extra, capsys)
+            assert code == 0
+            outs.append((out.replace(str(out_json), "OUT"),
+                         out_json.read_bytes()))
+        assert outs[0] == outs[1]
+        assert [line.split()[:2] for line in err.splitlines()] == [
+            ["timing", stage] for stage in ("load", "letterbox", "forward",
+                                            "decode", "nms", "serialize")]
+        assert all(line.endswith(" s") for line in err.splitlines())
 
     def test_weight_file_reproduces_the_seeded_run(self, workdir, capsys):
         weights = workdir["root"] / "model.tlaw"
@@ -618,6 +656,35 @@ class TestEvalCommand:
             capsys)
         assert code == 1
         assert "malformed" in err
+
+    @pytest.mark.parametrize("field, value", [
+        ("score", math.nan), ("score", math.inf), ("bbox", math.nan),
+        ("bbox", -math.inf)])
+    def test_non_finite_result_exits_one(self, workdir, capsys, field,
+                                         value):
+        # Python's json reads the NaN and Infinity tokens it writes
+        rows = json.loads(workdir["results"].read_text())
+        if field == "score":
+            rows[4]["score"] = value
+        else:
+            rows[4]["bbox"][1] = value
+        bad = workdir["root"] / "non-finite-results.json"
+        bad.write_text(json.dumps(rows))
+        code, out, err = run(
+            ["eval", "--gt", str(workdir["gt"]), "--results", str(bad)],
+            capsys)
+        assert_one_line_error(code, err)
+        assert "results[4] has a non-finite" in err
+        assert out == ""
+
+    def test_non_finite_ground_truth_exits_one(self, workdir, capsys):
+        bad = non_finite_dataset(workdir, math.nan)
+        code, out, err = run(
+            ["eval", "--gt", str(bad), "--results", str(workdir["results"])],
+            capsys)
+        assert_one_line_error(code, err)
+        assert "annotations[2] has a non-finite bbox" in err
+        assert out == ""
 
     def test_unknown_category_exits_one(self, workdir, capsys):
         bad = workdir["root"] / "badcat.json"

@@ -11,7 +11,7 @@ from yolotla.errors import ShapeError, YoloTlaError
 from yolotla.graph import build_model, find_config
 from yolotla.postprocess import (Detection, decode, iou, nms, nms_reference,
                                  to_coco_results)
-from yolotla.tensor import Tensor
+from yolotla.tensor import Tensor, sigmoid64
 
 
 def logit(p: float) -> float:
@@ -23,6 +23,40 @@ def raw_map(nc, h, w, fill=0.0):
 
 
 ANCHORS = [np.array([(10.0, 12.0), (20.0, 19.0), (17.0, 42.0)])]
+
+
+def decode_reference(maps, anchors, strides, conf_threshold=0.25):
+    """Full-map decode, every gate of every cell in float64: the oracle
+    that `decode` must equal. Takes well-formed maps only."""
+    (img_h, img_w), = {(m.h * s, m.w * s) for m, s in zip(maps, strides)}
+    out = []
+    for si, (fmap, stride) in enumerate(zip(maps, strides)):
+        _, c, h, w = fmap.shape
+        per = c // 3
+        row = np.asarray(anchors[si], dtype=np.float64).reshape(3, 2)
+        arr = fmap.data.reshape(3, per, h, w)
+        xy = sigmoid64(arr[:, 0:2])
+        wh = sigmoid64(arr[:, 2:4])
+        obj = sigmoid64(arr[:, 4])
+        cls = sigmoid64(arr[:, 5:])
+        best_cls = cls.argmax(axis=1)
+        best_score = cls.max(axis=1)
+        conf = obj * best_score
+        gy, gx = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
+        cx = (2.0 * xy[:, 0] - 0.5 + gx) * stride
+        cy = (2.0 * xy[:, 1] - 0.5 + gy) * stride
+        bw = np.square(2.0 * wh[:, 0]) * row[:, 0, None, None]
+        bh = np.square(2.0 * wh[:, 1]) * row[:, 1, None, None]
+        x1 = np.clip(cx - bw / 2, 0.0, img_w)
+        y1 = np.clip(cy - bh / 2, 0.0, img_h)
+        x2 = np.clip(cx + bw / 2, 0.0, img_w)
+        y2 = np.clip(cy + bh / 2, 0.0, img_h)
+        keep = conf >= conf_threshold
+        columns = (v[keep].tolist() for v in (x1, y1, x2, y2, best_cls, conf))
+        out.extend(Detection(box=(bx1, by1, bx2, by2), class_id=c,
+                             confidence=p)
+                   for bx1, by1, bx2, by2, c, p in zip(*columns))
+    return out
 
 
 class TestIou:
@@ -133,6 +167,49 @@ class TestDecode:
         anchors = [ANCHORS[0], 2 * ANCHORS[0]]
         dets = decode(maps, anchors, [8, 16], conf_threshold=0.2)
         assert len(dets) == 3 * 16 + 3 * 4
+
+
+@st.composite
+def head_maps(draw):
+    """One to three scales of float32 logits, from gentle to far past the
+    point where `sigmoid64` rounds to 1, sometimes with the best class
+    logit repeated near 40, where the class scores tie after rounding."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    nc = draw(st.integers(1, 6))
+    scale = draw(st.sampled_from([0.01, 0.5, 3.0, 12.0, 60.0]))
+    side = 16 * draw(st.integers(1, 3))
+    strides = draw(st.sampled_from([[8], [16], [4, 8], [4, 8, 16]]))
+    maps = []
+    for stride in strides:
+        arr = (rng.standard_normal((1, 3 * (5 + nc), side // stride,
+                                    side // stride)) * scale
+               ).astype(np.float32)
+        if nc > 1 and draw(st.booleans()):
+            cls = arr.reshape(3, 5 + nc, -1)[:, 5:]
+            cls[:, :2] = np.float32(40) + rng.integers(
+                0, 3, cls[:, :2].shape).astype(np.float32) / 8
+        maps.append(Tensor(arr))
+    anchors = [np.array([(10.0, 12.0), (20.0, 19.0), (17.0, 42.0)]) * s
+               for s in strides]
+    return maps, anchors, strides
+
+
+class TestDecodeAgainstReference:
+    """`decode` must return exactly what the full-map decode returns: the
+    same boxes, classes and confidences in the same order."""
+
+    @settings(derandomize=True, database=None, max_examples=100,
+              deadline=None)
+    @given(case=head_maps(), thr=st.floats(0.0, 1.0), pick=st.integers(0))
+    def test_equals_reference(self, case, thr, pick):
+        maps, anchors, strides = case
+        every = decode_reference(maps, anchors, strides, -1.0)
+        occurring = every[pick % len(every)].confidence
+        for t in (0.0, 1.0, -1.0, math.nan, thr, occurring, 0.25, 0.5):
+            got = decode(maps, anchors, strides, t)
+            want = decode_reference(maps, anchors, strides, t)
+            assert got == want
+            assert [type(d.class_id) for d in got] == [int] * len(got)
 
 
 def det(x1, y1, x2, y2, cls=0, conf=0.9):
@@ -275,6 +352,50 @@ class TestNmsAgainstReference:
             got = nms(dets)
             assert got == nms_reference(dets)
         assert 0 < len(got) < len(cands)
+
+
+@st.composite
+def crowded_sets(draw):
+    """65 to 400 boxes in 1 to 3 classes on the quarter-pixel grid: enough
+    kept boxes per class to fill several NMS blocks and to shrink the
+    window arrays, with duplicates and zero-area boxes mixed in."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(65, 400))
+    n_classes = draw(st.integers(1, 3))
+    side = draw(st.sampled_from([2, 8, 24, 64]))   # largest size, in quarters
+    lo = rng.integers(0, 65, (n, 2))
+    hi = np.minimum(lo + rng.integers(0, side + 1, (n, 2)), 64)
+    ties = draw(st.booleans())
+    out = []
+    for i in range(n):
+        if out and rng.integers(8) == 0:   # an exact duplicate
+            out.append(out[rng.integers(len(out))])
+            continue
+        conf = (float(rng.integers(1, 4)) / 4 if ties
+                else float(rng.uniform(0.01, 1.0)))
+        out.append(det(lo[i, 0] / 4, lo[i, 1] / 4, hi[i, 0] / 4,
+                       hi[i, 1] / 4, cls=int(rng.integers(n_classes)),
+                       conf=conf))
+    return out
+
+
+class TestNmsAcrossBlocks:
+    """Sets large enough for several blocks, where `nms` must still return
+    exactly the pairwise loop's objects."""
+
+    @settings(derandomize=True, database=None, max_examples=150,
+              deadline=None)
+    @given(dets=crowded_sets(),
+           thr=st.sampled_from([0.0, 1 / 3, 0.45, 0.5, 1.0, -0.5, None]),
+           pair=st.tuples(st.integers(0, 399), st.integers(0, 399)))
+    def test_equals_reference(self, dets, thr, pair):
+        if thr is None:   # a threshold equal to an IOU that occurs
+            i, j = (k % len(dets) for k in pair)
+            thr = iou(dets[i].box, dets[j].box)
+        got = nms(dets, thr)
+        want = nms_reference(dets, thr)
+        assert got == want
+        assert all(a is b for a, b in zip(got, want))
 
 
 class TestCocoSerialization:
