@@ -214,6 +214,7 @@ def cmd_infer(args) -> int:
     model = build_model(find_config(args.config), seed=args.seed)
     if args.weights:
         model.load_weight_file(args.weights)
+    model.params   # binds the seeded weights here, not in "forward"
     img = load_image(args.image)
     orig_hw = (img.h, img.w)
     clock.append(time.perf_counter())
@@ -237,11 +238,12 @@ def cmd_infer(args) -> int:
     rows = [{"image_id": r["image_id"], "category_id": r["category_id"],
              "bbox": [round(v, 3) for v in r["bbox"]],
              "score": round(r["score"], 6)} for r in rows]
+    if args.json or args.out:
+        payload = json.dumps(rows, sort_keys=True, indent=2)
     if args.out:
-        _write_output(args.out,
-                      json.dumps(rows, sort_keys=True, indent=2) + "\n")
+        _write_output(args.out, payload + "\n")
     if args.json:
-        text = json.dumps(rows, sort_keys=True, indent=2)
+        text = payload
     else:
         lines = [f"{len(restored)} detection(s) from {args.image} "
                  f"(conf>={args.conf}, nms iou {args.iou})"]

@@ -25,8 +25,9 @@ output shape. The next layers read their widths from those shapes, and
 the detect layers' row counts give the model's strides.
 
 Parameters live in a flat dict keyed by path ("layers.4.cv1.conv.weight",
-"detect.m0.conv.bias"). Initialization draws from a single seeded
-generator in manifest order, so a rebuild with the same seed is
+"detect.m0.conv.bias"). The build allocates none: a model binds its
+weights on first use (see `Model`). Initialization draws from a single
+seeded generator in manifest order, so a rebuild with the same seed is
 bit-identical. The weight file stores exactly those arrays and nothing
 else, so the file's float count always equals the reported parameter
 count.
@@ -36,6 +37,7 @@ from __future__ import annotations
 import json
 import math
 import struct
+import threading
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -273,7 +275,16 @@ def _detect_strides(detect_from, shapes, side: int) -> tuple[int, ...]:
 
 
 class Model:
-    """An executable layer graph plus its parameter store."""
+    """An executable layer graph plus its parameter store.
+
+    Building runs only the shape-only pass and allocates no parameter.
+    The seeded weights, `init_params(self.param_specs(), seed)`, are drawn
+    and bound once, under a lock, on first use: a `walk` over real data
+    (`forward`), a read of `params`, or `save_weight_file`. A
+    `load_weight_file` before that binds the file and draws nothing.
+    Calling a block's `forward` directly needs bound weights; before
+    first use a block holds shape-only meta weights, so go through `walk`.
+    """
 
     def __init__(self, config: ModelConfig, seed: int = 0):
         self.config = config
@@ -308,14 +319,9 @@ class Model:
         # layer outputs the walk must hold: every source and every detect input
         self._keep = set(config.detect_from) | {
             s for spec in config.layers for s in spec.sources if s >= 0}
-        try:
-            params = init_params(self.param_specs(), seed)
-        except MemoryError:
-            count = self.param_count()
-            raise WeightError(
-                f"cannot allocate {count} parameters ({4 * count} bytes "
-                f"of float32)") from None
-        self._bind(params)
+        self._seed = seed
+        self._params: dict[str, np.ndarray] | None = None
+        self._bind_lock = threading.Lock()
 
     # -- structure ---------------------------------------------------------
 
@@ -332,10 +338,28 @@ class Model:
     def param_count(self) -> int:
         return sum(math.prod(s) for _, s in self.param_specs())
 
+    @property
+    def params(self) -> dict[str, np.ndarray]:
+        """The bound parameters; the first read binds the seeded weights.
+        Every later read returns the same dict."""
+        if self._params is None:
+            with self._bind_lock:
+                if self._params is None:
+                    try:
+                        self._bind(init_params(self.param_specs(), self._seed))
+                    except MemoryError:
+                        count = self.param_count()
+                        raise WeightError(
+                            f"cannot allocate {count} parameters "
+                            f"({4 * count} bytes of float32)") from None
+        return self._params
+
     def _bind(self, params: dict[str, np.ndarray]) -> None:
         """Check params against the manifest, then load them into the blocks.
 
         The one way weights enter the model; a rejected dict changes nothing.
+        The dict is published last, so a thread that sees it bound also
+        sees the loaded blocks. Callers hold `_bind_lock`.
         """
         expected = dict(self.param_specs())
         missing = sorted(set(expected) - set(params))
@@ -351,18 +375,19 @@ class Model:
             if got != shape:
                 raise WeightError(
                     f"parameter {path} has shape {got}, expected {shape}")
-        self.params = params
         getw = params.__getitem__
         for i, block in enumerate(self.blocks):
             block.load(getw, f"layers.{i}")
         self.detect.load(getw, "detect")
+        self._params = params
 
     # -- execution ---------------------------------------------------------
 
     def walk(self, x: Tensor, upto: int | None = None, step=_forward_step):
         """The one graph traversal: layers [0, upto), then the head's maps
         if upto is None, else the last layer's output. A meta x makes it
-        shape-only. `step(index, block, ins)` runs each node in place of
+        shape-only; a real x binds the seeded weights on first use.
+        `step(index, block, ins)` runs each node in place of
         `block.forward(ins)`; the head's index is len(self.blocks)."""
         n, c, h, w = x.shape
         if c != INPUT_CHANNELS:
@@ -373,6 +398,8 @@ class Model:
             raise ShapeError(
                 f"input {h}x{w} must be divisible by the largest stride "
                 f"{max_stride}")
+        if not x.is_meta:
+            self.params   # binds on first use
         cache: dict[int, Tensor] = {-1: x}
         for spec, block in zip(self.config.layers[:upto], self.blocks[:upto]):
             ins = [cache[s] for s in spec.sources]
@@ -412,7 +439,8 @@ class Model:
             if want is not None and arr.size == math.prod(want):
                 arr = arr.reshape(want)
             params[name] = arr
-        self._bind(params)
+        with self._bind_lock:
+            self._bind(params)
 
 
 def build_model(config_source, seed: int = 0) -> Model:

@@ -762,3 +762,35 @@ class TestProcessLevelInvocation:
             [sys.executable, "-m", "yolotla.cli"],
             capture_output=True, timeout=60)
         assert proc.returncode == 1
+
+    # runs the CLI with its address space capped at 3 GiB, so a command
+    # that tries to allocate a huge model fails instead of the host
+    CAPPED_CLI = ("import resource, runpy, sys; "
+                  "resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30)); "
+                  "runpy.run_module('yolotla.cli', run_name='__main__')")
+
+    def test_wide_config_analyzes_without_allocating_weights(self, workdir,
+                                                             tmp_path):
+        doc = {"name": "wide", "nc": 1,
+               "depth_multiple": 1.0, "width_multiple": 1.0,
+               "anchors": [[[10, 13], [16, 30], [33, 23]]],
+               "layers": [[-1, 1, "ConvBNAct", {"out": 65536, "k": 3, "s": 2}],
+                          [-1, 1, "ConvBNAct", {"out": 65536, "k": 3, "s": 2}]],
+               "detect_from": [1]}
+        cfg = tmp_path / "wide.cfg"
+        cfg.write_text(json.dumps(doc))
+        capped = [sys.executable, "-c", self.CAPPED_CLI]
+        proc = subprocess.run(
+            capped + ["analyze", "--config", str(cfg), "--json"],
+            capture_output=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        count = json.loads(proc.stdout)["report"]["total_params"]
+        assert count > 65536 ** 2 * 9
+        proc = subprocess.run(
+            capped + ["infer", "--config", str(cfg), "--image",
+                      str(workdir["image"]), "--input-size", "64"],
+            capture_output=True, timeout=120)
+        assert proc.returncode == 1
+        assert proc.stderr.decode() == (
+            f"error: cannot allocate {count} parameters "
+            f"({4 * count} bytes of float32)\n")

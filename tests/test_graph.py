@@ -1,5 +1,8 @@
 """Config parsing, scaling, deterministic init, weight files, execution."""
 import json
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -237,17 +240,23 @@ class TestBuildPassChecks:
         with pytest.raises(error, match=message):
             build_model(doc)
 
-    def test_allocation_failure_is_one_line_weight_error(self, monkeypatch):
+    def test_allocation_failure_is_one_line_weight_error(self, monkeypatch,
+                                                          tmp_path):
         count = build_model(toy_config()).param_count()
 
         def fail(specs, seed):
             raise MemoryError("Unable to allocate 72.0 GiB")
 
         monkeypatch.setattr(graph, "init_params", fail)
-        with pytest.raises(WeightError) as info:
-            build_model(toy_config())
-        assert str(info.value) == (f"cannot allocate {count} parameters "
-                                   f"({4 * count} bytes of float32)")
+        for first_use in (lambda m: m.forward(rand_image(64, 64)),
+                          lambda m: m.params,
+                          lambda m: m.save_weight_file(tmp_path / "w.tlaw")):
+            m = build_model(toy_config())
+            assert analyze(m, (64, 64)).total_params == count
+            with pytest.raises(WeightError) as info:
+                first_use(m)
+            assert str(info.value) == (f"cannot allocate {count} parameters "
+                                       f"({4 * count} bytes of float32)")
 
 
 class TestBuildDeterminism:
@@ -283,6 +292,95 @@ class TestBuildDeterminism:
     def test_init_rejects_duplicate_paths(self):
         with pytest.raises(ConfigError, match="duplicate"):
             init_params([("a.weight", (2, 2)), ("a.weight", (2, 2))], 0)
+
+
+class TestFirstUseBinding:
+    """The build allocates nothing; the seeded weights bind once, on first
+    use, and equal an init_params draw over the manifest."""
+
+    @pytest.fixture
+    def init_calls(self, monkeypatch):
+        calls = []
+
+        def counted(specs, seed):
+            calls.append(seed)
+            return init_params(specs, seed)
+
+        monkeypatch.setattr(graph, "init_params", counted)
+        return calls
+
+    def test_concurrent_first_forwards_bind_once(self, init_calls):
+        x = rand_image(64, 64)
+        want = [t.data.tobytes()
+                for t in build_model(toy_config(), seed=4).forward(x)]
+        init_calls.clear()
+        m = build_model(toy_config(), seed=4)
+        got = [None] * 4
+        barrier = threading.Barrier(len(got))
+
+        def run(i):
+            barrier.wait(timeout=60)
+            got[i] = [t.data.tobytes() for t in m.forward(x)]
+
+        threads = [threading.Thread(target=run, args=(i,))
+                   for i in range(len(got))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert init_calls == [4]
+        assert got == [want] * len(got)
+
+    def test_load_on_a_fresh_model_draws_no_init(self, init_calls, tmp_path):
+        path = tmp_path / "w.tlaw"
+        save_weights(path, init_params(
+            build_model(toy_config()).param_specs(), 7))
+        m = build_model(toy_config(), seed=0)
+        m.load_weight_file(path)
+        m.forward(rand_image(64, 64))
+        assert init_calls == []
+        assert m.params["layers.0.conv.weight"].tobytes() == \
+            load_weights(path)["layers.0.conv.weight"].tobytes()
+
+    def test_rejected_file_leaves_a_fresh_model_unbound(self, init_calls,
+                                                        tmp_path):
+        bad = init_params(build_model(toy_config()).param_specs(), 7)
+        bad.pop("layers.3.conv.weight")
+        path = tmp_path / "bad.tlaw"
+        save_weights(path, bad)
+        m = build_model(toy_config(), seed=2)
+        with pytest.raises(WeightError, match="layers.3.conv.weight"):
+            m.load_weight_file(path)
+        assert init_calls == []
+        x = rand_image(64, 64)
+        assert ([t.data.tobytes() for t in m.forward(x)]
+                == [t.data.tobytes()
+                    for t in build_model(toy_config(), seed=2).forward(x)])
+
+    def test_saved_bytes_are_the_seeded_draw(self, tmp_path):
+        m = build_model(toy_config(), seed=6)
+        m.save_weight_file(tmp_path / "lazy.tlaw")
+        save_weights(tmp_path / "eager.tlaw",
+                     init_params(m.param_specs(), 6))
+        assert ((tmp_path / "lazy.tlaw").read_bytes()
+                == (tmp_path / "eager.tlaw").read_bytes())
+        assert m.params is m.params
+
+    @pytest.mark.parametrize("name", bundled_config_names())
+    def test_build_and_analyze_allocate_no_parameters(self, name):
+        tracemalloc.start()
+        try:
+            analyze(build_model(find_config(name)), (640, 640))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, f"{name}: {peak} bytes"
 
 
 class TestWeightFiles:
@@ -401,12 +499,17 @@ class TestForward:
         m = build_model(toy_config(), seed=0)
         x = rand_image(32, 48, seed=2)
         shapes = [row.out_shape for row in analyze(m, (32, 48)).layers]
-        cache = {}
-        for spec, block in zip(m.config.layers, m.blocks):
-            ins = [x] if spec.index == 0 else [cache[s] for s in spec.sources]
+        executed = {}
+
+        def step(index, block, ins):
             out = block.forward(ins)
-            cache[spec.index] = out
-            assert out.shape == shapes[spec.index], f"layer {spec.index}"
+            executed[index] = out
+            return out
+
+        m.walk(x, step=step)
+        for index, shape in enumerate(shapes):
+            assert not executed[index].is_meta
+            assert executed[index].shape == shape, f"layer {index}"
 
     def test_wrong_channel_count(self):
         m = build_model(toy_config(), seed=0)
