@@ -3,7 +3,8 @@
 Subcommands: analyze (cost report), anchors (k-means fitting), infer
 (single-image pipeline), eval (metric report), oracle-check (self-test of
 the numeric kernels), configs (bundled variant listing). Exit codes: 0
-success, 1 validation or usage error, 2 internal oracle failure.
+success, 1 validation or usage error or a request too large to allocate,
+2 internal oracle failure.
 
 Everything is driven by flags; there are no environment variables, and
 identical invocations with identical seeds print byte-identical output.
@@ -538,6 +539,10 @@ def main(argv=None) -> int:
         return 1
     except YoloTlaError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 1
+    except MemoryError as e:
+        print("error: cannot allocate memory" + (f": {e}" if str(e) else ""),
+              file=sys.stderr)
         return 1
 
 

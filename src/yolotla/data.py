@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import ConfigError, ParseError
 from .tensor import Tensor, load_tns
 
 log = logging.getLogger("yolotla")
@@ -212,6 +212,9 @@ def letterbox(img: Tensor, target: int = TARGET_SIDE, stretch: bool = False):
     With ``stretch`` the aspect ratio is not preserved and ``scale`` is a
     per-axis (scale_x, scale_y) pair with zero padding.
     """
+    if target < 1:
+        raise ConfigError(f"letterbox target side must be at least 1, "
+                          f"got {target}")
     n, c, h, w = img.shape
     if stretch:
         out = resize_nearest(img, target, target)

@@ -63,14 +63,22 @@ def scale_channels(base: int, width_multiple: float) -> int:
             f"base channel count must be a positive integer, got {base!r}")
     if base % 8:
         raise ConfigError(f"base channel count {base} is not a multiple of 8")
-    return max(8, int(math.ceil(base * width_multiple / 8)) * 8)
+    try:
+        return max(8, math.ceil(base * width_multiple / 8) * 8)
+    except (OverflowError, ValueError):   # the product is not a finite float
+        raise ConfigError(f"base channel count times width_multiple "
+                          f"{width_multiple} is not finite") from None
 
 
 def scale_repeats(base: int, depth_multiple: float) -> int:
     """Depth scaling: multiply and round, never below one repeat."""
     if base <= 1:
         return base
-    return max(1, round(base * depth_multiple))
+    try:
+        return max(1, round(base * depth_multiple))
+    except (OverflowError, ValueError):   # the product is not a finite float
+        raise ConfigError(f"repeats {base} times depth_multiple "
+                          f"{depth_multiple} is not finite") from None
 
 
 @dataclass(frozen=True)
@@ -97,6 +105,14 @@ _TOP_FIELDS = {"name", "nc", "depth_multiple", "width_multiple", "anchors",
                "layers", "detect_from"}
 
 
+def _positive_finite(v) -> bool:
+    """A JSON number that is finite and above 0 as a float."""
+    try:
+        return is_instance(v, int, float) and 0 < float(v) < math.inf
+    except OverflowError:   # an int too large for a float
+        return False
+
+
 def _parse_anchors(raw) -> tuple:
     if not isinstance(raw, list) or not raw:
         raise ConfigError("anchors must be a non-empty list of scale rows")
@@ -108,11 +124,10 @@ def _parse_anchors(raw) -> tuple:
         pairs = []
         for pair in row:
             if (not isinstance(pair, list) or len(pair) != 2
-                    or not all(is_instance(v, int, float) and v > 0
-                               for v in pair)):
+                    or not all(_positive_finite(v) for v in pair)):
                 raise ConfigError(
-                    f"anchors row {si} entry {pair!r} is not a positive "
-                    f"(w, h) pair")
+                    f"anchors row {si} entry {pair!r} is not a finite "
+                    f"positive (w, h) pair")
             pairs.append((float(pair[0]), float(pair[1])))
         scales.append(tuple(pairs))
     return tuple(scales)
@@ -185,8 +200,9 @@ def parse_config(source) -> ModelConfig:
         raise ConfigError(f"nc must be a positive integer, got {nc!r}")
     for fld in ("depth_multiple", "width_multiple"):
         v = doc[fld]
-        if not is_instance(v, int, float) or v <= 0:
-            raise ConfigError(f"{fld} must be a positive number, got {v!r}")
+        if not _positive_finite(v):
+            raise ConfigError(
+                f"{fld} must be a finite positive number, got {v!r}")
     anchors = _parse_anchors(doc["anchors"])
     if not isinstance(doc["layers"], list) or not doc["layers"]:
         raise ConfigError("layers must be a non-empty list")
@@ -316,9 +332,6 @@ class Model:
         self.strides = _detect_strides(config.detect_from, shapes, side)
         self.anchors = [np.array(row, dtype=np.float64)
                         for row in config.anchors]
-        # layer outputs the walk must hold: every source and every detect input
-        self._keep = set(config.detect_from) | {
-            s for spec in config.layers for s in spec.sources if s >= 0}
         self._seed = seed
         self._params: dict[str, np.ndarray] | None = None
         self._bind_lock = threading.Lock()
@@ -403,9 +416,7 @@ class Model:
         cache: dict[int, Tensor] = {-1: x}
         for spec, block in zip(self.config.layers[:upto], self.blocks[:upto]):
             ins = [cache[s] for s in spec.sources]
-            out = step(spec.index, block, ins)
-            if spec.index in self._keep:
-                cache[spec.index] = out
+            out = cache[spec.index] = step(spec.index, block, ins)
         if upto is not None:
             return out
         return step(len(self.blocks), self.detect,

@@ -27,26 +27,27 @@ tie-break makes outputs reproducible bit for bit. `nms` ranks once with a
 stable lexsort on those keys, which orders finite keys as `sorted` does.
 
 Within a class, `nms` settles the alive boxes in rank order, up to 64 at a
-time. A block's boxes decide among themselves through one 64x64 matrix of
-"earlier suppresses later" bits, swept in rank order: a box is kept iff no
-kept box of the block has its bit set. Each kept box of the block then
-kills the later boxes whose IOU with it is not at or below the threshold,
-all in one vectorized pass over x-windows. With boxes sorted by x1, the
-window of a kept box spans the positions whose x1 lies below its x2 and
-whose running maximum of x2 lies above its x1; no box outside it has a
-positive intersection width. That holds for any x1-sorted subset, so the
-window arrays hold only unvisited boxes, and they are compacted, with the
-running maximum recomputed, once fewer than 3/4 of their entries are still
-alive and unvisited; a visited box, kept or dead, never needs another
-kill. Pairs whose intersection height is not positive have IOU 0 and are
-dropped before any division. (A negative or NaN threshold suppresses even
-disjoint boxes, so there each class keeps its first box.) Every IOU
-repeats `iou`'s operations in `iou`'s order, and `iou` is bit-symmetric
-for finite boxes because min, max and the sum of the two areas commute in
-IEEE arithmetic, so the kept list equals the one the pairwise loop,
-`nms_reference`, builds, and holds the same objects. That holds for boxes
-of finite coordinates that float64 holds exactly, such as Python floats
-and small ints; `decode` produces no other kind.
+time, taking the unvisited ones off its alive mask. A block's boxes decide
+among themselves through one 64x64 matrix of "earlier suppresses later"
+bits, one uint64 per row, swept in rank order: a box is kept iff no kept
+box of the block has its bit set. Each kept box then kills the later boxes
+whose IOU with it is not at or below the threshold in one vectorized pass
+over x-windows. With boxes sorted by x1, the window of a kept box spans
+the positions whose x1 lies below its x2 and whose running maximum of x2
+lies above its x1; no box outside it has a positive intersection width.
+That holds for any x1-sorted subset, so the window arrays are the class's
+x1 order, sorted once and filtered in place to the alive unvisited boxes
+(running maximum recomputed) once fewer than 3/4 of their entries are; a
+visited box, kept or dead, never needs another kill. Pairs whose
+intersection height is not positive have IOU 0 and are dropped before any
+division. (A negative or NaN threshold suppresses even disjoint boxes, so
+there each class keeps its first box.) Every IOU repeats `iou`'s
+operations in `iou`'s order, and `iou` is bit-symmetric for finite boxes
+because min, max and the sum of the two areas commute in IEEE arithmetic,
+so the kept list equals the one the pairwise loop, `nms_reference`,
+builds, and holds the same objects. That holds for finite coordinates that
+float64 holds exactly, such as Python floats and small ints; `decode`
+produces no other kind.
 """
 from __future__ import annotations
 
@@ -65,9 +66,10 @@ DEFAULT_IOU_THRESHOLD = 0.45
 # measured slower on the dense seed-0 heads of yolo-tla-s and yolov5s.
 _BLOCK = 64
 _LATER = np.triu(np.ones((_BLOCK, _BLOCK), dtype=bool), 1)   # row < column
-# The window arrays are compacted once fewer than this share of their
-# entries is alive and unvisited; 0.5, 0.9 and "every block" each measured
-# slower on the same heads.
+_BITS = np.uint64(1) << np.arange(_BLOCK, dtype=np.uint64)   # 2**0 .. 2**63
+# The window arrays (the class's x1 order) are filtered to the alive
+# unvisited boxes once fewer than this share of their entries is; 0.5, 0.9
+# and "every block" each measured slower on the same heads.
 _COMPACT = 0.75
 
 
@@ -76,12 +78,6 @@ class Detection:
     box: tuple[float, float, float, float]   # x1, y1, x2, y2 in pixels
     class_id: int
     confidence: float
-
-    def to_coco(self, image_id: int, category_id: int) -> dict:
-        x1, y1, x2, y2 = self.box
-        return {"image_id": image_id, "category_id": category_id,
-                "bbox": [x1, y1, x2 - x1, y2 - y1],
-                "score": self.confidence}
 
 
 def iou(a, b) -> float:
@@ -203,41 +199,36 @@ def _keep_class(boxes: np.ndarray, iou_threshold) -> list[int]:
     x1, y1, x2, y2 = boxes.T.copy()
     area = (x2 - x1) * (y2 - y1)
     alive = np.ones(n, dtype=bool)
-    unseen = n                  # alive ranks not yet visited
     kept: list[int] = []
     start = 0                   # every rank below it has been visited
-    live = np.arange(0)   # ranks by x1: every unvisited alive one, and more
-    while unseen:
-        if unseen < _COMPACT * len(live) or not len(live):
-            live = start + np.flatnonzero(alive[start:])
-            live = live[np.argsort(x1[live], kind="stable")]
+    rest = np.arange(n)         # alive ranks not yet visited, less start
+    live = np.argsort(x1, kind="stable")   # ranks by x1: all unvisited, and more
+    while len(rest):
+        if not start or len(rest) < _COMPACT * len(live):   # first, or stale
+            live = live[alive[live] & (live >= start)]
             reach = np.maximum.accumulate(x2[live])
             lx1, ly1, lx2, ly2 = x1[live], y1[live], x2[live], y2[live]
         # (a) the next alive ranks, at most _BLOCK of them
-        block = np.flatnonzero(alive[start:])[:_BLOCK] + start
+        block = start + rest[:_BLOCK]
         start = int(block[-1]) + 1
-        unseen -= len(block)
-        # (b) greedy sweep inside the block over packed suppression rows
+        # (b) greedy sweep inside the block over rows of suppression bits
         bx1, by1, bx2, by2 = x1[block], y1[block], x2[block], y2[block]
         hits = _LATER[:len(block), :len(block)] & _suppresses(
             _overlap(bx1[:, None], bx2[:, None], bx1, bx2),
             _overlap(by1[:, None], by2[:, None], by1, by2),
             area[block, None], area[block], iou_threshold)
-        packed = np.zeros((len(block), 8), dtype=np.uint8)
-        packed[:, :(len(block) + 7) // 8] = np.packbits(
-            hits, axis=1, bitorder="little")
+        rows = hits.astype(np.uint64) @ _BITS[:len(block)]
         dead = 0
         won = []
-        for i, bits in enumerate(packed.view("<u8").ravel().tolist()):
+        for i, bits in enumerate(rows.tolist()):
             if not dead >> i & 1:
                 won.append(i)
                 dead |= bits
         winners = block[won]
         kept.extend(winners.tolist())
-        if not unseen:
+        if len(rest) == len(block):
             break
-        # (c, d) each winner's x-window over the window arrays, laid end
-        # to end
+        # (c, d) each winner's x-window in the window arrays, end to end
         lo = np.searchsorted(reach, x1[winners], side="right")
         hi = np.maximum(np.searchsorted(lx1, x2[winners], side="left"), lo)
         length = hi - lo
@@ -256,10 +247,8 @@ def _keep_class(boxes: np.ndarray, iou_threshold) -> list[int]:
         hit = (rival >= start) & _suppresses(
             _overlap(x1[owner], x2[owner], lx1[at], lx2[at]), ih[near],
             area[owner], area[rival], iou_threshold)
-        victims = np.unique(rival[hit])
-        victims = victims[alive[victims]]
-        alive[victims] = False
-        unseen -= len(victims)
+        alive[rival[hit]] = False
+        rest = np.flatnonzero(alive[start:])
     return kept
 
 
@@ -287,11 +276,11 @@ def nms(dets, iou_threshold=DEFAULT_IOU_THRESHOLD) -> list[Detection]:
     return [dets[i] for i in ranked[kept].tolist()]
 
 
-def to_coco_results(dets, image_id: int, category_ids=None) -> list[dict]:
-    """Serialize detections; class index maps through category_ids if given."""
+def to_coco_results(dets, image_id: int) -> list[dict]:
+    """COCO results rows: [x, y, w, h] boxes, the class index as category."""
     out = []
     for d in dets:
-        cat = (int(category_ids[d.class_id]) if category_ids is not None
-               else d.class_id)
-        out.append(d.to_coco(image_id, cat))
+        x1, y1, x2, y2 = d.box
+        out.append({"image_id": image_id, "category_id": d.class_id,
+                    "bbox": [x1, y1, x2 - x1, y2 - y1], "score": d.confidence})
     return out

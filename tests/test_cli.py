@@ -224,6 +224,32 @@ class TestAnalyzeCommand:
         assert err.startswith(
             f"error: layer {index} (Concat): concat input 1 has (n, H, W) = ")
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("width_multiple", math.nan, "width_multiple must be a finite"),
+        ("depth_multiple", math.nan, "depth_multiple must be a finite"),
+        ("width_multiple", math.inf, "width_multiple must be a finite"),
+        ("depth_multiple", math.inf, "depth_multiple must be a finite"),
+        ("width_multiple", 1e308, "times width_multiple 1e+308 is not finite"),
+        ("depth_multiple", 1e308, "times depth_multiple 1e+308 is not finite"),
+        ("out", 2 ** 1100, "times width_multiple 0.5 is not finite"),
+        ("anchors", math.inf, "is not a finite positive (w, h) pair"),
+    ], ids=["width-nan", "depth-nan", "width-inf", "depth-inf",
+            "width-1e308", "depth-1e308", "out-2**1100", "anchor-inf"])
+    def test_non_finite_number_exits_one(self, field, value, message,
+                                         tmp_path, capsys):
+        doc = json.loads(find_config("yolov5s").read_text())
+        if field == "out":
+            doc["layers"][0][3]["out"] = value
+        elif field == "anchors":
+            doc["anchors"][0][0][0] = value
+        else:
+            doc[field] = value
+        path = tmp_path / "hostile.cfg"
+        path.write_text(json.dumps(doc))   # writes NaN and Infinity
+        code, _, err = run(["analyze", "--config", str(path)], capsys)
+        assert_one_line_error(code, err)
+        assert message in err
+
     @UNREADABLE_CONFIGS
     def test_unreadable_config_exits_one(self, raw, message, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
@@ -449,6 +475,15 @@ class TestInferCommand:
             capsys)
         assert_one_line_error(code, err)
         assert "--seed must be non-negative, got -1" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("side", ["-5", "0"])
+    def test_input_size_below_one_exits_one(self, workdir, capsys, side):
+        code, out, err = run(
+            ["infer", "--config", "yolov5s", "--image",
+             str(workdir["image"]), "--input-size", side], capsys)
+        assert_one_line_error(code, err)
+        assert f"target side must be at least 1, got {side}" in err
         assert out == ""
 
     @pytest.mark.parametrize("flag", ["--conf", "--iou"])
@@ -794,3 +829,15 @@ class TestProcessLevelInvocation:
         assert proc.stderr.decode() == (
             f"error: cannot allocate {count} parameters "
             f"({4 * count} bytes of float32)\n")
+
+    def test_input_size_too_large_to_allocate_exits_one(self, workdir):
+        # the 64x48 image letterboxes to 100000x75000x3 float32, 84 GiB
+        proc = subprocess.run(
+            [sys.executable, "-c", self.CAPPED_CLI, "infer", "--config",
+             "yolov5s", "--image", str(workdir["image"]),
+             "--input-size", "100000"],
+            capture_output=True, timeout=120)
+        err = proc.stderr.decode()
+        assert_one_line_error(proc.returncode, err)
+        assert err.startswith("error: cannot allocate memory: ")
+        assert proc.stdout == b""

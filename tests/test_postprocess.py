@@ -402,8 +402,8 @@ class TestCocoSerialization:
 
     def test_xywh_conversion(self):
         rows = to_coco_results([det(10, 20, 30, 60, cls=2, conf=0.5)],
-                               image_id=7, category_ids=[1, 2, 44])
-        assert rows == [{"image_id": 7, "category_id": 44,
+                               image_id=7)
+        assert rows == [{"image_id": 7, "category_id": 2,
                          "bbox": [10, 20, 20, 40], "score": 0.5}]
 
     def test_identity_category_mapping(self):
