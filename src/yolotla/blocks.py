@@ -1,14 +1,17 @@
 """Network building blocks: conv bricks, C3 family, ghost and cross variants,
 global attention, pooling tail, and the detection head stub.
 
-A block states its structure in `forward`, written in tensor kernels, and
-in `children`, the ordered named sub-units that own its parameters. The
-base `Block` derives the rest: output shapes and (macs, flops) from a
-`forward` over shape-only meta tensors under an isolated meter, and the
-parameter manifest, `load` and `param_count` from the child tree, whose
-leaves alone declare parameter shapes. No block states its output width;
-a model reads it from the meta forward's output shape. Every leaf (see
-`units`) is a conv unit, so `conv2d` is the one kernel with weights; GAM's
+A block states its structure in `build`, which assigns the named sub-units
+that own its parameters, and in `forward`, written in tensor kernels. The
+base `Block` derives the rest. Its child tree is the units and blocks that
+`build` assigned, in assignment order, a list attribute `m` listed as
+`m0, m1, ...`; so `build` assigns them in manifest order. Output shapes and
+(macs, flops) come from a `forward` over shape-only meta tensors under an
+isolated meter; the parameter manifest, `load` and `param_count` come from
+the one walk of the child tree, `leaves`, whose leaves alone declare
+parameter shapes. A block's `KIND` is its class name. No block states its
+output width; a model reads it from the meta forward's output shape. Every
+leaf is a conv unit, so `conv2d` is the one kernel with weights; GAM's
 per-position MLP layers are 1x1 units that keep a linear layer's manifest.
 
 A block's config arguments are the keyword-only parameters of its `build`
@@ -143,15 +146,20 @@ def _signature(cls: type) -> tuple[bool, dict[str, tuple[tuple[type, ...], bool]
 class Block:
     """Interface shared by every layer kind.
 
-    Subclasses write `build`, `forward` and, when they own parameters,
-    `children`; shapes, costs and the manifest follow. The output width is
+    Subclasses write `build` and `forward`; shapes, costs and the manifest
+    follow. The child tree is what `build` assigns, in assignment order
+    (see `children`), and `KIND` is the class name. The output width is
     the channel count of the meta forward's output shape. `build` takes one
     input channel count positionally (`*cins` for many) and the config
     arguments as keyword-only parameters; their annotations are the types
     the constructor accepts and their defaults make them optional.
     """
 
-    KIND = ""
+    KIND: str
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.KIND = cls.__name__
 
     def __init__(self, in_channels: list[int], args: dict):
         """Check the inputs and `args` against `build`'s signature, then call it."""
@@ -176,25 +184,41 @@ class Block:
     def build(self, *cins: int) -> None:
         raise NotImplementedError
 
-    def children(self) -> list[tuple[str, object]]:
-        """(path segment, child) pairs in manifest order; "" is the block's own path."""
-        return []
+    def children(self) -> list[tuple[str, _Unit | Block]]:
+        """(path segment, child) pairs in manifest order: the units and
+        blocks `build` assigned, in assignment order, with a list attribute
+        `m` as m0, m1, ...; "" is the block's own path."""
+        out = []
+        for name, value in vars(self).items():
+            items = (enumerate(value) if isinstance(value, list)
+                     else [("", value)])
+            out += [(f"{name}{i}", child) for i, child in items
+                    if isinstance(child, (_Unit, Block))]
+        return out
+
+    def leaves(self, prefix: str) -> typing.Iterator[tuple[str, _Unit]]:
+        """(path, unit) for every conv unit in the child tree, in manifest order."""
+        for name, child in self.children():
+            path = f"{prefix}.{name}" if name else prefix
+            if isinstance(child, Block):
+                yield from child.leaves(path)
+            else:
+                yield path, child
 
     def param_specs(self, prefix: str) -> list[tuple[str, tuple[int, ...]]]:
-        return [spec for name, child in self.children()
-                for spec in child.param_specs(f"{prefix}.{name}" if name else prefix)]
+        return [spec for path, unit in self.leaves(prefix)
+                for spec in unit.param_specs(path)]
 
     def load(self, getw, prefix: str) -> None:
-        for name, child in self.children():
-            child.load(getw, f"{prefix}.{name}" if name else prefix)
+        for path, unit in self.leaves(prefix):
+            unit.load(getw, path)
 
     def param_count(self) -> int:
         return sum(math.prod(s) for _, s in self.param_specs(""))
 
     def units(self) -> list[_Unit]:
         """Every conv unit in the child tree, in manifest order."""
-        return [u for _, child in self.children()
-                for u in (child.units() if isinstance(child, Block) else [child])]
+        return [unit for _, unit in self.leaves("")]
 
     def forward(self, xs: list[Tensor]) -> Tensor:
         raise NotImplementedError
@@ -222,8 +246,6 @@ class Block:
 class ConvBNAct(Block):
     """Standard convolution brick: conv, folded norm, SiLU by default."""
 
-    KIND = "ConvBNAct"
-
     def build(self, cin, *, out: int, k: IntPair = 1, s: IntPair = 1,
               p: IntPair | None = None, g: int = 1, act: str | None = "silu"):
         self.unit = _Unit(cin, out, k, s, p, g, act=act)
@@ -247,9 +269,6 @@ class _Residual(Block):
         self.cv2 = cv2
         self.add = add
 
-    def children(self):
-        return [("cv1", self.cv1), ("cv2", self.cv2)]
-
     def forward(self, xs):
         y = self.cv2(self.cv1(xs[0]))
         return add(xs[0], y) if self.add else y
@@ -257,8 +276,6 @@ class _Residual(Block):
 
 class Bottleneck(_Residual):
     """1x1 reduce then 3x3, with an additive shortcut when shapes allow."""
-
-    KIND = "Bottleneck"
 
     def build(self, cin, *, out: int, shortcut: bool = True, e: float = 1.0):
         hidden = _hidden(self.KIND, out, e)
@@ -272,8 +289,6 @@ class CrossConv(_Residual):
     The horizontal conv always runs at stride 1; any downsampling stride
     sits on the vertical conv.
     """
-
-    KIND = "CrossConv"
 
     def build(self, cin, *, out: int, k: int = 3, s: int = 1, e: float = 1.0,
               shortcut: bool = False):
@@ -292,15 +307,11 @@ class _C3Base(Block):
         hidden = _hidden(self.KIND, out, e)
         self.cv1 = _Unit(cin, hidden, k=1)
         self.cv2 = _Unit(cin, hidden, k=1)
-        self.cv3 = _Unit(2 * hidden, out, k=1)
         self.m = [self._inner(hidden, shortcut) for _ in range(n)]
+        self.cv3 = _Unit(2 * hidden, out, k=1)
 
     def _inner(self, hidden: int, shortcut: bool) -> Block:
         raise NotImplementedError
-
-    def children(self):
-        return [("cv1", self.cv1), ("cv2", self.cv2),
-                *((f"m{i}", blk) for i, blk in enumerate(self.m)), ("cv3", self.cv3)]
 
     def forward(self, xs):
         y1 = self.cv1(xs[0])
@@ -311,16 +322,12 @@ class _C3Base(Block):
 
 
 class C3(_C3Base):
-    KIND = "C3"
-
     def _inner(self, hidden, shortcut):
         return Bottleneck([hidden], {"out": hidden, "shortcut": shortcut, "e": 1.0})
 
 
 class C3CrossConv(_C3Base):
     """C3 whose bottlenecks use the separable cross pair in place of the 3x3."""
-
-    KIND = "C3CrossConv"
 
     def _inner(self, hidden, shortcut):
         return _Residual([hidden], {
@@ -335,8 +342,6 @@ class GhostConv(Block):
     The primary half occupies channels [0, out/2), the derived half the rest.
     """
 
-    KIND = "GhostConv"
-
     def build(self, cin, *, out: int, k: IntPair = 1, s: IntPair = 1,
               act: str | None = "silu"):
         if out % 2:
@@ -345,9 +350,6 @@ class GhostConv(Block):
         self.primary = _Unit(cin, half, k=k, s=s, act=act)
         self.cheap = _Unit(half, half, k=5, s=1, p=2, g=half, act=act)
 
-    def children(self):
-        return [("primary", self.primary), ("cheap", self.cheap)]
-
     def forward(self, xs):
         y = self.primary(xs[0])
         return concat_channels([y, self.cheap(y)])
@@ -355,8 +357,6 @@ class GhostConv(Block):
 
 class GhostBottleneck(Block):
     """Ghost reduce, optional stride-2 depthwise, ghost expand, plus shortcut."""
-
-    KIND = "GhostBottleneck"
 
     def build(self, cin, *, out: int, s: int = 1):
         if s not in (1, 2):
@@ -372,17 +372,12 @@ class GhostBottleneck(Block):
         hidden = out // 2
         self.stride = s
         self.g1 = GhostConv([cin], {"out": hidden, "act": "silu"})
-        self.g2 = GhostConv([hidden], {"out": out, "act": None})
         if s == 2:
             self.dw = _Unit(hidden, hidden, k=3, s=2, g=hidden, act=None)
+        self.g2 = GhostConv([hidden], {"out": out, "act": None})
+        if s == 2:
             self.sc_dw = _Unit(cin, cin, k=3, s=2, g=cin, act=None)
             self.sc_pw = _Unit(cin, out, k=1, act=None)
-
-    def children(self):
-        if self.stride == 1:
-            return [("g1", self.g1), ("g2", self.g2)]
-        return [("g1", self.g1), ("dw", self.dw), ("g2", self.g2),
-                ("sc_dw", self.sc_dw), ("sc_pw", self.sc_pw)]
 
     def forward(self, xs):
         x = xs[0]
@@ -393,8 +388,6 @@ class GhostBottleneck(Block):
 
 class C3Ghost(_C3Base):
     """C3 with ghost bottlenecks on the processed branch."""
-
-    KIND = "C3Ghost"
 
     def _inner(self, hidden, shortcut):
         return GhostBottleneck([hidden], {"out": hidden, "s": 1})
@@ -413,8 +406,6 @@ class GAM(Block):
     residual) of its input, which the tests pin as an analytic case.
     """
 
-    KIND = "GAM"
-
     def build(self, cin, *, ratio: int = 4, residual: bool = True,
               spatial_groups: int | None = None):
         if ratio < 1 or cin % ratio:
@@ -432,10 +423,6 @@ class GAM(Block):
         self.sconv1 = _Unit(cin, hidden, k=7, p=3, g=groups, act="relu", norm=False)
         self.sconv2 = _Unit(hidden, cin, k=7, p=3, g=groups, act=None, norm=False)
 
-    def children(self):
-        return [("fc1", self.fc1), ("fc2", self.fc2),
-                ("sconv1", self.sconv1), ("sconv2", self.sconv2)]
-
     def forward(self, xs):
         x = xs[0]
         if x.c != self.cin:
@@ -450,8 +437,6 @@ class GAM(Block):
 class SPPF(Block):
     """Spatial pyramid pooling (fast): three chained 5x5 max pools, fused."""
 
-    KIND = "SPPF"
-
     def build(self, cin, *, out: int, k: int = 5):
         if k < 1 or k % 2 == 0:
             raise ConfigError(f"SPPF pool kernel must be odd and positive, got {k}")
@@ -461,9 +446,6 @@ class SPPF(Block):
         self.k = k
         self.cv1 = _Unit(cin, hidden, k=1)
         self.cv2 = _Unit(4 * hidden, out, k=1)
-
-    def children(self):
-        return [("cv1", self.cv1), ("cv2", self.cv2)]
 
     def forward(self, xs):
         y0 = self.cv1(xs[0])
@@ -476,8 +458,6 @@ class SPPF(Block):
 class Upsample(Block):
     """Nearest-neighbor upsampling by an integer factor."""
 
-    KIND = "Upsample"
-
     def build(self, cin, *, factor: int = 2):
         if factor < 1:
             raise ConfigError(f"Upsample factor must be >= 1, got {factor}")
@@ -489,8 +469,6 @@ class Upsample(Block):
 
 class Concat(Block):
     """Channel concatenation of every listed source layer."""
-
-    KIND = "Concat"
 
     def build(self, *cins):
         if len(cins) < 2:
@@ -508,16 +486,11 @@ class Detect(Block):
     block stops at the raw maps.
     """
 
-    KIND = "Detect"
-
     def build(self, *cins, nc: int):
         if nc < 1:
             raise ConfigError(f"Detect needs >= 1 class, got {nc}")
         self.m = [_Unit(cin, 3 * (5 + nc), k=1, act=None, norm=False)
                   for cin in cins]
-
-    def children(self):
-        return [(f"m{i}", u) for i, u in enumerate(self.m)]
 
     def forward(self, xs) -> list[Tensor]:
         if len(xs) != len(self.m):
@@ -532,4 +505,4 @@ BLOCKS: dict[str, type[Block]] = {
                 GhostBottleneck, C3Ghost, GAM, SPPF, Upsample, Concat, Detect)
 }
 
-C3_FAMILY = ("C3", "C3Ghost", "C3CrossConv")
+C3_FAMILY = tuple(kind for kind, cls in BLOCKS.items() if issubclass(cls, _C3Base))

@@ -283,7 +283,7 @@ def _load_results(path, ds):
             cat = int(row["category_id"])
             x, y, w, h = (float(v) for v in row["bbox"])
             score = float(row["score"])
-        except (KeyError, TypeError, ValueError) as e:
+        except (KeyError, TypeError, ValueError, OverflowError) as e:
             raise ConfigError(f"{path}: results[{i}] is malformed: {e}") from e
         if not all(map(math.isfinite, (x, y, w, h, score))):
             raise ConfigError(f"{path}: results[{i}] has a non-finite bbox "

@@ -24,7 +24,7 @@ its parameter estimate is lower). Whole-model numbers never use them.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -50,12 +50,6 @@ class LayerCost:
     macs: int
     flops: int
 
-    def to_dict(self) -> dict:
-        return {"index": self.index, "kind": self.kind,
-                "sources": list(self.sources),
-                "out_shape": list(self.out_shape), "params": self.params,
-                "macs": self.macs, "flops": self.flops}
-
 
 @dataclass(frozen=True)
 class CostReport:
@@ -77,17 +71,7 @@ class CostReport:
         return self.total_params / 1e6
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "input_shape": list(self.input_shape),
-            "layers": [r.to_dict() for r in self.layers],
-            "head": None if self.head is None else self.head.to_dict(),
-            "total_params": self.total_params,
-            "total_macs": self.total_macs,
-            "total_flops": self.total_flops,
-            "gflops": self.gflops,
-            "convention": self.convention,
-        }
+        return {**asdict(self), "gflops": self.gflops}
 
 
 def _check_truncate(model: Model, truncate) -> None:

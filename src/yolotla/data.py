@@ -90,14 +90,14 @@ def load_coco(path) -> Dataset:
         try:
             images.append(ImageInfo(int(rec["id"]), str(rec["file_name"]),
                                     int(rec["width"]), int(rec["height"])))
-        except (KeyError, TypeError, ValueError) as e:
+        except (KeyError, TypeError, ValueError, OverflowError) as e:
             raise ParseError(f"{path}: images[{i}] is malformed: {e}") from e
     image_ids = {im.id for im in images}
     categories = []
     for i, rec in enumerate(doc["categories"]):
         try:
             categories.append((int(rec["id"]), str(rec.get("name", ""))))
-        except (KeyError, TypeError, ValueError) as e:
+        except (KeyError, TypeError, ValueError, OverflowError) as e:
             raise ParseError(
                 f"{path}: categories[{i}] is malformed: {e}") from e
     categories.sort()
@@ -109,7 +109,7 @@ def load_coco(path) -> Dataset:
             img = int(rec["image_id"])
             cat = int(rec["category_id"])
             x, y, w, h = (float(v) for v in rec["bbox"])
-        except (KeyError, TypeError, ValueError) as e:
+        except (KeyError, TypeError, ValueError, OverflowError) as e:
             raise ParseError(
                 f"{path}: annotations[{i}] is malformed: {e}") from e
         if not all(map(math.isfinite, (x, y, w, h))):

@@ -14,10 +14,10 @@ A model config is a JSON document with extension ``.cfg``::
 
 Channel args in ``layers`` are base widths; the build multiplies them by
 ``width_multiple`` and rounds up to a multiple of 8. ``repeats`` is scaled
-by ``depth_multiple`` for the C3 family and must stay 1 elsewhere; it is a
-C3 block's only repeat count, so an ``n`` arg is refused. The
-prediction head is not a layer row: it is assembled from ``detect_from``,
-``nc`` and the anchor table, one 1x1 conv per scale.
+by ``depth_multiple`` for the C3 family, to at most ``MAX_REPEATS``, and
+must stay 1 elsewhere; it is a C3 block's only repeat count, so an ``n``
+arg is refused. The prediction head is not a layer row: it is assembled
+from ``detect_from``, ``nc`` and the anchor table, one 1x1 conv per scale.
 
 The build is one shape-only pass at a REFERENCE_SIDE square input. Each
 block is built from its sources' widths, then its meta forward gives its
@@ -54,6 +54,9 @@ WEIGHT_MAGIC = b"TLAW"
 WEIGHT_VERSION = 1
 INPUT_CHANNELS = 3
 REFERENCE_SIDE = 640
+# a scaled repeat takes ~80 us to build on a 2-core host; the bundled
+# configs scale to at most 6
+MAX_REPEATS = 1000
 
 
 def scale_channels(base: int, width_multiple: float) -> int:
@@ -71,14 +74,20 @@ def scale_channels(base: int, width_multiple: float) -> int:
 
 
 def scale_repeats(base: int, depth_multiple: float) -> int:
-    """Depth scaling: multiply and round, never below one repeat."""
+    """Depth scaling: multiply and round, never below one repeat and never
+    above MAX_REPEATS."""
     if base <= 1:
         return base
     try:
-        return max(1, round(base * depth_multiple))
+        n = max(1, round(base * depth_multiple))
     except (OverflowError, ValueError):   # the product is not a finite float
         raise ConfigError(f"repeats {base} times depth_multiple "
                           f"{depth_multiple} is not finite") from None
+    if n > MAX_REPEATS:
+        raise ConfigError(f"repeats {base} times depth_multiple "
+                          f"{depth_multiple} is {n}, above the limit of "
+                          f"{MAX_REPEATS}")
+    return n
 
 
 @dataclass(frozen=True)
@@ -341,12 +350,15 @@ class Model:
     def head_shapes(self, input_shape) -> list[tuple[int, int, int, int]]:
         return [t.shape for t in self.meta_walk(input_shape)]
 
-    def param_specs(self) -> list[tuple[str, tuple[int, ...]]]:
-        specs: list[tuple[str, tuple[int, ...]]] = []
+    def _leaves(self):
+        """(path, unit) for every conv unit, layers first, in manifest order."""
         for i, block in enumerate(self.blocks):
-            specs.extend(block.param_specs(f"layers.{i}"))
-        specs.extend(self.detect.param_specs("detect"))
-        return specs
+            yield from block.leaves(f"layers.{i}")
+        yield from self.detect.leaves("detect")
+
+    def param_specs(self) -> list[tuple[str, tuple[int, ...]]]:
+        return [spec for path, unit in self._leaves()
+                for spec in unit.param_specs(path)]
 
     def param_count(self) -> int:
         return sum(math.prod(s) for _, s in self.param_specs())
@@ -388,10 +400,8 @@ class Model:
             if got != shape:
                 raise WeightError(
                     f"parameter {path} has shape {got}, expected {shape}")
-        getw = params.__getitem__
-        for i, block in enumerate(self.blocks):
-            block.load(getw, f"layers.{i}")
-        self.detect.load(getw, "detect")
+        for path, unit in self._leaves():
+            unit.load(params.__getitem__, path)
         self._params = params
 
     # -- execution ---------------------------------------------------------

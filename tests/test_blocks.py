@@ -469,8 +469,107 @@ def test_registry_covers_expected_kinds():
     expected = {"ConvBNAct", "Bottleneck", "C3", "CrossConv", "C3CrossConv",
                 "GhostConv", "GhostBottleneck", "C3Ghost", "GAM", "SPPF",
                 "Upsample", "Concat", "Detect"}
-    assert expected <= set(BLOCKS)
-    assert set(C3_FAMILY) <= set(BLOCKS)
+    assert set(BLOCKS) == expected
+    assert all(BLOCKS[kind].KIND == kind for kind in BLOCKS)
+    assert set(C3_FAMILY) == {"C3", "C3Ghost", "C3CrossConv"}
+
+
+# the manifest of every PARITY_CASES block: "path shape" per entry, in
+# order, under the prefix "b". Some of these blocks (GhostBottleneck at
+# s=2; Bottleneck, CrossConv and GhostConv as layers) occur in no bundled
+# config, so the config digests in test_costs cannot see their manifests.
+MANIFESTS = {
+    "ConvBNAct-0": "conv.weight 8x6x3x3; norm.scale 8; norm.shift 8",
+    "Bottleneck-1": (
+        "cv1.conv.weight 8x8x1x1; cv1.norm.scale 8; cv1.norm.shift 8; "
+        "cv2.conv.weight 8x8x3x3; cv2.norm.scale 8; cv2.norm.shift 8"
+    ),
+    "C3-2": (
+        "cv1.conv.weight 4x8x1x1; cv1.norm.scale 4; cv1.norm.shift 4; "
+        "cv2.conv.weight 4x8x1x1; cv2.norm.scale 4; cv2.norm.shift 4; "
+        "m0.cv1.conv.weight 4x4x1x1; m0.cv1.norm.scale 4; "
+        "m0.cv1.norm.shift 4; m0.cv2.conv.weight 4x4x3x3; "
+        "m0.cv2.norm.scale 4; m0.cv2.norm.shift 4; "
+        "m1.cv1.conv.weight 4x4x1x1; m1.cv1.norm.scale 4; "
+        "m1.cv1.norm.shift 4; m1.cv2.conv.weight 4x4x3x3; "
+        "m1.cv2.norm.scale 4; m1.cv2.norm.shift 4; cv3.conv.weight 8x8x1x1; "
+        "cv3.norm.scale 8; cv3.norm.shift 8"
+    ),
+    "CrossConv-3": (
+        "cv1.conv.weight 8x8x1x3; cv1.norm.scale 8; cv1.norm.shift 8; "
+        "cv2.conv.weight 8x8x3x1; cv2.norm.scale 8; cv2.norm.shift 8"
+    ),
+    "C3CrossConv-4": (
+        "cv1.conv.weight 4x8x1x1; cv1.norm.scale 4; cv1.norm.shift 4; "
+        "cv2.conv.weight 4x8x1x1; cv2.norm.scale 4; cv2.norm.shift 4; "
+        "m0.cv1.conv.weight 4x4x1x1; m0.cv1.norm.scale 4; "
+        "m0.cv1.norm.shift 4; m0.cv2.cv1.conv.weight 4x4x1x3; "
+        "m0.cv2.cv1.norm.scale 4; m0.cv2.cv1.norm.shift 4; "
+        "m0.cv2.cv2.conv.weight 4x4x3x1; m0.cv2.cv2.norm.scale 4; "
+        "m0.cv2.cv2.norm.shift 4; m1.cv1.conv.weight 4x4x1x1; "
+        "m1.cv1.norm.scale 4; m1.cv1.norm.shift 4; "
+        "m1.cv2.cv1.conv.weight 4x4x1x3; m1.cv2.cv1.norm.scale 4; "
+        "m1.cv2.cv1.norm.shift 4; m1.cv2.cv2.conv.weight 4x4x3x1; "
+        "m1.cv2.cv2.norm.scale 4; m1.cv2.cv2.norm.shift 4; "
+        "cv3.conv.weight 8x8x1x1; cv3.norm.scale 8; cv3.norm.shift 8"
+    ),
+    "GhostConv-5": (
+        "primary.conv.weight 6x8x1x1; primary.norm.scale 6; "
+        "primary.norm.shift 6; cheap.conv.weight 6x1x5x5; "
+        "cheap.norm.scale 6; cheap.norm.shift 6"
+    ),
+    "GhostBottleneck-6": (
+        "g1.primary.conv.weight 3x12x1x1; g1.primary.norm.scale 3; "
+        "g1.primary.norm.shift 3; g1.cheap.conv.weight 3x1x5x5; "
+        "g1.cheap.norm.scale 3; g1.cheap.norm.shift 3; "
+        "g2.primary.conv.weight 6x6x1x1; g2.primary.norm.scale 6; "
+        "g2.primary.norm.shift 6; g2.cheap.conv.weight 6x1x5x5; "
+        "g2.cheap.norm.scale 6; g2.cheap.norm.shift 6"
+    ),
+    "GhostBottleneck-7": (
+        "g1.primary.conv.weight 4x12x1x1; g1.primary.norm.scale 4; "
+        "g1.primary.norm.shift 4; g1.cheap.conv.weight 4x1x5x5; "
+        "g1.cheap.norm.scale 4; g1.cheap.norm.shift 4; "
+        "dw.conv.weight 8x1x3x3; dw.norm.scale 8; dw.norm.shift 8; "
+        "g2.primary.conv.weight 8x8x1x1; g2.primary.norm.scale 8; "
+        "g2.primary.norm.shift 8; g2.cheap.conv.weight 8x1x5x5; "
+        "g2.cheap.norm.scale 8; g2.cheap.norm.shift 8; "
+        "sc_dw.conv.weight 12x1x3x3; sc_dw.norm.scale 12; "
+        "sc_dw.norm.shift 12; sc_pw.conv.weight 16x12x1x1; "
+        "sc_pw.norm.scale 16; sc_pw.norm.shift 16"
+    ),
+    "C3Ghost-8": (
+        "cv1.conv.weight 8x16x1x1; cv1.norm.scale 8; cv1.norm.shift 8; "
+        "cv2.conv.weight 8x16x1x1; cv2.norm.scale 8; cv2.norm.shift 8; "
+        "m0.g1.primary.conv.weight 2x8x1x1; m0.g1.primary.norm.scale 2; "
+        "m0.g1.primary.norm.shift 2; m0.g1.cheap.conv.weight 2x1x5x5; "
+        "m0.g1.cheap.norm.scale 2; m0.g1.cheap.norm.shift 2; "
+        "m0.g2.primary.conv.weight 4x4x1x1; m0.g2.primary.norm.scale 4; "
+        "m0.g2.primary.norm.shift 4; m0.g2.cheap.conv.weight 4x1x5x5; "
+        "m0.g2.cheap.norm.scale 4; m0.g2.cheap.norm.shift 4; "
+        "cv3.conv.weight 16x16x1x1; cv3.norm.scale 16; cv3.norm.shift 16"
+    ),
+    "GAM-9": (
+        "fc1.weight 4x16; fc1.bias 4; fc2.weight 16x4; fc2.bias 16; "
+        "sconv1.conv.weight 4x4x7x7; sconv1.conv.bias 4; "
+        "sconv2.conv.weight 16x1x7x7; sconv2.conv.bias 16"
+    ),
+    "SPPF-10": (
+        "cv1.conv.weight 4x8x1x1; cv1.norm.scale 4; cv1.norm.shift 4; "
+        "cv2.conv.weight 8x16x1x1; cv2.norm.scale 8; cv2.norm.shift 8"
+    ),
+    "Upsample-11": "",
+    "Concat-12": "",
+}
+
+
+@pytest.mark.parametrize("kind,cins,args,shape", PARITY_CASES,
+                         ids=[f"{c[0]}-{i}" for i, c in enumerate(PARITY_CASES)])
+def test_manifest_is_pinned(request, kind, cins, args, shape):
+    blk = BLOCKS[kind](cins, dict(args))
+    got = "; ".join(f"{path[2:]} {'x'.join(map(str, shp))}"
+                    for path, shp in blk.param_specs("b"))
+    assert got == MANIFESTS[request.node.callspec.id]
 
 
 class TestArgumentBinding:

@@ -721,6 +721,32 @@ class TestEvalCommand:
         assert "annotations[2] has a non-finite bbox" in err
         assert out == ""
 
+    @pytest.mark.parametrize("command,file,section,field", [
+        ("eval", "gt", "images", "id"),
+        ("eval", "gt", "images", "width"),
+        ("eval", "gt", "categories", "id"),
+        ("eval", "gt", "annotations", "image_id"),
+        ("anchors", "gt", "images", "id"),
+        ("eval", "results", None, "image_id"),
+        ("eval", "results", None, "category_id"),
+    ])
+    def test_infinite_id_exits_one(self, workdir, capsys, command, file,
+                                   section, field):
+        # Python's json reads 1e400 as inf, and int(inf) raises OverflowError
+        doc = json.loads(workdir[file].read_text())
+        (doc if section is None else doc[section])[0][field] = "INF"
+        bad = workdir["root"] / "infinite-id.json"
+        bad.write_text(json.dumps(doc).replace('"INF"', "1e400"))
+        paths = {**workdir, file: bad}
+        argv = (["anchors", "--dataset", str(paths["gt"])]
+                if command == "anchors" else
+                ["eval", "--gt", str(paths["gt"]),
+                 "--results", str(paths["results"])])
+        code, out, err = run(argv, capsys)
+        assert_one_line_error(code, err)
+        assert f"{section or 'results'}[0] is malformed" in err
+        assert out == ""
+
     def test_unknown_category_exits_one(self, workdir, capsys):
         bad = workdir["root"] / "badcat.json"
         bad.write_text(json.dumps([
@@ -829,6 +855,22 @@ class TestProcessLevelInvocation:
         assert proc.stderr.decode() == (
             f"error: cannot allocate {count} parameters "
             f"({4 * count} bytes of float32)\n")
+
+    @pytest.mark.parametrize("repeats", [3034, 10 ** 7])
+    def test_repeat_count_above_the_bound_exits_one(self, repeats, tmp_path):
+        # at depth 0.33, 3034 scales to 1001, one above MAX_REPEATS; the
+        # timeout fails a build that tries to make millions of bottlenecks
+        doc = json.loads(find_config("yolov5s").read_text())
+        doc["layers"][2][1] = repeats
+        cfg = tmp_path / "deep.cfg"
+        cfg.write_text(json.dumps(doc))
+        proc = subprocess.run(
+            [sys.executable, "-c", self.CAPPED_CLI, "analyze", "--config",
+             str(cfg)], capture_output=True, timeout=20)
+        err = proc.stderr.decode()
+        assert_one_line_error(proc.returncode, err)
+        assert err.startswith(f"error: layer 2 (C3): repeats {repeats} ")
+        assert "above the limit of 1000" in err
 
     def test_input_size_too_large_to_allocate_exits_one(self, workdir):
         # the 64x48 image letterboxes to 100000x75000x3 float32, 84 GiB
