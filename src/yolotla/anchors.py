@@ -124,6 +124,8 @@ def assign_to_scales(anchors, scale_sizes) -> AnchorSet:
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ConfigError("anchors must be (w, h) pairs")
     sizes = [int(s) for s in scale_sizes]
+    if min(sizes, default=1) < 1:
+        raise ConfigError(f"scale sizes must be at least 1, got {sizes}")
     if len(arr) != 3 * len(sizes):
         raise ConfigError(
             f"{len(arr)} anchors cannot fill {len(sizes)} scales of 3")

@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import math
 import sys
 import time
 from pathlib import Path
@@ -28,7 +27,8 @@ from .anchors import assign_to_scales, fit_anchors
 from .blocks import BLOCKS
 from .costs import (CONVENTION, analyze, closed_form_cross,
                     closed_form_standard)
-from .data import letterbox, load_coco, load_image, unletterbox_box
+from .data import (letterbox, load_coco, load_image, load_results,
+                   unletterbox_box)
 from .errors import ConfigError, YoloTlaError
 from .graph import (build_model, bundled_config_names, find_config,
                     parse_config, read_config)
@@ -269,34 +269,9 @@ def cmd_infer(args) -> int:
 
 # -- eval --------------------------------------------------------------------
 
-def _load_results(path, ds):
-    try:
-        rows = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as e:
-        raise ConfigError(f"cannot read results from {path}: {e}") from e
-    if not isinstance(rows, list):
-        raise ConfigError(f"{path}: results root must be a list")
-    dets: dict[int, list[Detection]] = {}
-    for i, row in enumerate(rows):
-        try:
-            img = int(row["image_id"])
-            cat = int(row["category_id"])
-            x, y, w, h = (float(v) for v in row["bbox"])
-            score = float(row["score"])
-        except (KeyError, TypeError, ValueError, OverflowError) as e:
-            raise ConfigError(f"{path}: results[{i}] is malformed: {e}") from e
-        if not all(map(math.isfinite, (x, y, w, h, score))):
-            raise ConfigError(f"{path}: results[{i}] has a non-finite bbox "
-                              f"{row['bbox']} or score {row['score']}")
-        dets.setdefault(img, []).append(Detection(
-            box=(x, y, x + w, y + h), class_id=ds.class_index(cat),
-            confidence=score))
-    return dets
-
-
 def cmd_eval(args) -> int:
     ds = load_coco(args.gt)
-    dets = _load_results(args.results, ds)
+    dets = load_results(args.results, ds)
     rep = evaluate(ds.gt_by_image(), dets)
     if args.pr_csv:
         _write_output(args.pr_csv, "class,recall,precision\n" + "".join(

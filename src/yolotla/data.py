@@ -2,9 +2,11 @@
 
 Annotations use the COCO instances layout (images / annotations /
 categories arrays; only the documented field subset is read, extra
-fields are ignored). Images load from binary PPM ("P6", 8-bit) or the
-".tns" tensor format; richer codecs are out of scope to keep the
-dependency surface flat.
+fields are ignored), and detections the COCO results layout. In both,
+ids, widths and heights are JSON integers, image and category ids are
+unique, a bbox is four finite JSON numbers and a score one. Images load
+from binary PPM ("P6", 8-bit) or the ".tns" tensor format; richer codecs
+are out of scope to keep the dependency surface flat.
 
 Letterboxing preserves aspect ratio: nearest-neighbor resize so the
 longer side hits the target, then center padding with 114/255 gray. The
@@ -17,11 +19,13 @@ import json
 import logging
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ParseError
+from .errors import ConfigError, ParseError, is_instance
+from .postprocess import Detection
 from .tensor import Tensor, load_tns
 
 log = logging.getLogger("yolotla")
@@ -51,16 +55,16 @@ class Dataset:
     annotations: tuple[Annotation, ...]
     categories: tuple[tuple[int, str], ...]   # (id, name), ascending by id
 
-    def category_ids(self) -> list[int]:
-        return [cid for cid, _ in self.categories]
+    @cached_property
+    def _class_of(self) -> dict[int, int]:
+        return {cid: i for i, (cid, _) in enumerate(self.categories)}
 
     def class_index(self, category_id: int) -> int:
         """Contiguous class index of a category id (position in the
         ascending id list); `eval` reads result rows through it too."""
-        ids = self.category_ids()
         try:
-            return ids.index(category_id)
-        except ValueError:
+            return self._class_of[category_id]
+        except KeyError:
             raise ParseError(f"unknown category id {category_id}") from None
 
     def gt_by_image(self) -> dict[int, list]:
@@ -73,62 +77,104 @@ class Dataset:
         return out
 
 
+_NUMBER = frozenset((int, float))   # json.loads types; type(True) is bool
+
+
+def _read_json(path, what: str):
+    try:
+        return json.loads(Path(path).read_bytes().decode("utf-8"))
+    except (OSError, ValueError, RecursionError) as e:
+        # also an integer past Python's digit limit, or nesting too deep
+        raise ParseError(f"cannot read {what} from {path}: {e}") from e
+
+
+def _records(path, section: str, rows: list, parse) -> list:
+    """``parse`` of each COCO record, failures named after the record."""
+    out = []
+    for i, rec in enumerate(rows):
+        try:
+            out.append(parse(rec))
+        except ParseError as e:
+            raise ParseError(f"{path}: {section}[{i}] {e}") from None
+        except (KeyError, TypeError, ValueError, OverflowError) as e:
+            raise ParseError(
+                f"{path}: {section}[{i}] is malformed: {e}") from e
+    return out
+
+
+def _integer(rec: dict, key: str, unique: set | None = None) -> int:
+    """``rec[key]``, a JSON integer; with ``unique``, one not in it yet."""
+    if not is_instance(value := rec[key], int):
+        raise TypeError(f"'{key}' must be an integer, got {value!r}")
+    if unique is not None:
+        if value in unique:
+            raise ParseError(f"repeats id {value}")
+        unique.add(value)
+    return value
+
+
+def _bbox(rec: dict) -> tuple[float, float, float, float]:
+    if not (type(v := rec["bbox"]) is list and len(v) == 4
+            and {type(v[0]), type(v[1]), type(v[2]), type(v[3])} <= _NUMBER):
+        raise TypeError(f"'bbox' must be a list of 4 numbers, got {v!r}")
+    box = (float(v[0]), float(v[1]), float(v[2]), float(v[3]))
+    if not all(map(math.isfinite, box)):
+        raise ParseError(f"has a non-finite bbox {v}")
+    return box
+
+
 def load_coco(path) -> Dataset:
     """Read a COCO instances JSON; degenerate boxes are dropped, counted,
     and reported through the package logger."""
-    try:
-        doc = json.loads(open(path, "rb").read().decode("utf-8"))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise ParseError(f"cannot read annotations from {path}: {e}") from e
+    doc = _read_json(path, "annotations")
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: annotation root must be an object")
     for key in ("images", "annotations", "categories"):
-        if key not in doc or not isinstance(doc[key], list):
+        if not isinstance(doc.get(key), list):
             raise ParseError(f"{path}: missing or invalid '{key}' array")
-    images = []
-    for i, rec in enumerate(doc["images"]):
-        try:
-            images.append(ImageInfo(int(rec["id"]), str(rec["file_name"]),
-                                    int(rec["width"]), int(rec["height"])))
-        except (KeyError, TypeError, ValueError, OverflowError) as e:
-            raise ParseError(f"{path}: images[{i}] is malformed: {e}") from e
-    image_ids = {im.id for im in images}
-    categories = []
-    for i, rec in enumerate(doc["categories"]):
-        try:
-            categories.append((int(rec["id"]), str(rec.get("name", ""))))
-        except (KeyError, TypeError, ValueError, OverflowError) as e:
-            raise ParseError(
-                f"{path}: categories[{i}] is malformed: {e}") from e
-    categories.sort()
-    category_ids = {cid for cid, _ in categories}
-    annotations = []
-    dropped = 0
-    for i, rec in enumerate(doc["annotations"]):
-        try:
-            img = int(rec["image_id"])
-            cat = int(rec["category_id"])
-            x, y, w, h = (float(v) for v in rec["bbox"])
-        except (KeyError, TypeError, ValueError, OverflowError) as e:
-            raise ParseError(
-                f"{path}: annotations[{i}] is malformed: {e}") from e
-        if not all(map(math.isfinite, (x, y, w, h))):
-            raise ParseError(f"{path}: annotations[{i}] has a non-finite "
-                             f"bbox {rec['bbox']}")
+    image_ids, category_ids = set(), set()
+    images = _records(path, "images", doc["images"], lambda rec: ImageInfo(
+        _integer(rec, "id", image_ids), str(rec["file_name"]),
+        _integer(rec, "width"), _integer(rec, "height")))
+    categories = _records(path, "categories", doc["categories"], lambda rec: (
+        _integer(rec, "id", category_ids), str(rec.get("name", ""))))
+
+    def annotation(rec):
+        img, cat = _integer(rec, "image_id"), _integer(rec, "category_id")
         if img not in image_ids:
-            raise ParseError(
-                f"{path}: annotations[{i}] references missing image {img}")
+            raise ParseError(f"references missing image {img}")
         if cat not in category_ids:
-            raise ParseError(
-                f"{path}: annotations[{i}] references missing category {cat}")
-        if w <= 0 or h <= 0:
-            dropped += 1
-            continue
-        annotations.append(Annotation(img, cat, (x, y, w, h)))
-    if dropped:
+            raise ParseError(f"references missing category {cat}")
+        return Annotation(img, cat, _bbox(rec))
+
+    parsed = _records(path, "annotations", doc["annotations"], annotation)
+    annotations = [a for a in parsed if a.bbox[2] > 0 and a.bbox[3] > 0]
+    if len(annotations) < len(parsed):
         log.warning("%s: dropped %d annotation(s) with non-positive size",
-                    path, dropped)
-    return Dataset(tuple(images), tuple(annotations), tuple(categories))
+                    path, len(parsed) - len(annotations))
+    return Dataset(tuple(images), tuple(annotations),
+                   tuple(sorted(categories)))
+
+
+def load_results(path, ds: Dataset) -> dict[int, list[Detection]]:
+    """Read COCO results as {image_id: [Detection]} in ``ds``'s classes."""
+    rows = _read_json(path, "results")
+    if not isinstance(rows, list):
+        raise ParseError(f"{path}: results root must be a list")
+    dets: dict[int, list[Detection]] = {}
+
+    def detection(rec):
+        img, cat = _integer(rec, "image_id"), _integer(rec, "category_id")
+        x, y, w, h = _bbox(rec)
+        if not is_instance(score := rec["score"], int, float):
+            raise TypeError(f"'score' must be a number, got {score!r}")
+        if not math.isfinite(score):
+            raise ParseError(f"has a non-finite score {score}")
+        dets.setdefault(img, []).append(Detection(
+            (x, y, x + w, y + h), ds.class_index(cat), float(score)))
+
+    _records(path, "results", rows, detection)
+    return dets
 
 
 def _parse_ppm(blob: bytes, path) -> Tensor:

@@ -188,7 +188,8 @@ def read_config(path) -> dict:
         raise ParseError(f"cannot read config {path}: {e.strerror or e}") from e
     except UnicodeDecodeError as e:
         raise ParseError(f"config {path} is not UTF-8 text: {e}") from e
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:
+        # bad JSON, an integer past Python's digit limit, or deep nesting
         raise ParseError(f"config {path} is not valid JSON: {e}") from e
     if not isinstance(doc, dict):
         raise ConfigError(f"config {path}: root must be an object")

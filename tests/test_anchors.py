@@ -140,3 +140,8 @@ class TestAssignToScales:
     def test_duplicate_scale_sizes_rejected(self):
         with pytest.raises(ConfigError, match="repeat"):
             assign_to_scales(TABLE_ANCHORS, [80, 80, 40, 20])
+
+    @pytest.mark.parametrize("sizes", [[0, 80, 40, 20], [160, -5, 40, 20]])
+    def test_scale_size_below_one_rejected(self, sizes):
+        with pytest.raises(ConfigError, match="at least 1"):
+            assign_to_scales(TABLE_ANCHORS, sizes)

@@ -348,6 +348,15 @@ class TestAnchorsCommand:
         assert_one_line_error(code, err)
         assert "--scales" in err
 
+    @pytest.mark.parametrize("k, scales", [(9, "0,-5,3"), (12, "40,20,0,10")])
+    def test_scale_below_one_exits_one(self, workdir, capsys, k, scales):
+        code, out, err = run(
+            ["anchors", "--dataset", str(workdir["gt"]), "--k", str(k),
+             "--scales", scales], capsys)
+        assert_one_line_error(code, err)
+        assert "scale sizes must be at least 1" in err
+        assert out == ""
+
     def test_unwritable_out_exits_one(self, workdir, capsys):
         out_cfg = workdir["root"] / "no-such-dir" / "patched.cfg"
         code, _, err = run(
@@ -757,6 +766,146 @@ class TestEvalCommand:
             capsys)
         assert code == 1
         assert "999" in err
+
+
+# sha256 of what `eval` and `anchors` write on the workdir fixture
+REPORT_DIGESTS = {
+    "anchors-json-scales":
+        "d04c73d40e46bf4f50956cd7835f3881f891fa480c9b691626a09484af2aa9cc",
+    "eval-json":
+        "48cf7aa6ce15950b6d9682870bd676c9550cfea18de1da3fd2a4577e59bd4908",
+    "eval-pr-csv":
+        "408ee80933bed1428eefe25f6a71805a7e02f8fb77e764db1f66f80d113af1d3",
+    "eval-text":
+        "6566bf128da6940157bd57f268b6508219fa0827cb2827737f807fe9757e99e3",
+}
+
+
+class TestReportOutputGuard:
+
+    @pytest.mark.parametrize("name", sorted(REPORT_DIGESTS))
+    def test_bytes_unchanged(self, workdir, capsys, name):
+        gt, results = str(workdir["gt"]), str(workdir["results"])
+        csv_path = workdir["root"] / "guard.csv"
+        argv = {
+            "eval-json": ["eval", "--gt", gt, "--results", results, "--json"],
+            "eval-text": ["eval", "--gt", gt, "--results", results],
+            "eval-pr-csv": ["eval", "--gt", gt, "--results", results,
+                            "--json", "--pr-csv", str(csv_path)],
+            "anchors-json-scales": ["anchors", "--dataset", gt, "--k", "12",
+                                    "--scales", "160,80,40,20", "--json"],
+        }[name]
+        code, out, _ = run(argv, capsys)
+        assert code == 0
+        written = (csv_path.read_bytes() if name == "eval-pr-csv"
+                   else out.encode())
+        assert hashlib.sha256(written).hexdigest() == REPORT_DIGESTS[name]
+
+
+def edited_input(workdir, file, edit):
+    """The workdir with its ground truth or results replaced by a copy
+    whose parsed JSON went through ``edit``."""
+    doc = json.loads(workdir[file].read_text())
+    edit(doc)
+    path = workdir["root"] / f"edited-{file}.json"
+    path.write_text(json.dumps(doc))
+    return {**workdir, file: path}
+
+
+def set_field(section, index, field, value):
+    def edit(doc):
+        (doc if section is None else doc[section])[index][field] = value
+    return edit
+
+
+NON_INTEGER_IDS = [1.7, 1.0, "1", True]
+ID_FIELDS = [("gt", "images", "id"), ("gt", "categories", "id"),
+             ("gt", "annotations", "image_id"),
+             ("gt", "annotations", "category_id"),
+             ("results", None, "image_id"), ("results", None, "category_id")]
+BAD_BOXES = ["1234", [1, "2", 3, 4], [1, 2, 3], [1, 2, 3, 4, 5],
+             [1, True, 3, 4], None]
+
+
+class TestCocoInputPolicy:
+    """Ids are JSON integers, image and category ids are unique, a bbox is
+    four JSON numbers and a score is a JSON number; anything else in either
+    COCO file ends `eval` with a one-line error that names the record."""
+
+    def eval_fails(self, paths, capsys):
+        code, out, err = run(["eval", "--gt", str(paths["gt"]),
+                              "--results", str(paths["results"])], capsys)
+        assert_one_line_error(code, err)
+        assert out == ""
+        return err
+
+    @pytest.mark.parametrize("value", NON_INTEGER_IDS, ids=repr)
+    @pytest.mark.parametrize("file, section, field", ID_FIELDS)
+    def test_non_integer_id_exits_one(self, workdir, capsys, file, section,
+                                      field, value):
+        paths = edited_input(workdir, file,
+                             set_field(section, 0, field, value))
+        err = self.eval_fails(paths, capsys)
+        assert (f"{section or 'results'}[0] is malformed: '{field}' must be "
+                f"an integer, got {value!r}") in err
+
+    @pytest.mark.parametrize("value", BAD_BOXES, ids=repr)
+    @pytest.mark.parametrize("file, section", [("gt", "annotations"),
+                                               ("results", None)])
+    def test_malformed_bbox_exits_one(self, workdir, capsys, file, section,
+                                      value):
+        paths = edited_input(workdir, file,
+                             set_field(section, 0, "bbox", value))
+        err = self.eval_fails(paths, capsys)
+        assert (f"{section or 'results'}[0] is malformed: 'bbox' must be a "
+                f"list of 4 numbers") in err
+
+    @pytest.mark.parametrize("value", ["0.5", True, None, [0.5]], ids=repr)
+    def test_non_numeric_score_exits_one(self, workdir, capsys, value):
+        paths = edited_input(workdir, "results",
+                             set_field(None, 0, "score", value))
+        err = self.eval_fails(paths, capsys)
+        assert "results[0] is malformed: 'score' must be a number" in err
+
+    @pytest.mark.parametrize("section", ["images", "categories"])
+    def test_duplicate_id_exits_one(self, workdir, capsys, section):
+        def repeat_first_id(doc):
+            doc[section][1]["id"] = doc[section][0]["id"]
+        paths = edited_input(workdir, "gt", repeat_first_id)
+        err = self.eval_fails(paths, capsys)
+        assert f"{section}[1] repeats id" in err
+
+    def test_anchors_reads_the_same_policy(self, workdir, capsys):
+        paths = edited_input(workdir, "gt",
+                             set_field("images", 1, "id", 1.7))
+        code, out, err = run(["anchors", "--dataset", str(paths["gt"])],
+                             capsys)
+        assert_one_line_error(code, err)
+        assert "images[1] is malformed" in err
+
+
+HOSTILE_JSON = pytest.mark.parametrize("raw", [
+    b"[" * 100000 + b"]" * 100000,
+    b'{"n": ' + b"1" * 5000 + b"}",
+], ids=["nested-too-deep", "integer-past-digit-limit"])
+
+
+class TestHostileJson:
+
+    @HOSTILE_JSON
+    @pytest.mark.parametrize("flag", ["--config", "--dataset", "--results"])
+    def test_unreadable_json_exits_one(self, workdir, capsys, tmp_path, raw,
+                                       flag):
+        path = tmp_path / "hostile.json"
+        path.write_bytes(raw)
+        argv = {"--config": ["analyze", "--config", str(path)],
+                "--dataset": ["anchors", "--dataset", str(path)],
+                "--results": ["eval", "--gt", str(workdir["gt"]),
+                              "--results", str(path)]}[flag]
+        code, out, err = run(argv, capsys)
+        assert_one_line_error(code, err)
+        assert str(path) in err
+        assert out == ""
 
 
 class TestOracleCheckCommand:
