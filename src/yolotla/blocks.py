@@ -19,12 +19,12 @@ method. The base constructor is their one binder: it checks the input
 count and each argument by name and by annotated type (a bool never passes
 as a number) in one place, then calls `build`, which wires the structure
 from those arguments alone. That is enough for shapes, manifests and
-costs; `load` then binds actual weights (folding the norm affine into the
-convolution) so `forward` can run on real data. Blocks never mutate their
+costs; `load` then binds actual weights, the caller's arrays themselves
+with no copy, so `forward` can run on real data. Blocks never mutate their
 inputs and hold no state beyond weights, so forwards are pure.
 
 Normalization is represented as a folded per-channel affine: a `norm.scale`
-multiplied into the conv weight at load time and a `norm.shift` applied as
+multiplied into the conv weight at call time and a `norm.shift` applied as
 the conv bias. A fresh model uses scale 1, shift 0, which is an identity
 affine over the raw convolution.
 """
@@ -70,7 +70,8 @@ _ACTIVATIONS = {None: lambda y: y, "silu": silu, "relu": relu}
 
 
 class _Unit:
-    """One convolution plus folded norm affine (or plain bias) plus activation."""
+    """One convolution plus norm affine (folded per real call) or plain bias,
+    plus activation."""
 
     def __init__(self, cin: int, cout: int, k=1, s=1, p=None, g: int = 1,
                  act: str | None = "silu", norm: bool = True):
@@ -85,6 +86,7 @@ class _Unit:
                              has_bias=True)
         # a real input on an unloaded unit fails at the meta weight's .data
         self.weight = Tensor.meta(self.spec.weight_shape())
+        self.scale = None   # the norm scale, bound by `load` when `norm`
         self.bias = _stand_in((cout,))
 
     def param_specs(self, prefix: str) -> list[tuple[str, tuple[int, ...]]]:
@@ -96,24 +98,25 @@ class _Unit:
         return [(f"{prefix}.conv.weight", self.spec.weight_shape()), *tail]
 
     def load(self, getw, prefix: str) -> None:
-        w = np.asarray(getw(f"{prefix}.conv.weight"), dtype=np.float32)
-        if self.norm:
-            scale = np.asarray(getw(f"{prefix}.norm.scale"), dtype=np.float32)
-            self.weight = Tensor(w * scale.reshape(-1, 1, 1, 1))
-            self.bias = np.asarray(getw(f"{prefix}.norm.shift"), dtype=np.float32)
-        else:
-            self.weight = Tensor(w)
-            self.bias = np.asarray(getw(f"{prefix}.conv.bias"), dtype=np.float32)
+        """Bind the arrays `getw` returns for this unit's manifest as they
+        are, with no copy, so an in-place edit reaches the next call."""
+        weight, *rest = (np.asarray(getw(path), dtype=np.float32)
+                         for path, _ in self.param_specs(prefix))
+        self.weight = Tensor(weight.reshape(self.spec.weight_shape()))
+        self.scale, self.bias = rest if self.norm else (None, *rest)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return _ACTIVATIONS[self.act](conv2d(x, self.spec, self.weight, self.bias))
+        w = self.weight
+        if self.norm and not x.is_meta:
+            w = Tensor(w.data * self.scale.reshape(-1, 1, 1, 1))
+        return _ACTIVATIONS[self.act](conv2d(x, self.spec, w, self.bias))
 
 
 class _Linear(_Unit):
     """Fully connected layer at every spatial position, run as a biased 1x1 conv.
 
     Its manifest is a linear layer's, `weight` as (out_features, in_features)
-    plus `bias`; `load` reshapes the weight to the conv's (out, in, 1, 1).
+    plus `bias`; the unit's `load` reshapes the weight to (out, in, 1, 1).
     """
 
     def __init__(self, fin: int, fout: int, act: str | None = None):
@@ -122,11 +125,6 @@ class _Linear(_Unit):
     def param_specs(self, prefix: str) -> list[tuple[str, tuple[int, ...]]]:
         return [(f"{prefix}.weight", self.spec.weight_shape()[:2]),
                 (f"{prefix}.bias", (self.spec.out_channels,))]
-
-    def load(self, getw, prefix: str) -> None:
-        w = np.asarray(getw(f"{prefix}.weight"), dtype=np.float32)
-        self.weight = Tensor(w.reshape(*w.shape, 1, 1))
-        self.bias = np.asarray(getw(f"{prefix}.bias"), dtype=np.float32)
 
 
 @functools.cache

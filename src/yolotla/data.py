@@ -3,8 +3,9 @@
 Annotations use the COCO instances layout (images / annotations /
 categories arrays; only the documented field subset is read, extra
 fields are ignored), and detections the COCO results layout. In both,
-ids, widths and heights are JSON integers, image and category ids are
-unique, a bbox is four finite JSON numbers and a score one. Images load
+ids, widths and heights are JSON integers, a file name and a category
+name are JSON strings (a missing name reads as ""), image and category ids
+are unique, a bbox is four finite JSON numbers and a score one. Images load
 from binary PPM ("P6", 8-bit) or the ".tns" tensor format; richer codecs
 are out of scope to keep the dependency surface flat.
 
@@ -113,6 +114,12 @@ def _integer(rec: dict, key: str, unique: set | None = None) -> int:
     return value
 
 
+def _string(value, key: str) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"'{key}' must be a string, got {value!r}")
+    return value
+
+
 def _bbox(rec: dict) -> tuple[float, float, float, float]:
     if not (type(v := rec["bbox"]) is list and len(v) == 4
             and {type(v[0]), type(v[1]), type(v[2]), type(v[3])} <= _NUMBER):
@@ -134,10 +141,10 @@ def load_coco(path) -> Dataset:
             raise ParseError(f"{path}: missing or invalid '{key}' array")
     image_ids, category_ids = set(), set()
     images = _records(path, "images", doc["images"], lambda rec: ImageInfo(
-        _integer(rec, "id", image_ids), str(rec["file_name"]),
+        _integer(rec, "id", image_ids), _string(rec["file_name"], "file_name"),
         _integer(rec, "width"), _integer(rec, "height")))
     categories = _records(path, "categories", doc["categories"], lambda rec: (
-        _integer(rec, "id", category_ids), str(rec.get("name", ""))))
+        _integer(rec, "id", category_ids), _string(rec.get("name", ""), "name")))
 
     def annotation(rec):
         img, cat = _integer(rec, "image_id"), _integer(rec, "category_id")

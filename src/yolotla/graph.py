@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 import threading
 from dataclasses import dataclass, field
@@ -493,43 +494,48 @@ def save_weights(path, params: dict[str, np.ndarray]) -> None:
 
 
 def load_weights(path) -> dict[str, np.ndarray]:
-    """Read a weight file back into {path: rank-4 float32 array}."""
-    blob = Path(path).read_bytes()
-    if blob[:4] != WEIGHT_MAGIC:
-        raise ParseError(
-            f"{path} is not a weight file (magic {blob[:4]!r})")
-    if len(blob) < 9:
-        raise ParseError(f"{path} is truncated before the entry count")
-    version = blob[4]
-    if version != WEIGHT_VERSION:
-        raise ParseError(f"{path} has unsupported version {version}")
-    (count,) = struct.unpack_from("<I", blob, 5)
-    off = 9
-    out: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        if off + 4 > len(blob):
-            raise ParseError(f"{path} is truncated inside an entry header")
-        (plen,) = struct.unpack_from("<I", blob, off)
-        off += 4
-        try:
-            name = blob[off:off + plen].decode("utf-8")
-        except UnicodeDecodeError:
+    """Read a weight file back into {path: rank-4 float32 array}, each
+    payload straight from the file into its own array once the file is
+    known to hold it."""
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(9)
+        if head[:4] != WEIGHT_MAGIC:
             raise ParseError(
-                f"{path} has a parameter name that is not UTF-8") from None
-        off += plen
-        if off + 16 > len(blob):
-            raise ParseError(f"{path} is truncated in dims of {name}")
-        dims = struct.unpack_from("<4I", blob, off)
-        off += 16
-        numel = math.prod(dims)   # exact; np.prod wraps in int64
-        end = off + 4 * numel
-        if end > len(blob):
-            raise ParseError(f"{path} is truncated in payload of {name}")
-        out[name] = np.frombuffer(
-            blob[off:end], dtype="<f4").reshape(dims).astype(np.float32)
-        off = end
-    if off != len(blob):
-        raise ParseError(f"{path} has {len(blob) - off} trailing bytes")
+                f"{path} is not a weight file (magic {head[:4]!r})")
+        if len(head) < 9:
+            raise ParseError(f"{path} is truncated before the entry count")
+        version = head[4]
+        if version != WEIGHT_VERSION:
+            raise ParseError(f"{path} has unsupported version {version}")
+        (count,) = struct.unpack_from("<I", head, 5)
+        out: dict[str, np.ndarray] = {}
+        for _ in range(count):
+            raw = fh.read(4)
+            if len(raw) < 4:
+                raise ParseError(f"{path} is truncated inside an entry header")
+            (plen,) = struct.unpack("<I", raw)
+            try:
+                name = fh.read(min(plen, size - fh.tell())).decode("utf-8")
+            except UnicodeDecodeError:
+                raise ParseError(
+                    f"{path} has a parameter name that is not UTF-8") from None
+            raw = fh.read(16)
+            if len(raw) < 16:
+                raise ParseError(f"{path} is truncated in dims of {name}")
+            if out and name <= last:
+                raise ParseError(f"{path} lists {name} out of order "
+                                 f"(names are unique and sorted)")
+            last = name
+            dims = struct.unpack("<4I", raw)
+            # math.prod is exact; np.prod wraps in int64
+            if 4 * math.prod(dims) > size - fh.tell():
+                raise ParseError(f"{path} is truncated in payload of {name}")
+            arr = out[name] = np.empty(dims, dtype="<f4")
+            if fh.readinto(arr) != arr.nbytes:   # the file shrank meanwhile
+                raise ParseError(f"{path} is truncated in payload of {name}")
+        if fh.tell() != size:
+            raise ParseError(f"{path} has {size - fh.tell()} trailing bytes")
     return out
 
 

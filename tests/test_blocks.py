@@ -655,7 +655,7 @@ def argument_values(types):
 
 
 @pytest.mark.parametrize("kind", sorted(BLOCKS))
-@settings(derandomize=True, database=None, max_examples=50, deadline=None)
+@settings(max_examples=50)
 @given(data=st.data())
 def test_hostile_block_arguments_raise_only_package_errors(kind, data):
     """Construction plus shape inference with one or two arguments (or an

@@ -5,8 +5,9 @@ replaced by another JSON type or deleted: fractional, string and bool ids,
 strings and lists in a bbox or a score, NaN, the infinities (Python's json
 writes and reads them; `1e400` reads as an infinity) and integers past
 float range. Whatever the input, the only exception that may escape is a
-`YoloTlaError`, and an accepted document holds only integer ids,
-four-number boxes and numeric scores, and gives back exactly those ids.
+`YoloTlaError`, and an accepted document holds only integer ids, string
+file and category names, four-number boxes and numeric scores, and gives
+back exactly those ids and names.
 """
 import json
 import math
@@ -18,8 +19,7 @@ from hypothesis import strategies as st
 from yolotla.data import load_coco, load_results
 from yolotla.errors import YoloTlaError
 
-FUZZ = settings(derandomize=True, database=None, max_examples=150,
-                deadline=None)
+FUZZ = settings(max_examples=150)
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats()
@@ -38,7 +38,8 @@ hostile = st.one_of(
     st.lists(numbers | st.sampled_from(["2", True, None, 10 ** 400]),
              min_size=3, max_size=5),
     json_values)
-FIELDS = {"id", "image_id", "category_id", "bbox", "score"}
+FIELDS = {"id", "image_id", "category_id", "bbox", "score", "file_name",
+          "name"}
 
 
 @st.composite
@@ -126,6 +127,9 @@ def four_numbers(value) -> bool:
               "annotations": [], "categories": [{"id": 1}]})
 @example(doc={"images": [], "annotations": [],
               "categories": [{"id": 1, "name": "a"}, {"id": 1, "name": "b"}]})
+@example(doc={   # str() once read these as "None" and "{'a': [1]}"
+    "images": [{"id": 1, "file_name": None, "width": 4, "height": 4}],
+    "annotations": [], "categories": [{"id": 1, "name": {"a": [1]}}]})
 def test_ground_truth_reader_refuses_or_keeps_ids(folder, doc):
     try:
         ds = load_coco(written(folder, doc, "gt.json"))
@@ -138,6 +142,11 @@ def test_ground_truth_reader_refuses_or_keeps_ids(folder, doc):
     assert len(set(category_ids)) == len(category_ids)
     assert [im.id for im in ds.images] == image_ids
     assert [cid for cid, _ in ds.categories] == sorted(category_ids)
+    assert [im.file_name for im in ds.images] == [
+        rec["file_name"] for rec in doc["images"]]
+    assert ds.categories == tuple(sorted(
+        (rec["id"], rec.get("name", "")) for rec in doc["categories"]))
+    assert all(type(name) is str for _, name in ds.categories)
     assert all(exact_int(rec["image_id"]) and exact_int(rec["category_id"])
                and four_numbers(rec["bbox"]) for rec in doc["annotations"])
     assert [(a.image_id, a.category_id, a.bbox) for a in ds.annotations] == [

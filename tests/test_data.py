@@ -103,6 +103,32 @@ class TestLoadCoco:
         ds = load_coco(write_doc(tmp_path, doc))
         assert len(ds.images) == 2
 
+    @pytest.mark.parametrize("value", [None, 3, ["a.ppm"], {"a": [1]}])
+    def test_file_name_must_be_a_string(self, tmp_path, value):
+        doc = coco_doc()
+        doc["images"][1]["file_name"] = value
+        with pytest.raises(ParseError) as info:
+            load_coco(write_doc(tmp_path, doc))
+        assert str(info.value).endswith(
+            f"images[1] is malformed: 'file_name' must be a string, "
+            f"got {value!r}")
+
+    @pytest.mark.parametrize("value", [None, 7, True, {"a": [1]}])
+    def test_category_name_must_be_a_string(self, tmp_path, value):
+        doc = coco_doc()
+        doc["categories"][0]["name"] = value
+        with pytest.raises(ParseError) as info:
+            load_coco(write_doc(tmp_path, doc))
+        assert str(info.value).endswith(
+            f"categories[0] is malformed: 'name' must be a string, "
+            f"got {value!r}")
+
+    def test_missing_category_name_reads_empty(self, tmp_path):
+        doc = coco_doc()
+        del doc["categories"][0]["name"]
+        ds = load_coco(write_doc(tmp_path, doc))
+        assert ds.categories == ((3, "dog"), (7, ""))
+
 
 class TestLoadImage:
 

@@ -383,6 +383,61 @@ class TestFirstUseBinding:
         assert peak < 1 << 20, f"{name}: {peak} bytes"
 
 
+class TestOneCopy:
+    """`Model.params` is the one store of parameter values: each conv unit
+    reads its arrays, folding the norm scale per call, and a weight file
+    enters memory once."""
+
+    def test_bound_model_holds_its_parameter_bytes_once(self):
+        m = build_model(find_config("yolov5s"))
+        tracemalloc.start()
+        try:
+            m.params
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held <= 1.05 * 4 * m.param_count()
+
+    def test_every_unit_reads_the_bound_arrays(self):
+        m = build_model(find_config("yolo-tla-s"))
+        params = m.params
+        for path, unit in m._leaves():
+            held = ([unit.weight.data, unit.scale, unit.bias] if unit.norm
+                    else [unit.weight.data, unit.bias])
+            for (name, _), arr in zip(unit.param_specs(path), held,
+                                      strict=True):
+                assert np.shares_memory(arr, params[name]), name
+
+    @pytest.mark.parametrize("name", ["layers.0.conv.weight",
+                                      "layers.0.norm.scale",
+                                      "layers.0.norm.shift"])
+    def test_in_place_edit_reaches_the_next_forward(self, name, tmp_path):
+        m = build_model(toy_config(), seed=3)
+        x = rand_image(64, 64)
+        before = [t.data.tobytes() for t in m.forward(x)]
+        m.params[name] += 0.5
+        after = [t.data.tobytes() for t in m.forward(x)]
+        assert after != before
+        save_weights(tmp_path / "edited.tlaw", m.params)
+        fresh = build_model(toy_config(), seed=0)
+        fresh.load_weight_file(tmp_path / "edited.tlaw")
+        assert [t.data.tobytes() for t in fresh.forward(x)] == after
+
+    def test_weight_file_loads_in_about_its_own_size(self, tmp_path):
+        path = tmp_path / "yolov5s.tlaw"
+        build_model(find_config("yolov5s")).save_weight_file(path)
+        m = build_model(find_config("yolov5s"))
+        tracemalloc.start()
+        try:
+            m.load_weight_file(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * path.stat().st_size
+        assert all(a.flags.writeable and a.flags.aligned
+                   for a in m.params.values())
+
+
 class TestWeightFiles:
 
     def test_round_trip_bit_exact(self, tmp_path):

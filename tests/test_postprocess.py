@@ -198,8 +198,7 @@ class TestDecodeAgainstReference:
     """`decode` must return exactly what the full-map decode returns: the
     same boxes, classes and confidences in the same order."""
 
-    @settings(derandomize=True, database=None, max_examples=100,
-              deadline=None)
+    @settings(max_examples=100)
     @given(case=head_maps(), thr=st.floats(0.0, 1.0), pick=st.integers(0))
     def test_equals_reference(self, case, thr, pick):
         maps, anchors, strides = case
@@ -303,8 +302,7 @@ def detection_sets(draw):
 class TestNmsAgainstReference:
     """`nms` must return exactly the list the pairwise loop returns."""
 
-    @settings(derandomize=True, database=None, max_examples=150,
-              deadline=None)
+    @settings(max_examples=150)
     @given(dets=detection_sets(), thr=THRESHOLDS, data=st.data())
     @example(dets=[], thr=0.45, data=None)
     def test_equals_reference(self, dets, thr, data):
@@ -383,8 +381,7 @@ class TestNmsAcrossBlocks:
     """Sets large enough for several blocks, where `nms` must still return
     exactly the pairwise loop's objects."""
 
-    @settings(derandomize=True, database=None, max_examples=150,
-              deadline=None)
+    @settings(max_examples=150)
     @given(dets=crowded_sets(),
            thr=st.sampled_from([0.0, 1 / 3, 0.45, 0.5, 1.0, -0.5, None]),
            pair=st.tuples(st.integers(0, 399), st.integers(0, 399)))
