@@ -171,7 +171,7 @@ def _parse_layer(index: int, row) -> LayerSpec:
     if kind == "Detect":
         raise ConfigError(
             "Detect is assembled from detect_from, not listed as a layer")
-    if kind not in _blocks.BLOCKS:
+    if not isinstance(kind, str) or kind not in _blocks.BLOCKS:
         raise ConfigError(f"unknown block kind {kind!r} at layer {index}")
     if repeats > 1 and kind not in _blocks.C3_FAMILY:
         raise ConfigError(
@@ -301,6 +301,22 @@ def _detect_strides(detect_from, shapes, side: int) -> tuple[int, ...]:
     return tuple(strides)
 
 
+def _release_after(config: ModelConfig) -> tuple[tuple[int, ...], ...]:
+    """For each layer, the cached outputs (-1 is the input) that no later
+    layer reads once it has run. An output nothing reads dies where it is
+    made; the head's sources are never listed, so they live until it runs."""
+    last = {}
+    for spec in config.layers:
+        last[spec.index] = spec.index
+        last.update(dict.fromkeys(spec.sources, spec.index))
+    for i in config.detect_from:
+        del last[i]
+    dead: list[list[int]] = [[] for _ in config.layers]
+    for i, j in last.items():
+        dead[j].append(i)
+    return tuple(map(tuple, dead))
+
+
 class Model:
     """An executable layer graph plus its parameter store.
 
@@ -341,6 +357,7 @@ class Model:
             [shapes[i][1] for i in config.detect_from], {"nc": config.nc})
         self.detect_from = config.detect_from
         self.strides = _detect_strides(config.detect_from, shapes, side)
+        self._release_after = _release_after(config)
         self.anchors = [np.array(row, dtype=np.float64)
                         for row in config.anchors]
         self._seed = seed
@@ -413,7 +430,10 @@ class Model:
         if upto is None, else the last layer's output. A meta x makes it
         shape-only; a real x binds the seeded weights on first use.
         `step(index, block, ins)` runs each node in place of
-        `block.forward(ins)`; the head's index is len(self.blocks)."""
+        `block.forward(ins)`; the head's index is len(self.blocks).
+        The walk holds a layer's output only until its last consumer has
+        run (buffer liveness as planned once in `__init__`), so a forward
+        keeps the live outputs, not every output, in memory."""
         n, c, h, w = x.shape
         if c != INPUT_CHANNELS:
             raise ShapeError(
@@ -427,8 +447,10 @@ class Model:
             self.params   # binds on first use
         cache: dict[int, Tensor] = {-1: x}
         for spec, block in zip(self.config.layers[:upto], self.blocks[:upto]):
-            ins = [cache[s] for s in spec.sources]
-            out = cache[spec.index] = step(spec.index, block, ins)
+            out = cache[spec.index] = step(
+                spec.index, block, [cache[s] for s in spec.sources])
+            for i in self._release_after[spec.index]:
+                del cache[i]
         if upto is not None:
             return out
         return step(len(self.blocks), self.detect,

@@ -9,8 +9,10 @@ import hashlib
 import json
 import logging
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -959,18 +961,25 @@ class TestOracleCheckCommand:
         assert "result" not in out
 
 
+def run_process(argv, timeout):
+    """Run argv in a child interpreter that imports the package from this
+    checkout's `src/`, ahead of any PYTHONPATH already set."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(argv, capture_output=True, timeout=timeout,
+                          env=dict(os.environ, PYTHONPATH=path))
+
+
 class TestProcessLevelInvocation:
     def test_module_entry_point_is_deterministic(self):
         argv = [sys.executable, "-m", "yolotla.cli", "configs", "--json"]
-        first = subprocess.run(argv, capture_output=True, timeout=300)
-        second = subprocess.run(argv, capture_output=True, timeout=300)
+        first = run_process(argv, timeout=300)
+        second = run_process(argv, timeout=300)
         assert first.returncode == 0
         assert first.stdout == second.stdout
 
     def test_no_command_exits_one(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "yolotla.cli"],
-            capture_output=True, timeout=60)
+        proc = run_process([sys.executable, "-m", "yolotla.cli"], timeout=60)
         assert proc.returncode == 1
 
     # runs the CLI with its address space capped at 3 GiB, so a command
@@ -990,16 +999,15 @@ class TestProcessLevelInvocation:
         cfg = tmp_path / "wide.cfg"
         cfg.write_text(json.dumps(doc))
         capped = [sys.executable, "-c", self.CAPPED_CLI]
-        proc = subprocess.run(
-            capped + ["analyze", "--config", str(cfg), "--json"],
-            capture_output=True, timeout=120)
+        proc = run_process(
+            capped + ["analyze", "--config", str(cfg), "--json"], timeout=120)
         assert proc.returncode == 0, proc.stderr
         count = json.loads(proc.stdout)["report"]["total_params"]
         assert count > 65536 ** 2 * 9
-        proc = subprocess.run(
+        proc = run_process(
             capped + ["infer", "--config", str(cfg), "--image",
                       str(workdir["image"]), "--input-size", "64"],
-            capture_output=True, timeout=120)
+            timeout=120)
         assert proc.returncode == 1
         assert proc.stderr.decode() == (
             f"error: cannot allocate {count} parameters "
@@ -1013,9 +1021,9 @@ class TestProcessLevelInvocation:
         doc["layers"][2][1] = repeats
         cfg = tmp_path / "deep.cfg"
         cfg.write_text(json.dumps(doc))
-        proc = subprocess.run(
+        proc = run_process(
             [sys.executable, "-c", self.CAPPED_CLI, "analyze", "--config",
-             str(cfg)], capture_output=True, timeout=20)
+             str(cfg)], timeout=20)
         err = proc.stderr.decode()
         assert_one_line_error(proc.returncode, err)
         assert err.startswith(f"error: layer 2 (C3): repeats {repeats} ")
@@ -1023,11 +1031,11 @@ class TestProcessLevelInvocation:
 
     def test_input_size_too_large_to_allocate_exits_one(self, workdir):
         # the 64x48 image letterboxes to 100000x75000x3 float32, 84 GiB
-        proc = subprocess.run(
+        proc = run_process(
             [sys.executable, "-c", self.CAPPED_CLI, "infer", "--config",
              "yolov5s", "--image", str(workdir["image"]),
              "--input-size", "100000"],
-            capture_output=True, timeout=120)
+            timeout=120)
         err = proc.stderr.decode()
         assert_one_line_error(proc.returncode, err)
         assert err.startswith("error: cannot allocate memory: ")

@@ -3,12 +3,13 @@ import json
 import sys
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
-from yolotla import graph
-from yolotla.costs import analyze
+from yolotla import graph, meter
+from yolotla.costs import analyze, count_empirical
 from yolotla.errors import ConfigError, ParseError, ShapeError, WeightError
 from yolotla.graph import (Model, build_model, bundled_config_names,
                            find_config, init_params, load_weights,
@@ -575,6 +576,73 @@ class TestForward:
         m = build_model(toy_config(), seed=0)
         with pytest.raises(ShapeError, match="divisible"):
             m.forward(rand_image(60, 64))
+
+
+class TestLiveness:
+    """`walk` holds each layer output only until its last consumer has run;
+    the head's sources live until the head runs."""
+
+    @staticmethod
+    def last_reader(m) -> dict[int, int]:
+        """Index of the last node reading each layer output (the head is
+        len(m.blocks)); an output nothing reads is missing."""
+        last = {}
+        for spec in m.config.layers:
+            last.update(dict.fromkeys(spec.sources, spec.index))
+        last.update(dict.fromkeys(m.detect_from, len(m.blocks)))
+        return last
+
+    @staticmethod
+    def reference_outputs(m, x, upto=None) -> list[Tensor]:
+        """The outputs of layers [0, upto) by a walk that keeps them all."""
+        m.params   # binds, so the blocks can run directly
+        cache = {-1: x}
+        for spec, block in zip(m.config.layers[:upto], m.blocks[:upto]):
+            cache[spec.index] = block.forward([cache[s] for s in spec.sources])
+        del cache[-1]
+        return list(cache.values())
+
+    @pytest.mark.parametrize("name", bundled_config_names())
+    def test_each_output_is_released_after_its_last_reader(self, name):
+        m = build_model(find_config(name))
+        last = self.last_reader(m)
+        outputs = {}
+
+        def step(index, block, ins):
+            alive = {i for i, ref in outputs.items() if ref() is not None}
+            assert alive == {i for i in outputs if last.get(i, i) >= index}
+            out = block.forward(ins)
+            if index < len(m.blocks):
+                outputs[index] = weakref.ref(out.data)
+            return out
+
+        maps = m.walk(rand_image(64, 64), step=step)
+        assert len(maps) == len(m.detect_from)
+
+    def test_truncated_walk_and_count_are_unchanged(self):
+        m = build_model(toy_config(), seed=2)
+        x = rand_image(64, 64, seed=5)
+        for k, want in enumerate(self.reference_outputs(m, x), start=1):
+            assert m.walk(x, upto=k).data.tobytes() == want.data.tobytes()
+            with meter.CostMeter() as ref:
+                self.reference_outputs(m, Tensor.zeros(1, 3, 64, 64), upto=k)
+            assert count_empirical(m, (64, 64), truncate=k) == (ref.macs,
+                                                                ref.flops)
+
+    def test_forward_peak_is_bounded(self):
+        # yolo-tla-s at 320 peaked at 37.2 MB when the walk held every
+        # output and conv2d copied whole patch matrices, 12.0 MB with
+        # both released and banded
+        m = build_model(find_config("yolo-tla-s"))
+        x = rand_image(320, 320)
+        m.params
+        tracemalloc.start()
+        try:
+            m.forward(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
 
 
 class TestBundledConfigs:

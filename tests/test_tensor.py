@@ -6,13 +6,15 @@ it across randomized shapes, strides, padding, and group counts.
 """
 import itertools
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from yolotla.cli import conv_agrees
 from yolotla.errors import ConfigError, ParseError, ShapeError
-from yolotla import meter
+from yolotla import meter, tensor
 from yolotla.tensor import (ConvSpec, Tensor, add, concat_channels, conv2d,
                             conv2d_naive, load_tns, maxpool2d, mul, relu,
                             save_tns, sigmoid, silu, upsample_nearest)
@@ -56,6 +58,32 @@ def conv_reference64(x: np.ndarray, spec: ConvSpec, w: np.ndarray,
     if bias is not None:
         y += bias.astype(np.float64).reshape(1, -1, 1, 1)
     return y
+
+
+# Convs whose output rows split into several bands at the module's
+# BAND_BYTES, the last band partial, for a batch of two: stride 2 with
+# padding, GAM's grouped 7x7 (its first conv), and a depthwise 5x5.
+BANDED = [
+    pytest.param(ConvSpec(64, 32, 3, 3, 2, 2, 1, 1, has_bias=True), 84,
+                 id="banded-3x3-stride2"),
+    pytest.param(ConvSpec(64, 16, 7, 7, pad_h=3, pad_w=3, groups=4,
+                          has_bias=True), 44, id="banded-gam-7x7-g4"),
+    pytest.param(ConvSpec(8, 8, 5, 5, pad_h=2, pad_w=2, groups=8,
+                          has_bias=True), 128, id="banded-depthwise-5x5"),
+]
+
+
+def record_gemms(monkeypatch) -> list[tuple[int, int]]:
+    """Patch np.matmul to log (patch bytes, output columns) per call."""
+    calls = []
+    matmul = np.matmul
+
+    def spy(a, b, out):
+        calls.append((b.nbytes, out.shape[-1]))
+        return matmul(a, b, out=out)
+
+    monkeypatch.setattr(np, "matmul", spy)
+    return calls
 
 
 class TestTensorType:
@@ -269,14 +297,18 @@ class TestConvOracle:
     # |y - y64| <= (K + 2) * 2**-24 * (|W| . |X| + |b|). Specs at the
     # models' real reduction sizes, past criterion 4's small cases.
     @pytest.mark.parametrize("spec, side", [
-        (ConvSpec(1024, 64, 1, 1, has_bias=True), 8),
-        (ConvSpec(256, 32, 3, 3, pad_h=1, pad_w=1), 10),
-        (ConvSpec(256, 32, 3, 3, 2, 2, 1, 1, has_bias=True), 10),
-        (ConvSpec(128, 32, 7, 7, pad_h=3, pad_w=3, groups=4), 12),
-        (ConvSpec(64, 64, 5, 5, pad_h=2, pad_w=2, groups=64), 12),
-        (ConvSpec(3, 32, 6, 6, 2, 2, 2, 2, has_bias=True), 32),
-    ], ids=["1x1-1024", "3x3-256", "3x3-256-stride2", "gam-7x7-g4",
-            "depthwise-5x5", "stem-6x6-stride2"])
+        pytest.param(ConvSpec(1024, 64, 1, 1, has_bias=True), 8, id="1x1-1024"),
+        pytest.param(ConvSpec(256, 32, 3, 3, pad_h=1, pad_w=1), 10, id="3x3-256"),
+        pytest.param(ConvSpec(256, 32, 3, 3, 2, 2, 1, 1, has_bias=True), 10,
+                     id="3x3-256-stride2"),
+        pytest.param(ConvSpec(128, 32, 7, 7, pad_h=3, pad_w=3, groups=4), 12,
+                     id="gam-7x7-g4"),
+        pytest.param(ConvSpec(64, 64, 5, 5, pad_h=2, pad_w=2, groups=64), 12,
+                     id="depthwise-5x5"),
+        pytest.param(ConvSpec(3, 32, 6, 6, 2, 2, 2, 2, has_bias=True), 32,
+                     id="stem-6x6-stride2"),
+        *BANDED,
+    ])
     def test_float32_error_within_the_dot_product_bound(self, spec, side):
         rng = np.random.default_rng(21)
         x = rng.uniform(-1, 1, size=(2, spec.in_channels, side, side)).astype(np.float32)
@@ -316,6 +348,66 @@ class TestConvOracle:
         wt = Tensor(np.zeros((2, 3, 2, 3), dtype=np.float32))
         with pytest.raises(ShapeError, match="weight shape"):
             conv2d(x, spec, wt)
+
+
+class TestConvBands:
+    """conv2d runs each group's GEMM over bands of output rows whose patch
+    copy stays within BAND_BYTES (see tensor.py)."""
+
+    @pytest.mark.parametrize("spec, side", BANDED)
+    def test_module_band_size_splits_these_convs(self, monkeypatch, spec,
+                                                 side):
+        x = Tensor.zeros(2, spec.in_channels, side, side)
+        wt = Tensor.zeros(*spec.weight_shape())
+        bias = np.zeros(spec.out_channels, np.float32) if spec.has_bias else None
+        gemms = record_gemms(monkeypatch)
+        conv2d(x, spec, wt, bias)
+        per_group = len(gemms) // spec.groups
+        widths = [cols for _, cols in gemms[:per_group]]
+        assert per_group >= 2 and widths[-1] < widths[0]
+        assert sum(widths) == np.prod(spec.out_hw(side, side))
+        assert max(nbytes for nbytes, _ in gemms) <= tensor.BAND_BYTES
+
+    # two-row bands over an odd row count, small enough for the loop nest:
+    # stride 2 with padding, grouped 7x7, depthwise, and the 1x1 whose
+    # bands are views of the input
+    @pytest.mark.parametrize("spec, side", [
+        (ConvSpec(4, 6, 3, 3, 2, 2, 1, 1, has_bias=True), 13),
+        (ConvSpec(8, 8, 7, 7, pad_h=3, pad_w=3, groups=4), 9),
+        (ConvSpec(6, 6, 5, 5, pad_h=2, pad_w=2, groups=6, has_bias=True), 11),
+        (ConvSpec(4, 6, 1, 1), 7),
+    ], ids=["3x3-stride2", "7x7-g4", "depthwise-5x5", "1x1"])
+    def test_agrees_with_the_loop_nest_across_bands(self, monkeypatch, spec,
+                                                    side):
+        rng = np.random.default_rng(31)
+        oh, ow = spec.out_hw(side, side)
+        k = spec.in_channels // spec.groups * spec.kernel_h * spec.kernel_w
+        monkeypatch.setattr(tensor, "BAND_BYTES", 4 * 2 * k * ow * 2)
+        x = random_tensor(rng, 2, spec.in_channels, side, side)
+        wt = Tensor(rng.uniform(-1, 1, size=spec.weight_shape()).astype(np.float32))
+        bias = (rng.uniform(-1, 1, size=spec.out_channels).astype(np.float32)
+                if spec.has_bias else None)
+        gemms = record_gemms(monkeypatch)
+        assert conv_agrees(x, spec, wt, bias)
+        assert [cols for _, cols in gemms] == (
+            [2 * ow] * (oh // 2) + [ow]) * spec.groups
+
+    def test_peak_is_output_padded_input_and_two_bands(self):
+        # GAM's first conv in yolo-tla-s at 640; one patch matrix per group
+        # was 80 MB before bands
+        spec = ConvSpec(64, 16, 7, 7, pad_h=3, pad_w=3, groups=4, has_bias=True)
+        rng = np.random.default_rng(8)
+        x = random_tensor(rng, 1, 64, 160, 160)
+        wt = Tensor(rng.uniform(-1, 1, size=spec.weight_shape()).astype(np.float32))
+        bias = rng.uniform(-1, 1, size=16).astype(np.float32)
+        tracemalloc.start()
+        try:
+            out = conv2d(x, spec, wt, bias)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        padded = 4 * 64 * 166 * 166
+        assert peak <= out.data.nbytes + padded + 2 * tensor.BAND_BYTES
 
 
 class TestElementwise:
