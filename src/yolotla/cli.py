@@ -4,7 +4,8 @@ Subcommands: analyze (cost report), anchors (k-means fitting), infer
 (single-image pipeline), eval (metric report), oracle-check (self-test of
 the numeric kernels), configs (bundled variant listing). Exit codes: 0
 success, 1 validation or usage error or a request too large to allocate,
-2 internal oracle failure.
+2 internal oracle failure or an unexpected exception, which ends in one
+stderr line, `internal error: <Type>: <message>`, not a traceback.
 
 Everything is driven by flags; there are no environment variables, and
 identical invocations with identical seeds print byte-identical output.
@@ -519,6 +520,11 @@ def main(argv=None) -> int:
         print("error: cannot allocate memory" + (f": {e}" if str(e) else ""),
               file=sys.stderr)
         return 1
+    except Exception as e:   # a fault of this program, not of its input
+        log.debug("internal error", exc_info=True)
+        print(f"internal error: {type(e).__name__}: "
+              + " ".join(str(e).splitlines()), file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -4,9 +4,7 @@ Matching is per image and per class: detections in confidence order each
 claim the highest-IOU unmatched ground truth at or above the threshold
 (true positive) or count as a false positive; leftover ground truths are
 false negatives. True negatives have no meaning in detection and are
-reported as "n/a". Each same-class (detection, ground truth) IOU of an
-image is computed once, and the matches at all ten thresholds are
-resolved from that one table.
+reported as "n/a".
 
 AP integrates the precision-recall curve after making the precision
 envelope monotone non-increasing, sampling it at the 101 recall points
@@ -16,14 +14,48 @@ IOU thresholds 0.50 to 0.95 in steps of 0.05.
 Conventions (documented decisions): 0/0 precision or recall is 0;
 classes absent from the ground truth are excluded from macro averages;
 per-class precision/recall in the report are counted at IOU 0.50.
+
+`evaluate` and `match_image` read the whole set into flat columns, image
+by image and in list order within an image, and match it in arrays. They
+give the flags of the greedy loop written out above (`reference_match` in
+the tests), for these reasons:
+- Pairs. Every same-(image, class) (detection, ground truth) pair is
+  listed once, and its IOU is computed in one pass that repeats `iou`'s
+  operations in `iou`'s order (min and max commute, and so does the sum of
+  the two areas), so each equals `iou(det.box, gt_box)` bit for bit.
+- Threshold. The greedy loop lets a detection take its best unmatched
+  ground truth, the lowest index winning a tie, if that IOU is positive
+  and reaches the threshold. The best reaches the threshold iff some
+  unmatched pair with a positive IOU does, and it then lies among those
+  pairs. So at each threshold only these qualifying pairs take part.
+- Uncontested pairs. A qualifying pair whose detection and ground truth
+  are in no other qualifying pair matches outright: nothing else can
+  claim its ground truth, and its detection has no other choice. No
+  other qualifying pair touches either of them.
+- Visiting order. The remaining qualifying pairs are swept once in the
+  loop's order: by image, then by detection in stable descending
+  confidence, then by descending IOU and ascending ground-truth index. A
+  detection takes the first pair whose ground truth is still free.
+Each class is ranked once, by a stable sort on descending confidence, and
+all ten thresholds' AP rows come from one (10, n) array.
+
+This holds for finite box coordinates and confidences that float64 holds
+exactly, and for int coordinates below 2**25 in magnitude, whose products
+in `iou` are then exact in float64 too. Python floats and the boxes that
+`decode`, `load_coco` and `load_results` produce are of this kind. A NaN or
+an infinite coordinate or confidence is refused: there Python's `min` and
+`sorted` and numpy's `minimum` and `lexsort` disagree.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
-from .postprocess import Detection, iou
+from .errors import YoloTlaError
+from .postprocess import _overlap
 
 RANGE_THRESHOLDS = tuple(round(0.50 + 0.05 * i, 2) for i in range(10))
 RECALL_GRID = np.linspace(0.0, 1.0, 101)
@@ -53,49 +85,119 @@ def f1(p: float, r: float) -> float:
     return 2 * p * r / (p + r) if p + r > 0 else 0.0
 
 
-def _match(dets, gts, thresholds) -> list[list[bool]]:
-    """Greedy per-class matching of one image at every threshold.
+class _Columns(NamedTuple):
+    """A set's detections and ground truths as flat columns, image by image
+    in the caller's order and in list order within an image; ``*_image``
+    holds the image's position in that order."""
+    det_image: np.ndarray   # (n,) int64
+    det_box: np.ndarray     # (n, 4) float64
+    det_class: np.ndarray   # (n,) int64
+    det_conf: np.ndarray    # (n,) float64
+    gt_image: np.ndarray    # (m,) int64
+    gt_box: np.ndarray      # (m, 4) float64
+    gt_class: np.ndarray    # (m,) int64
 
-    ``gts`` is a list of (box, class_id). Detections are visited in
-    confidence order (stable, so ties keep list order); each claims the
-    unmatched same-class ground truth of highest IOU, the lowest index
-    winning a tie, if that IOU reaches the threshold. Returns one flag
-    row per threshold: rows[t][i] says whether dets[i] is a true
-    positive at thresholds[t].
-    """
-    gt_by_class: dict[int, list[int]] = {}
-    for gi, (_, cls) in enumerate(gts):
-        gt_by_class.setdefault(cls, []).append(gi)
-    order = sorted(range(len(dets)), key=lambda di: -dets[di].confidence)
-    table = []   # in visiting order: (det index, [(gt index, IOU) if > 0])
-    for di in order:
-        det = dets[di]
-        overlaps = [(gi, v) for gi in gt_by_class.get(det.class_id, [])
-                    if (v := iou(det.box, gts[gi][0])) > 0.0]
-        table.append((di, overlaps))
-    rows = []
-    for thr in thresholds:
-        flags = [False] * len(dets)
-        matched: set[int] = set()
-        for di, overlaps in table:
-            best_gi, best_iou = -1, 0.0
-            for gi, v in overlaps:
-                if v > best_iou and gi not in matched:
-                    best_gi, best_iou = gi, v
-            if best_gi >= 0 and best_iou >= thr:
-                matched.add(best_gi)
-                flags[di] = True
-        rows.append(flags)
-    return rows
+
+def _flatten(image_ids, gt_by_image: dict, dets_by_image: dict) -> _Columns:
+    """Read every image's detections and ground truths into columns,
+    refusing a non-finite box coordinate or confidence."""
+    det_lists = [dets_by_image.get(img, []) for img in image_ids]
+    gt_lists = [gt_by_image.get(img, []) for img in image_ids]
+    dets = list(chain.from_iterable(det_lists))
+    gts = list(chain.from_iterable(gt_lists))
+    n, m = len(dets), len(gts)
+    cols = _Columns(
+        np.repeat(np.arange(len(image_ids)), [len(v) for v in det_lists]),
+        np.fromiter(chain.from_iterable([d.box for d in dets]), np.float64,
+                    4 * n).reshape(n, 4),
+        np.fromiter((d.class_id for d in dets), np.int64, n),
+        np.fromiter((d.confidence for d in dets), np.float64, n),
+        np.repeat(np.arange(len(image_ids)), [len(v) for v in gt_lists]),
+        np.fromiter(chain.from_iterable([box for box, _ in gts]), np.float64,
+                    4 * m).reshape(m, 4),
+        np.fromiter((cls for _, cls in gts), np.int64, m))
+    for what, image, finite, rows in (
+            ("detection", cols.det_image, np.isfinite(cols.det_box).all(1)
+             & np.isfinite(cols.det_conf), dets),
+            ("ground truth", cols.gt_image, np.isfinite(cols.gt_box).all(1),
+             gts)):
+        if not finite.all():
+            i = int(np.argmin(finite))
+            first = int(np.searchsorted(image, image[i]))
+            raise YoloTlaError(
+                f"image {image_ids[image[i]]!r}: {what} {i - first} holds a "
+                f"non-finite value (NaN or infinity): {rows[i]!r}")
+    return cols
+
+
+def _same_class_pairs(cols: _Columns):
+    """Every same-(image, class) pair once, as (detection row, ground-truth
+    row, IOU) columns: by detection row, then by ground-truth row."""
+    _, code = np.unique(np.concatenate([cols.det_class, cols.gt_class]),
+                        return_inverse=True)
+    n_codes = int(code.max(initial=-1)) + 1
+    n = len(cols.det_class)
+    det_key = cols.det_image * n_codes + code[:n]
+    gt_key = cols.gt_image * n_codes + code[n:]
+    by_key = np.argsort(gt_key, kind="stable")
+    sorted_key = gt_key[by_key]
+    lo = np.searchsorted(sorted_key, det_key, side="left")
+    count = np.searchsorted(sorted_key, det_key, side="right") - lo
+    d = np.repeat(np.arange(n), count)
+    g = by_key[np.arange(len(d)) + np.repeat(lo - (np.cumsum(count) - count),
+                                             count)]
+    (dx1, dy1, dx2, dy2), (gx1, gy1, gx2, gy2) = cols.det_box.T, cols.gt_box.T
+    # huge finite boxes overflow to inf or nan here as in `iou`, silently
+    with np.errstate(over="ignore", invalid="ignore"):
+        iw = _overlap(dx1[d], dx2[d], gx1[g], gx2[g])
+        ih = _overlap(dy1[d], dy2[d], gy1[g], gy2[g])
+        positive = (iw > 0) & (ih > 0)
+        inter = iw * ih
+        union = (((dx2 - dx1) * (dy2 - dy1))[d]
+                 + ((gx2 - gx1) * (gy2 - gy1))[g] - inter)
+        positive &= union > 0
+        v = np.zeros(len(d))
+        v[positive] = inter[positive] / union[positive]
+    return d, g, v
+
+
+def _match(cols: _Columns, thresholds) -> np.ndarray:
+    """Greedy per-class matching at every threshold: a (thresholds,
+    detections) bool array whose [t, i] says whether detection i is a true
+    positive at thresholds[t]. The module docstring gives the argument."""
+    n, m = len(cols.det_class), len(cols.gt_class)
+    d, g, v = _same_class_pairs(cols)
+    overlapping = v > 0
+    d, g, v = d[overlapping], g[overlapping], v[overlapping]
+    visit = np.empty(n, dtype=np.int64)
+    visit[np.lexsort((-cols.det_conf, cols.det_image))] = np.arange(n)
+    order = np.lexsort((g, -v, visit[d]))
+    d, g, v = d[order], g[order], v[order]
+    flags = np.zeros((len(thresholds), n), dtype=bool)
+    for row, thr in zip(flags, thresholds):
+        q = v >= thr
+        qd, qg = d[q], g[q]
+        alone = ((np.bincount(qd, minlength=n)[qd] == 1)
+                 & (np.bincount(qg, minlength=m)[qg] == 1))
+        row[qd[alone]] = True
+        won, taken = set(), set()
+        for di, gi in zip(qd[~alone].tolist(), qg[~alone].tolist()):
+            if di not in won and gi not in taken:
+                won.add(di)
+                taken.add(gi)
+        row[list(won)] = True
+    return flags
 
 
 def match_image(dets, gts, iou_threshold: float):
     """Greedy per-class matching for one image at one threshold.
 
     ``gts`` is a list of (box, class_id). Returns (counts by class,
-    flags) where flags[i] says whether dets[i] is a true positive.
+    flags) where flags[i] says whether dets[i] is a true positive. A
+    non-finite value is refused as on image 0.
     """
-    (flags,) = _match(dets, gts, (iou_threshold,))
+    (flags,) = _match(_flatten((0,), {0: gts}, {0: dets}),
+                      (iou_threshold,)).tolist()
     classes = {cls for _, cls in gts} | {det.class_id for det in dets}
     counts = {cls: ClassCounts() for cls in sorted(classes)}
     for _, cls in gts:
@@ -110,26 +212,34 @@ def match_image(dets, gts, iou_threshold: float):
     return counts, flags
 
 
+def _ap_rows(flags: np.ndarray, n_gt: int):
+    """101-point AP of each row of a (rows, ranked detections) bool array,
+    and the (recall, precision) samples of its first row."""
+    if n_gt <= 0 or flags.shape[1] == 0:
+        return [0.0] * len(flags), []
+    tp = np.cumsum(flags, axis=1)
+    fp = np.cumsum(~flags, axis=1)
+    recall = tp / n_gt
+    precision = tp / (tp + fp)
+    envelope = np.maximum.accumulate(precision[:, ::-1], axis=1)[:, ::-1]
+    last = flags.shape[1] - 1
+    aps = []
+    for rec, env in zip(recall, envelope):
+        idx = np.searchsorted(rec, RECALL_GRID, side="left")
+        sampled = np.where(idx <= last, env[np.minimum(idx, last)], 0.0)
+        aps.append(float(sampled.mean()))
+    return aps, list(zip(recall[0].tolist(), precision[0].tolist()))
+
+
 def ap_from_ranking(flags, n_gt: int):
     """101-point AP of a confidence-ranked TP/FP sequence.
 
     Returns (ap, pr_points) where pr_points are the raw (recall,
     precision) samples after each ranked detection.
     """
-    if n_gt <= 0:
-        return 0.0, []
-    flags = np.asarray(flags, dtype=bool)
-    if flags.size == 0:
-        return 0.0, []
-    tp = np.cumsum(flags)
-    fp = np.cumsum(~flags)
-    recall = tp / n_gt
-    precision = tp / (tp + fp)
-    envelope = np.maximum.accumulate(precision[::-1])[::-1]
-    idx = np.searchsorted(recall, RECALL_GRID, side="left")
-    sampled = np.where(idx < len(recall), envelope[np.minimum(idx, len(recall) - 1)], 0.0)
-    ap = float(sampled.mean())
-    return ap, list(zip(recall.tolist(), precision.tolist()))
+    (ap,), points = _ap_rows(np.asarray(flags, dtype=bool).reshape(1, -1),
+                             n_gt)
+    return ap, points
 
 
 def exact_envelope_ap(flags, n_gt: int) -> float:
@@ -200,41 +310,26 @@ def evaluate(gt_by_image: dict, dets_by_image: dict) -> EvalReport:
     class_id); ``dets_by_image`` maps image id to Detection lists.
     """
     image_ids = sorted(set(gt_by_image) | set(dets_by_image))
-    gt_classes = sorted({cls for gts in gt_by_image.values()
-                         for _, cls in gts})
-    n_gt = {cls: sum(1 for gts in gt_by_image.values()
-                     for _, c in gts if c == cls) for cls in gt_classes}
-
-    # per GT class: confidences and one flag column per threshold, image
-    # by image and in list order within an image
-    confs = {cls: [] for cls in gt_classes}
-    columns = {cls: [[] for _ in RANGE_THRESHOLDS] for cls in gt_classes}
-    for img in image_ids:
-        dets = dets_by_image.get(img, [])
-        flag_rows = _match(dets, gt_by_image.get(img, []), RANGE_THRESHOLDS)
-        for di, det in enumerate(dets):
-            if det.class_id in confs:
-                confs[det.class_id].append(det.confidence)
-                for column, flags in zip(columns[det.class_id], flag_rows):
-                    column.append(flags[di])
-
+    cols = _flatten(image_ids, gt_by_image, dets_by_image)
+    flags = _match(cols, RANGE_THRESHOLDS)   # row 0 is IOU 0.50
+    gt_classes, n_gts = np.unique(cols.gt_class, return_counts=True)
+    # each class's detections by stable descending confidence, in image
+    # order and then list order on a tie
+    ranked = np.lexsort((-cols.det_conf, cols.det_class))
+    ranked_class = cols.det_class[ranked]
+    lo = np.searchsorted(ranked_class, gt_classes, side="left").tolist()
+    hi = np.searchsorted(ranked_class, gt_classes, side="right").tolist()
     per_class, curves = {}, {}
-    for cls in gt_classes:
-        order = sorted(range(len(confs[cls])), key=lambda i: -confs[cls][i])
-        aps = []
-        for t, column in enumerate(columns[cls]):
-            ap, points = ap_from_ranking([column[i] for i in order], n_gt[cls])
-            aps.append(ap)
-            if t == 0:   # RANGE_THRESHOLDS[0] is IOU 0.50
-                curves[cls] = points
-        tp = sum(columns[cls][0])
-        p, r = precision_recall(
-            ClassCounts(tp, len(order) - tp, n_gt[cls] - tp))
+    for cls, n_gt, a, b in zip(gt_classes.tolist(), n_gts.tolist(), lo, hi):
+        column = flags[:, ranked[a:b]]
+        aps, curves[cls] = _ap_rows(column, n_gt)
+        tp = int(np.count_nonzero(column[0]))
+        p, r = precision_recall(ClassCounts(tp, b - a - tp, n_gt - tp))
         per_class[cls] = ClassReport(p, r, aps[0], macro_average(aps))
     precision = macro_average(r.precision for r in per_class.values())
     recall = macro_average(r.recall for r in per_class.values())
     return EvalReport(
-        classes=tuple(gt_classes), per_class=per_class,
+        classes=tuple(gt_classes.tolist()), per_class=per_class,
         precision=precision, recall=recall, f1=f1(precision, recall),
         map50=macro_average(r.ap50 for r in per_class.values()),
         map_range=macro_average(r.ap_range for r in per_class.values()),

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from yolotla import meter
+from yolotla import cli, meter
 from yolotla.cli import main
 from yolotla.graph import build_model, find_config, save_weights
 from yolotla.tensor import Tensor, save_tns
@@ -908,6 +908,21 @@ class TestHostileJson:
         assert_one_line_error(code, err)
         assert str(path) in err
         assert out == ""
+
+
+class TestUnexpectedException:
+
+    def test_internal_error_is_one_line_with_exit_two(self, capsys,
+                                                      monkeypatch):
+        def broken(args):
+            raise RuntimeError("invariant broken\nsecond line")
+
+        monkeypatch.setattr(cli, "cmd_configs", broken)
+        code, out, err = run(["configs"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "internal error: RuntimeError: invariant broken " \
+                      "second line\n"
 
 
 class TestOracleCheckCommand:

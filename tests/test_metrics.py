@@ -5,12 +5,19 @@ envelope by summing rectangle strips between consecutive distinct recall
 values; it was written first and the 101-point implementation is held to
 it within 0.01 on randomized instances. The evaluation oracle matches
 every image once per IOU threshold, calling ``iou`` for each pair, and
-ranks each class separately; ``evaluate`` must reproduce it exactly.
+ranks each class separately; ``evaluate`` must reproduce it exactly, on
+fixed sets and on generated ones, and its array pass over the pairs must
+give each pair ``iou``'s value bit for bit.
 """
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from yolotla import metrics
+from yolotla.errors import YoloTlaError
 from yolotla.metrics import (ClassCounts, ClassReport, EvalReport,
                              ap_from_ranking, evaluate, f1, macro_average,
                              match_image, precision_recall, RANGE_THRESHOLDS)
@@ -393,17 +400,147 @@ class TestAgainstReferenceEvaluate:
                     _, flags = match_image(dets[img], gts[img], thr)
                     assert flags == reference_match(dets[img], gts[img], thr)
 
-    def test_iou_computed_once_per_same_class_pair(self, monkeypatch):
-        calls = []
-
-        def counting_iou(a, b):
-            calls.append((a, b))
-            return iou(a, b)
-
-        monkeypatch.setattr(metrics, "iou", counting_iou)
+    def test_pair_ious_equal_iou_once_per_same_class_pair(self):
         gts, dets = random_eval_set(np.random.default_rng(31), n_images=30)
-        pairs = sum(1 for img in set(gts) & set(dets)
-                    for d in dets[img] for _, c in gts[img]
-                    if c == d.class_id)
-        evaluate(gts, dets)
-        assert 0 < len(calls) <= pairs
+        image_ids = sorted(set(gts) | set(dets))
+        d, g, v = metrics._same_class_pairs(
+            metrics._flatten(image_ids, gts, dets))
+        det_rows = [(img, x) for img in image_ids for x in dets.get(img, [])]
+        gt_rows = [(img, x) for img in image_ids for x in gts.get(img, [])]
+        expected = {(i, j): iou(dx.box, gx[0])
+                    for i, (di, dx) in enumerate(det_rows)
+                    for j, (gi, gx) in enumerate(gt_rows)
+                    if di == gi and dx.class_id == gx[1]}
+        got = list(zip(d.tolist(), g.tolist(), v.tolist()))
+        assert len({(i, j) for i, j, _ in got}) == len(got)   # none twice
+        assert {(i, j) for i, j, _ in got} == set(expected)
+        assert any(x > 0 for x in expected.values())
+        for i, j, x in got:
+            assert x.hex() == float(expected[i, j]).hex()
+
+    def test_perfbench_shaped_set_matches(self):
+        gts, dets = perfbench_shaped_set(np.random.default_rng(37))
+        assert sum(map(len, dets.values())) == 20_000
+        rep, ref = evaluate(gts, dets), reference_evaluate(gts, dets)
+        assert rep.to_dict() == ref.to_dict()
+        assert rep.pr_curves == ref.pr_curves
+
+
+def perfbench_shaped_set(rng, n_images=200, gt_per_image=20,
+                         dets_per_image=100, n_classes=10):
+    """Float boxes in a 640x480 frame, 20 ground truths and 100 detections
+    per image in 10 classes; a quarter of the detections are jittered
+    copies of ground truth, one in ten of those relabelled."""
+    gts, dets = {}, {}
+
+    def random_box():
+        w, h = np.exp(rng.uniform(np.log(6.0), np.log(240.0), 2))
+        x, y = rng.uniform(0, 640 - w), rng.uniform(0, 480 - h)
+        return float(x), float(y), float(x + w), float(y + h)
+
+    for img in range(1, n_images + 1):
+        rows = [gt(random_box(), int(rng.integers(n_classes)))
+                for _ in range(gt_per_image)]
+        drows = []
+        for di in range(dets_per_image):
+            if di < dets_per_image // 4:
+                (x1, y1, x2, y2), cls = rows[di % len(rows)]
+                w, h = x2 - x1, y2 - y1
+                jitter = rng.normal(0.0, 0.08, 4) * np.array([w, h, w, h])
+                box = (np.array([x1, y1, x2, y2]) + jitter).tolist()
+                if rng.random() < 0.1:
+                    cls = int(rng.integers(n_classes))
+            else:
+                box, cls = random_box(), int(rng.integers(n_classes))
+            drows.append(det(box, cls, float(rng.uniform(0.05, 1.0))))
+        gts[img], dets[img] = rows, drows
+    return gts, dets
+
+
+# coordinates: small ints, or floats on a 1/4 grid so that exact duplicates,
+# zero widths and equal IOUs are common
+coords = st.integers(0, 24) | st.integers(0, 96).map(lambda q: q / 4)
+sizes = st.integers(0, 12) | st.integers(0, 48).map(lambda q: q / 4)
+confidences = st.sampled_from([0.3, 0.5, 0.9]) | st.floats(0, 1)
+
+
+@st.composite
+def eval_sets(draw):
+    """Up to four images, each holding ground truth, detections or both, in
+    three ground-truth classes and a detection-only class 3. A ground
+    truth may get a shifted twin; detections copy a ground truth exactly,
+    shift it, sit centred between it and its twin (at equal IOU to both)
+    or fall anywhere."""
+    gts, dets = {}, {}
+    for img in range(draw(st.integers(0, 4))):
+        rows, drows = [], []
+        for _ in range(draw(st.integers(0, 4))):
+            x, y, w, h = (draw(coords), draw(coords), draw(sizes),
+                          draw(sizes))
+            cls = draw(st.integers(0, 2))
+            rows.append(gt((x, y, x + w, y + h), cls))
+            twin = draw(st.sampled_from([2, 4, 8]))
+            if draw(st.booleans()):
+                rows.append(gt((x + twin, y, x + w + twin, y + h), cls))
+            for _ in range(draw(st.integers(0, 3))):
+                shift = draw(st.sampled_from([0, 1, twin / 2, twin,
+                                              3 * twin / 2]))
+                drows.append(det((x + shift, y, x + w + shift, y + h), cls,
+                                 draw(confidences)))
+        for _ in range(draw(st.integers(0, 3))):
+            x, y, w, h = (draw(coords), draw(coords), draw(sizes),
+                          draw(sizes))
+            drows.append(det((x, y, x + w, y + h), draw(st.integers(0, 3)),
+                             draw(confidences)))
+        drows = draw(st.permutations(drows))
+        side = draw(st.sampled_from(["both", "gt", "dets"]))
+        if side != "dets":
+            gts[img] = rows
+        if side != "gt":
+            dets[img] = drows
+    return gts, dets
+
+
+class TestPropertyAgainstOracles:
+
+    @settings(max_examples=200)
+    @given(eval_sets())
+    def test_evaluate_and_match_image_equal_the_oracles(self, sets):
+        gts, dets = sets
+        rep, ref = evaluate(gts, dets), reference_evaluate(gts, dets)
+        assert rep.to_dict() == ref.to_dict()
+        assert rep.pr_curves == ref.pr_curves
+        for img in set(gts) | set(dets):
+            for thr in RANGE_THRESHOLDS + (0.0, 1.0):
+                _, flags = match_image(dets.get(img, []), gts.get(img, []),
+                                       thr)
+                assert flags == reference_match(dets.get(img, []),
+                                                gts.get(img, []), thr)
+
+    def test_empty_inputs(self):
+        rep = evaluate({}, {})
+        assert rep.classes == () and rep.map50 == 0.0 and rep.pr_curves == {}
+        assert evaluate({1: []}, {1: []}).to_dict() == rep.to_dict()
+        assert match_image([], [], 0.5) == ({}, [])
+
+
+class TestNonFiniteInput:
+
+    @pytest.mark.parametrize("box, conf", [
+        ((0, 0, math.nan, 10), 0.9), ((0, -math.inf, 10, 10), 0.9),
+        ((0, 0, 10, 10), math.nan), ((0, 0, 10, 10), math.inf)])
+    def test_detection_refused(self, box, conf):
+        gts = {7: [gt((0, 0, 10, 10))]}
+        dets = {7: [det((0, 0, 10, 10)), det(box, conf=conf)]}
+        with pytest.raises(YoloTlaError, match=r"^image 7: detection 1 "):
+            evaluate(gts, dets)
+        with pytest.raises(YoloTlaError, match=r"^image 0: detection 1 "):
+            match_image(dets[7], gts[7], 0.5)
+
+    def test_ground_truth_refused(self):
+        gts = {3: [gt((0, 0, 10, 10))], 5: [gt((0, 0, 10, 10)),
+                                           gt((0, 0, math.inf, 10))]}
+        with pytest.raises(YoloTlaError,
+                           match=r"^image 5: ground truth 1 .*inf") as e:
+            evaluate(gts, {3: [det((0, 0, 10, 10))]})
+        assert "\n" not in str(e.value)
