@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
+from .postprocess import _iou
 
 MAX_ROUNDS = 300
 
@@ -29,12 +30,11 @@ def iou_wh(a, b) -> float:
 
 
 def _distances(boxes: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """1 - IOU_wh for every (box, centroid) pair; shape (n, k)."""
+    """1 - `iou_wh` for every (box, centroid) pair; shape (n, k)."""
     bw, bh = boxes[:, None, 0], boxes[:, None, 1]
     cw, ch = centroids[None, :, 0], centroids[None, :, 1]
-    inter = np.minimum(bw, cw) * np.minimum(bh, ch)
-    union = bw * bh + cw * ch - inter
-    return 1.0 - inter / union
+    return 1.0 - _iou(np.minimum(bw, cw), np.minimum(bh, ch), bw * bh,
+                      cw * ch)
 
 
 def _seed_centroids(boxes: np.ndarray, k: int, rng) -> np.ndarray:

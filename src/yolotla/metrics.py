@@ -20,9 +20,8 @@ by image and in list order within an image, and match it in arrays. They
 give the flags of the greedy loop written out above (`reference_match` in
 the tests), for these reasons:
 - Pairs. Every same-(image, class) (detection, ground truth) pair is
-  listed once, and its IOU is computed in one pass that repeats `iou`'s
-  operations in `iou`'s order (min and max commute, and so does the sum of
-  the two areas), so each equals `iou(det.box, gt_box)` bit for bit.
+  listed once, and its IOU comes from one `postprocess._iou` pass, so
+  each equals `iou(det.box, gt_box)` bit for bit (`_iou` says why).
 - Threshold. The greedy loop lets a detection take its best unmatched
   ground truth, the lowest index winning a tie, if that IOU is positive
   and reaches the threshold. The best reaches the threshold iff some
@@ -55,7 +54,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import YoloTlaError
-from .postprocess import _overlap
+from .postprocess import _columns, _iou, _overlap
 
 RANGE_THRESHOLDS = tuple(round(0.50 + 0.05 * i, 2) for i in range(10))
 RECALL_GRID = np.linspace(0.0, 1.0, 101)
@@ -105,13 +104,10 @@ def _flatten(image_ids, gt_by_image: dict, dets_by_image: dict) -> _Columns:
     gt_lists = [gt_by_image.get(img, []) for img in image_ids]
     dets = list(chain.from_iterable(det_lists))
     gts = list(chain.from_iterable(gt_lists))
-    n, m = len(dets), len(gts)
+    m = len(gts)
     cols = _Columns(
         np.repeat(np.arange(len(image_ids)), [len(v) for v in det_lists]),
-        np.fromiter(chain.from_iterable([d.box for d in dets]), np.float64,
-                    4 * n).reshape(n, 4),
-        np.fromiter((d.class_id for d in dets), np.int64, n),
-        np.fromiter((d.confidence for d in dets), np.float64, n),
+        *_columns(dets),
         np.repeat(np.arange(len(image_ids)), [len(v) for v in gt_lists]),
         np.fromiter(chain.from_iterable([box for box, _ in gts]), np.float64,
                     4 * m).reshape(m, 4),
@@ -149,16 +145,10 @@ def _same_class_pairs(cols: _Columns):
     (dx1, dy1, dx2, dy2), (gx1, gy1, gx2, gy2) = cols.det_box.T, cols.gt_box.T
     # huge finite boxes overflow to inf or nan here as in `iou`, silently
     with np.errstate(over="ignore", invalid="ignore"):
-        iw = _overlap(dx1[d], dx2[d], gx1[g], gx2[g])
-        ih = _overlap(dy1[d], dy2[d], gy1[g], gy2[g])
-        positive = (iw > 0) & (ih > 0)
-        inter = iw * ih
-        union = (((dx2 - dx1) * (dy2 - dy1))[d]
-                 + ((gx2 - gx1) * (gy2 - gy1))[g] - inter)
-        positive &= union > 0
-        v = np.zeros(len(d))
-        v[positive] = inter[positive] / union[positive]
-    return d, g, v
+        return d, g, _iou(_overlap(dx1[d], dx2[d], gx1[g], gx2[g]),
+                          _overlap(dy1[d], dy2[d], gy1[g], gy2[g]),
+                          ((dx2 - dx1) * (dy2 - dy1))[d],
+                          ((gx2 - gx1) * (gy2 - gy1))[g])
 
 
 def _match(cols: _Columns, thresholds) -> np.ndarray:

@@ -41,13 +41,12 @@ x1 order, sorted once and filtered in place to the alive unvisited boxes
 visited box, kept or dead, never needs another kill. Pairs whose
 intersection height is not positive have IOU 0 and are dropped before any
 division. (A negative or NaN threshold suppresses even disjoint boxes, so
-there each class keeps its first box.) Every IOU repeats `iou`'s
-operations in `iou`'s order, and `iou` is bit-symmetric for finite boxes
-because min, max and the sum of the two areas commute in IEEE arithmetic,
-so the kept list equals the one the pairwise loop, `nms_reference`,
-builds, and holds the same objects. That holds for finite coordinates that
-float64 holds exactly, such as Python floats and small ints; `decode`
-produces no other kind.
+there each class keeps its first box.) Every IOU is `_iou`'s, which
+equals `iou` bit for bit (its docstring says why), so the kept list
+equals the one the pairwise loop, `nms_reference`, builds, and holds the
+same objects. That holds for finite coordinates that float64 holds
+exactly, such as Python floats and small ints; `decode` produces no other
+kind.
 """
 from __future__ import annotations
 
@@ -176,18 +175,31 @@ def decode(maps, anchors, strides,
     return out
 
 
+def _columns(dets: list[Detection]):
+    """The detections' (boxes (n, 4) float64, class_id (n,) int64,
+    confidence (n,) float64) columns, in list order."""
+    n = len(dets)
+    return (np.fromiter(chain.from_iterable([d.box for d in dets]),
+                        np.float64, 4 * n).reshape(n, 4),
+            np.fromiter((d.class_id for d in dets), np.int64, n),
+            np.fromiter((d.confidence for d in dets), np.float64, n))
+
+
 def _overlap(lo_a, hi_a, lo_b, hi_b):
     """Intersection length along one axis, as `iou` computes it."""
     return np.minimum(hi_b, hi_a) - np.maximum(lo_b, lo_a)
 
 
-def _suppresses(iw, ih, area_a, area_b, iou_threshold) -> np.ndarray:
-    """Where kept boxes suppress others, from their `_overlap`s and areas:
-    `iou`'s operations in `iou`'s order, for a threshold of at least 0."""
+def _iou(iw, ih, area_a, area_b) -> np.ndarray:
+    """`iou` of box pairs from their `_overlap`s and areas, bit for bit:
+    `iou`'s operations in `iou`'s order, and 0 where an overlap or the
+    union is not positive. Either box may be a, as min, max and the sum of
+    the two areas commute in IEEE arithmetic. A product that overflows
+    warns unless the caller silences it."""
     inter = iw * ih
-    union = area_b + area_a - inter
-    return (iw > 0) & (ih > 0) & (union > 0) & ~(inter / union
-                                                  <= iou_threshold)
+    union = area_a + area_b - inter
+    return np.divide(inter, union, out=np.zeros(union.shape),
+                     where=(iw > 0) & (ih > 0) & (union > 0))
 
 
 def _keep_class(boxes: np.ndarray, iou_threshold) -> list[int]:
@@ -213,10 +225,10 @@ def _keep_class(boxes: np.ndarray, iou_threshold) -> list[int]:
         start = int(block[-1]) + 1
         # (b) greedy sweep inside the block over rows of suppression bits
         bx1, by1, bx2, by2 = x1[block], y1[block], x2[block], y2[block]
-        hits = _LATER[:len(block), :len(block)] & _suppresses(
+        hits = _LATER[:len(block), :len(block)] & ~(_iou(
             _overlap(bx1[:, None], bx2[:, None], bx1, bx2),
             _overlap(by1[:, None], by2[:, None], by1, by2),
-            area[block, None], area[block], iou_threshold)
+            area[block, None], area[block]) <= iou_threshold)
         rows = hits.astype(np.uint64) @ _BITS[:len(block)]
         dead = 0
         won = []
@@ -244,9 +256,9 @@ def _keep_class(boxes: np.ndarray, iou_threshold) -> list[int]:
         at = near + (hi - ends)[which]   # positions in the window arrays
         owner, rival = winners[which], live[at]
         # (f, g) the remaining pairs' IOUs; later ranks above it die
-        hit = (rival >= start) & _suppresses(
+        hit = (rival >= start) & ~(_iou(
             _overlap(x1[owner], x2[owner], lx1[at], lx2[at]), ih[near],
-            area[owner], area[rival], iou_threshold)
+            area[owner], area[rival]) <= iou_threshold)
         alive[rival[hit]] = False
         rest = np.flatnonzero(alive[start:])
     return kept
@@ -258,11 +270,7 @@ def nms(dets, iou_threshold=DEFAULT_IOU_THRESHOLD) -> list[Detection]:
     dets = list(dets)
     if not dets:
         return []
-    n = len(dets)
-    boxes = np.fromiter(chain.from_iterable([d.box for d in dets]),
-                        np.float64, 4 * n).reshape(n, 4)
-    class_id = np.fromiter((d.class_id for d in dets), np.int64, n)
-    conf = np.fromiter((d.confidence for d in dets), np.float64, n)
+    boxes, class_id, conf = _columns(dets)
     ranked = np.lexsort((boxes[:, 1], boxes[:, 0], class_id, -conf))
     ranked_class = class_id[ranked]
     grouped = np.argsort(ranked_class, kind="stable")   # ranks, by class

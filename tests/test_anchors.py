@@ -2,8 +2,8 @@
 import numpy as np
 import pytest
 
-from yolotla.anchors import (AnchorSet, assign_to_scales, fit_anchors,
-                             iou_wh)
+from yolotla.anchors import (AnchorSet, _distances, assign_to_scales,
+                             fit_anchors, iou_wh)
 from yolotla.errors import ConfigError
 
 # the 12-anchor reference layout used by the four-scale configs
@@ -40,6 +40,18 @@ class TestIouWh:
         for _ in range(20):
             a, b = rng.uniform(1, 100, 2), rng.uniform(1, 100, 2)
             assert iou_wh(a, b) == pytest.approx(iou_wh(b, a))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_is_the_oracle_of_distances(self, seed):
+        """`_distances` equals 1 - `iou_wh` bit for bit, repeated sizes
+        and centroids equal to boxes included."""
+        rng = np.random.default_rng(seed)
+        sizes = np.concatenate([rng.uniform(0.5, 400, (40, 2)),
+                                rng.integers(1, 30, (40, 2))])
+        boxes = sizes[rng.integers(len(sizes), size=120)]
+        centroids = np.concatenate([boxes[:5], rng.uniform(1, 300, (7, 2))])
+        want = [[1.0 - iou_wh(b, c) for c in centroids] for b in boxes]
+        assert np.array_equal(_distances(boxes, centroids), want)
 
 
 class TestFitAnchors:

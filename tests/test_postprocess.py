@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from yolotla.data import letterbox
 from yolotla.errors import ShapeError, YoloTlaError
 from yolotla.graph import build_model, find_config
-from yolotla.postprocess import (Detection, decode, iou, nms, nms_reference,
-                                 to_coco_results)
+from yolotla.postprocess import (Detection, _iou, _overlap, decode, iou, nms,
+                                 nms_reference, to_coco_results)
 from yolotla.tensor import Tensor, sigmoid64
 
 
@@ -85,6 +85,64 @@ class TestIou:
     def test_degenerate_is_zero(self):
         assert iou((2, 2, 2, 5), (0, 0, 4, 4)) == 0.0
         assert iou((1, 1, 1, 1), (1, 1, 1, 1)) == 0.0
+
+
+# Integers, the quarter grid and huge values whose products overflow.
+COORDS = st.one_of(st.integers(-6, 6).map(float),
+                   st.integers(-24, 24).map(lambda v: v / 4),
+                   st.sampled_from([-3e200, -1e200, 1e200, 2e200]))
+
+
+@st.composite
+def box_pairs(draw):
+    """A box and a second box that is free, identical, inside it, shares an
+    edge with it or is disjoint from it in y only."""
+    def span():
+        return sorted(draw(COORDS) for _ in range(2))
+    (x1, x2), (y1, y2) = span(), span()
+    kind = draw(st.sampled_from(["free", "same", "inside", "edge", "y-gap"]))
+    if kind == "free":
+        (bx1, bx2), (by1, by2) = span(), span()
+    elif kind == "same":
+        bx1, by1, bx2, by2 = x1, y1, x2, y2
+    elif kind == "inside":
+        bx1, bx2 = sorted(draw(st.floats(x1, x2)) for _ in range(2))
+        by1, by2 = y1, y2
+    elif kind == "edge":   # starting where a ends in x, or where it starts
+        bx1 = draw(st.sampled_from([x1, x2]))
+        bx2, by1, by2 = max(bx1, draw(COORDS)), y1, y2
+    else:                  # a's x-range, apart from a in y
+        bx1, bx2 = x1, x2
+        by1 = y2 + draw(st.sampled_from([0.0, 0.25, 1.0, 3.0]))
+        by2 = by1 + abs(draw(COORDS))
+    return (x1, y1, x2, y2), (bx1, by1, bx2, by2)
+
+
+def kernel_iou(a, b):
+    """`_iou` of row-aligned (n, 4) box arrays through `_overlap`."""
+    def area(box):
+        return (box[:, 2] - box[:, 0]) * (box[:, 3] - box[:, 1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _iou(_overlap(a[:, 0], a[:, 2], b[:, 0], b[:, 2]),
+                    _overlap(a[:, 1], a[:, 3], b[:, 1], b[:, 3]),
+                    area(a), area(b))
+
+
+class TestIouKernel:
+    """`_iou`, the one vectorized IOU behind `nms`, `evaluate` and anchor
+    fitting, must equal `iou` bit for bit under either argument order."""
+
+    @settings(max_examples=300)
+    @given(pairs=st.lists(box_pairs(), min_size=1, max_size=20))
+    @example(pairs=[((-1e200, -1e200, 1e200, 1e200),) * 2])   # union NaN
+    @example(pairs=[((0.0, 0.0, 2.0, 2.0), (0.0, 3.0, 2.0, 5.0))])   # ih < 0
+    def test_equals_iou(self, pairs):
+        a = np.array([p for p, _ in pairs], dtype=np.float64)
+        b = np.array([q for _, q in pairs], dtype=np.float64)
+        want = np.array([iou(p, q) for p, q in pairs])
+        for got in (kernel_iou(a, b), kernel_iou(b, a)):
+            assert np.array_equal(got, want, equal_nan=True)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 class TestDecode:
