@@ -30,11 +30,13 @@ def iou_wh(a, b) -> float:
 
 
 def _distances(boxes: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """1 - `iou_wh` for every (box, centroid) pair; shape (n, k)."""
+    """1 - `iou_wh` for every (box, centroid) pair; shape (n, k). An area
+    that overflows to inf warns nothing, as in `nms` and `evaluate`."""
     bw, bh = boxes[:, None, 0], boxes[:, None, 1]
     cw, ch = centroids[None, :, 0], centroids[None, :, 1]
-    return 1.0 - _iou(np.minimum(bw, cw), np.minimum(bh, ch), bw * bh,
-                      cw * ch)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return 1.0 - _iou(np.minimum(bw, cw), np.minimum(bh, ch), bw * bh,
+                          cw * ch)
 
 
 def _seed_centroids(boxes: np.ndarray, k: int, rng) -> np.ndarray:
@@ -46,16 +48,16 @@ def _seed_centroids(boxes: np.ndarray, k: int, rng) -> np.ndarray:
         weights = d * d
         total = weights.sum()
         if total <= 0:
-            remaining = [i for i in range(n) if i not in set(chosen)]
-            chosen.append(remaining[0])
+            chosen.append(next(i for i in range(n) if i not in chosen))
             continue
         chosen.append(int(rng.choice(n, p=weights / total)))
     return boxes[chosen].copy()
 
 
 def _sort_anchors(anchors: np.ndarray) -> np.ndarray:
-    order = np.lexsort((anchors[:, 1], anchors[:, 0],
-                        anchors[:, 0] * anchors[:, 1]))
+    with np.errstate(over="ignore"):   # an inf area still sorts last
+        area = anchors[:, 0] * anchors[:, 1]
+    order = np.lexsort((anchors[:, 1], anchors[:, 0], area))
     return anchors[order]
 
 

@@ -5,14 +5,15 @@ A block states its structure in `build`, which assigns the named sub-units
 that own its parameters, and in `forward`, written in tensor kernels. The
 base `Block` derives the rest. Its child tree is the units and blocks that
 `build` assigned, in assignment order, a list attribute `m` listed as
-`m0, m1, ...`; so `build` assigns them in manifest order. Output shapes and
-(macs, flops) come from a `forward` over shape-only meta tensors under an
-isolated meter; the parameter manifest, `load` and `param_count` come from
-the one walk of the child tree, `leaves`, whose leaves alone declare
-parameter shapes. A block's `KIND` is its class name. No block states its
-output width; a model reads it from the meta forward's output shape. Every
-leaf is a conv unit, so `conv2d` is the one kernel with weights; GAM's
-per-position MLP layers are 1x1 units that keep a linear layer's manifest.
+`m0, m1, ...`; so `build` assigns them in manifest order. `metered` runs
+`forward` under a meter of its own, and output shapes and (macs, flops)
+are one `metered` call over shape-only meta tensors; the parameter
+manifest, `load` and `param_count` come from the one walk of the child
+tree, `leaves`, whose leaves alone declare parameter shapes. A block's
+`KIND` is its class name. No block states its output width; a model reads
+it from the meta forward's output shape. Every leaf is a conv unit, so
+`conv2d` is the one kernel with weights; GAM's per-position MLP layers are
+1x1 units that keep a linear layer's manifest.
 
 A block's config arguments are the keyword-only parameters of its `build`
 method. The base constructor is their one binder: it checks the input
@@ -225,19 +226,20 @@ class Block:
         """Single-input shorthand, used where a block is another block's child."""
         return self.forward([x])
 
-    def _meta_forward(self, shapes: list[Shape]):
+    def metered(self, xs: list[Tensor]):
+        """(forward(xs), the CostMeter of that forward alone); meters
+        already active receive nothing from it."""
         with meter.isolated() as m:
-            out = self.forward([Tensor.meta(s) for s in shapes])
-        return out, m
+            return self.forward(xs), m
 
     def out_shape(self, shapes: list[Shape]) -> Shape | list[Shape]:
         """Output shape at the given input shapes (one per map for Detect)."""
-        out, _ = self._meta_forward(shapes)
+        out, _ = self.metered([Tensor.meta(s) for s in shapes])
         return [t.shape for t in out] if isinstance(out, list) else out.shape
 
     def cost(self, shapes: list[Shape]) -> tuple[int, int]:
         """(macs, flops) for one forward at the given input shapes."""
-        _, m = self._meta_forward(shapes)
+        _, m = self.metered([Tensor.meta(s) for s in shapes])
         return m.macs, m.flops
 
 

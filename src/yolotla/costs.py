@@ -3,9 +3,10 @@
 The analyzer runs the model's one graph walk over a shape-only (meta)
 input with a CostMeter per layer: every kernel prices itself from the
 table in yolotla.meter without computing anything. The instrumented
-route (count_empirical) runs the same walk on real zeros under one
-meter, and the two agree exactly. The conv rule in yolotla.tensor keeps
-the prices honest: conv2d records what the loop-nest `conv2d_naive` executes.
+route (count_empirical) runs the same per-layer walk, `_layer_rows`, on
+real zeros and sums its rows, and the two agree exactly. The conv rule in
+yolotla.tensor keeps the prices honest: conv2d records what the
+loop-nest `conv2d_naive` executes.
 
 Counting convention, stated wherever totals are reported: one
 multiply-accumulate costs 2 FLOPs; a biased layer adds one addition per
@@ -28,7 +29,6 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import meter
 from .errors import ConfigError
 from .graph import INPUT_CHANNELS, Model
 from .tensor import Tensor
@@ -74,23 +74,17 @@ class CostReport:
         return {**asdict(self), "gflops": self.gflops}
 
 
-def _check_truncate(model: Model, truncate) -> None:
+def _layer_rows(model: Model, x: Tensor, truncate) -> list[LayerCost]:
+    """One LayerCost per node that `model.walk` runs on x, each metered by
+    `Block.metered`; the head's row is last unless the walk is truncated."""
     n = len(model.blocks)
     if truncate is not None and not 1 <= truncate <= n:
         raise ConfigError(
             f"truncate must be within 1..{n}, got {truncate}")
-
-
-def analyze(model: Model, input_hw=(640, 640), truncate=None) -> CostReport:
-    """Price every layer for the given input size by a shape-only walk."""
-    _check_truncate(model, truncate)
-    h, w = input_hw
-    input_shape = (1, INPUT_CHANNELS, int(h), int(w))
     rows: list[LayerCost] = []
 
     def step(index, block, ins):
-        with meter.isolated() as m:
-            out = block.forward(ins)
+        out, m = block.metered(ins)
         if block is model.detect:
             kind, sources, shape = "Detect", model.detect_from, out[0].shape
         else:
@@ -100,7 +94,15 @@ def analyze(model: Model, input_hw=(640, 640), truncate=None) -> CostReport:
                               block.param_count(), m.macs, m.flops))
         return out
 
-    model.meta_walk(input_shape, upto=truncate, step=step)
+    model.walk(x, upto=truncate, step=step)
+    return rows
+
+
+def analyze(model: Model, input_hw=(640, 640), truncate=None) -> CostReport:
+    """Price every layer for the given input size by a shape-only walk."""
+    h, w = input_hw
+    input_shape = (1, INPUT_CHANNELS, int(h), int(w))
+    rows = _layer_rows(model, Tensor.meta(input_shape), truncate)
     n = len(model.blocks)
     return CostReport(
         name=model.config.name, input_shape=input_shape,
@@ -111,13 +113,12 @@ def analyze(model: Model, input_hw=(640, 640), truncate=None) -> CostReport:
 
 
 def count_empirical(model: Model, input_hw=(640, 640), truncate=None):
-    """Run the real forward pass under a meter; returns (macs, flops)."""
-    _check_truncate(model, truncate)
+    """The same per-layer walk as `analyze`, run on real zeros; returns the
+    summed (macs, flops). Meters active around it receive nothing."""
     h, w = input_hw
     x = Tensor(np.zeros((1, INPUT_CHANNELS, int(h), int(w)), np.float32))
-    with meter.CostMeter() as m:
-        model.walk(x, upto=truncate)
-    return m.macs, m.flops
+    rows = _layer_rows(model, x, truncate)
+    return sum(r.macs for r in rows), sum(r.flops for r in rows)
 
 
 # -- closed-form single-layer estimates (quarantined, see module docstring) --

@@ -81,12 +81,17 @@ class Dataset:
 _NUMBER = frozenset((int, float))   # json.loads types; type(True) is bool
 
 
-def _read_json(path, what: str):
+def read_json(path, what: str):
+    """The JSON document in the file at path; `what` names it in errors."""
     try:
         return json.loads(Path(path).read_bytes().decode("utf-8"))
-    except (OSError, ValueError, RecursionError) as e:
-        # also an integer past Python's digit limit, or nesting too deep
-        raise ParseError(f"cannot read {what} from {path}: {e}") from e
+    except OSError as e:
+        raise ParseError(f"cannot read {what} {path}: {e.strerror or e}") from e
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{what} {path} is not UTF-8 text: {e}") from e
+    except (ValueError, RecursionError) as e:
+        # bad JSON, an integer past Python's digit limit, or deep nesting
+        raise ParseError(f"{what} {path} is not valid JSON: {e}") from e
 
 
 def _records(path, section: str, rows: list, parse) -> list:
@@ -133,7 +138,7 @@ def _bbox(rec: dict) -> tuple[float, float, float, float]:
 def load_coco(path) -> Dataset:
     """Read a COCO instances JSON; degenerate boxes are dropped, counted,
     and reported through the package logger."""
-    doc = _read_json(path, "annotations")
+    doc = read_json(path, "annotations")
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: annotation root must be an object")
     for key in ("images", "annotations", "categories"):
@@ -165,7 +170,7 @@ def load_coco(path) -> Dataset:
 
 def load_results(path, ds: Dataset) -> dict[int, list[Detection]]:
     """Read COCO results as {image_id: [Detection]} in ``ds``'s classes."""
-    rows = _read_json(path, "results")
+    rows = read_json(path, "results")
     if not isinstance(rows, list):
         raise ParseError(f"{path}: results root must be a list")
     dets: dict[int, list[Detection]] = {}

@@ -34,7 +34,6 @@ count.
 """
 from __future__ import annotations
 
-import json
 import math
 import os
 import struct
@@ -47,6 +46,7 @@ import numpy as np
 
 from . import blocks as _blocks
 from . import meter
+from .data import read_json
 from .errors import (ConfigError, ParseError, ShapeError, WeightError,
                      is_instance)
 from .tensor import Tensor
@@ -183,15 +183,7 @@ def _parse_layer(index: int, row) -> LayerSpec:
 
 def read_config(path) -> dict:
     """The JSON object stored in a config file, before any validation."""
-    try:
-        doc = json.loads(Path(path).read_bytes().decode("utf-8"))
-    except OSError as e:
-        raise ParseError(f"cannot read config {path}: {e.strerror or e}") from e
-    except UnicodeDecodeError as e:
-        raise ParseError(f"config {path} is not UTF-8 text: {e}") from e
-    except (ValueError, RecursionError) as e:
-        # bad JSON, an integer past Python's digit limit, or deep nesting
-        raise ParseError(f"config {path} is not valid JSON: {e}") from e
+    doc = read_json(path, "config")
     if not isinstance(doc, dict):
         raise ConfigError(f"config {path}: root must be an object")
     return doc
@@ -367,7 +359,8 @@ class Model:
     # -- structure ---------------------------------------------------------
 
     def head_shapes(self, input_shape) -> list[tuple[int, int, int, int]]:
-        return [t.shape for t in self.meta_walk(input_shape)]
+        with meter.isolated():
+            return [t.shape for t in self.walk(Tensor.meta(input_shape))]
 
     def _leaves(self):
         """(path, unit) for every conv unit, layers first, in manifest order."""
@@ -455,12 +448,6 @@ class Model:
             return out
         return step(len(self.blocks), self.detect,
                     [cache[i] for i in self.detect_from])
-
-    def meta_walk(self, input_shape, upto: int | None = None,
-                  step=_forward_step):
-        """`walk` over a shape-only input; records nothing to active meters."""
-        with meter.isolated():
-            return self.walk(Tensor.meta(input_shape), upto, step)
 
     def forward(self, x: Tensor) -> list[Tensor]:
         """Run the graph; returns one raw prediction map per detect scale."""

@@ -21,7 +21,12 @@ import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-_local = threading.local()
+
+class _Local(threading.local):
+    meters: tuple = ()   # this thread's active meters, innermost last
+
+
+_local = _Local()
 
 ELEMENTWISE_UNIT_COST = {
     "sigmoid": 1,
@@ -60,28 +65,21 @@ class CostMeter:
         cost.flops += flops
 
     def __enter__(self) -> "CostMeter":
-        _stack().append(self)
+        _local.meters += (self,)
         return self
 
     def __exit__(self, *exc) -> None:
         # By identity: dataclass equality matches any meter with equal tallies.
-        stack = _stack()
-        stack.pop(next(i for i, m in enumerate(stack) if m is self))
-
-
-def _stack() -> list:
-    stack = getattr(_local, "meters", None)
-    if stack is None:
-        stack = _local.meters = []
-    return stack
+        meters = _local.meters
+        i = next(i for i, m in enumerate(meters) if m is self)
+        _local.meters = meters[:i] + meters[i + 1:]
 
 
 @contextmanager
 def isolated():
     """A fresh CostMeter for the block; meters already active receive
     nothing from inside it, so inference never leaks into a measurement."""
-    saved = _stack()
-    _local.meters = []
+    saved, _local.meters = _local.meters, ()
     try:
         with CostMeter() as m:
             yield m
@@ -91,7 +89,7 @@ def isolated():
 
 def record(kind: str, macs: int, flops: int) -> None:
     """Report a primitive's cost to every active meter (no-op otherwise)."""
-    for m in _stack():
+    for m in _local.meters:
         m.add(kind, macs, flops)
 
 

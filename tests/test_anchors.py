@@ -99,6 +99,18 @@ class TestFitAnchors:
         areas = out[:, 0] * out[:, 1]
         assert np.all(np.diff(areas) >= 0)
 
+    def test_zero_weight_seeding_and_empty_cluster(self):
+        # 1 - IOU of the two near-equal sizes rounds to 0: once both the
+        # small box and one of them are chosen, every k-means++ weight is 0,
+        # so the first unchosen index is taken; both then tie for the first
+        # centroid, the other cluster is empty and is reseeded
+        boxes = [(100.0, 100.0), (100.0, np.nextafter(100.0, 200.0)),
+                 (30.0, 40.0)]
+        trace: list[float] = []
+        out = fit_anchors(boxes, k=3, seed=0, trace=trace)
+        assert out.tolist() == [[30.0, 40.0], [100.0, 100.0], [100.0, 100.0]]
+        assert trace == [0.0, 0.0]
+
     def test_k_exceeding_distinct_rejected(self):
         boxes = [(10, 10)] * 50 + [(20, 20)] * 50
         with pytest.raises(ConfigError, match="2 distinct"):

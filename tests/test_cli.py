@@ -12,6 +12,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -312,6 +313,20 @@ class TestAnchorsCommand:
         assert_one_line_error(code, err)
         assert "annotations[2] has a non-finite bbox" in err
         assert out == ""
+
+    def test_overflowing_box_area_prints_no_warning(self, workdir, capsys):
+        # a finite 1e200 x 1e200 box has an area past float64's range
+        doc = json.loads(workdir["gt"].read_text())
+        doc["annotations"][2]["bbox"][2:] = [1e200, 1e200]
+        path = workdir["root"] / "huge-box-instances.json"
+        path.write_text(json.dumps(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(
+                ["anchors", "--dataset", str(path), "--k", "6",
+                 "--scales", "80,40"], capsys)
+        assert (code, err) == (0, "")
+        assert "fitted 6 anchors over 40 boxes" in out
 
     def test_patch_config_writes_a_buildable_model(self, workdir, capsys):
         out_cfg = workdir["root"] / "patched.cfg"

@@ -12,10 +12,12 @@ import numpy as np
 import pytest
 
 from yolotla import meter
-from yolotla.costs import (CONVENTION, analyze, closed_form_cross,
-                           closed_form_standard, count_empirical)
+from yolotla.costs import (CONVENTION, _layer_rows, analyze,
+                           closed_form_cross, closed_form_standard,
+                           count_empirical)
 from yolotla.errors import ConfigError, ShapeError
 from yolotla.graph import build_model, find_config
+from yolotla.tensor import Tensor
 
 FROZEN_TOTALS = {
     # name: (params, MACs @640, FLOPs @640)
@@ -102,6 +104,21 @@ class TestDualRouteConsistency:
         rep = analyze(m, input_hw=(64, 64), truncate=14)
         macs, flops = count_empirical(m, input_hw=(64, 64), truncate=14)
         assert (macs, flops) == (rep.total_macs, rep.total_flops)
+
+    @pytest.mark.parametrize("name", sorted(FROZEN_TOTALS))
+    def test_real_rows_equal_analyzed_rows(self, models, name):
+        # field by field, not only the totals: kind, sources, output shape,
+        # params, macs and flops of every layer and of the head
+        model = models[name]
+        rep = analyze(model, input_hw=(64, 64))
+        zeros = Tensor(np.zeros((1, 3, 64, 64), np.float32))
+        assert _layer_rows(model, zeros, None) == [*rep.layers, rep.head]
+
+    def test_count_empirical_reports_to_no_enclosing_meter(self, models):
+        with meter.CostMeter() as outer:
+            macs, flops = count_empirical(models["yolov5s"], (64, 64))
+        assert macs > 0 and flops > 0
+        assert (outer.macs, outer.flops) == (0, 0)
 
     def test_truncate_bounds_checked(self, models):
         with pytest.raises(ConfigError, match="truncate"):

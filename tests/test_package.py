@@ -1,5 +1,6 @@
 """Guards over the package source as a whole."""
 import ast
+import sys
 from pathlib import Path
 
 import yolotla
@@ -25,3 +26,12 @@ def test_no_module_imports_unittest():
                  for name in imported_modules(ast.parse(path.read_text(), str(path)))
                  if name == "unittest" or name.startswith("unittest.")]
     assert offenders == []
+
+
+def test_numpy_is_the_only_third_party_import():
+    # pyproject.toml's dependencies list numpy alone
+    top_level = {name.partition(".")[0]
+                 for path in SRC.rglob("*.py")
+                 for name in imported_modules(
+                     ast.parse(path.read_text(), str(path)))}
+    assert top_level - sys.stdlib_module_names == {"numpy"}

@@ -5,6 +5,7 @@ cases pin it down first; the vectorized path is then required to agree with
 it across randomized shapes, strides, padding, and group counts.
 """
 import itertools
+import threading
 import time
 import tracemalloc
 import warnings
@@ -546,6 +547,28 @@ class TestMeterHooks:
                 relu(x)
             relu(x)
         assert (inner.flops, outer.flops) == (4, 4)
+
+    def test_meters_in_two_threads_see_only_their_own_work(self):
+        # the threads take turns round by round, each inside its own meter
+        in_step = threading.Barrier(2, timeout=10)
+        got = {}
+
+        def work(side):
+            x = Tensor.full(1, 1, side, side, 1.0)
+            with meter.CostMeter() as m:
+                for _ in range(50):
+                    in_step.wait()
+                    relu(x)
+            got[side] = m.by_kind
+
+        threads = [threading.Thread(target=work, args=(side,))
+                   for side in (2, 3)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert got == {2: {"relu": meter.OpCost(0, 4 * 50)},
+                       3: {"relu": meter.OpCost(0, 9 * 50)}}
 
 
 class TestMetaTensors:
