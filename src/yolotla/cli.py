@@ -10,13 +10,15 @@ stderr line, `internal error: <Type>: <message>`, not a traceback.
 Everything is driven by flags; there are no environment variables, and
 identical invocations with identical seeds print byte-identical output.
 JSON output is sorted and carries no timestamps so it can be golden-file
-tested; `infer --timings` writes its per-stage wall seconds to stderr only.
+tested; `infer --timings` writes each stage's wall seconds and the process
+peak RSS after it to stderr only.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import logging
+import resource
 import sys
 import time
 from pathlib import Path
@@ -35,7 +37,7 @@ from .graph import (build_model, bundled_config_names, find_config,
                     parse_config, read_config)
 from .metrics import ap_from_ranking, evaluate, exact_envelope_ap
 from .postprocess import (DEFAULT_CONF_THRESHOLD, DEFAULT_IOU_THRESHOLD,
-                          Detection, decode, nms, to_coco_results)
+                          Detection, decode, nms, results_json)
 from .tensor import ConvSpec, Tensor, conv2d, conv2d_naive
 
 log = logging.getLogger("yolotla")
@@ -207,41 +209,45 @@ def cmd_anchors(args) -> int:
 INFER_STAGES = ("load", "letterbox", "forward", "decode", "nms", "serialize")
 
 
+def _mark(clock: list) -> None:
+    """Append (wall seconds, process peak RSS in MB so far) to ``clock``;
+    `ru_maxrss` counts KiB on Linux and bytes on macOS."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    clock.append((time.perf_counter(),
+                  peak / (1 << 20 if sys.platform == "darwin" else 1 << 10)))
+
+
 def cmd_infer(args) -> int:
     _check_seed(args.seed)
     for flag, value in (("--conf", args.conf), ("--iou", args.iou)):
         if not 0.0 <= value <= 1.0:
             raise ConfigError(f"{flag} must be within [0, 1], got {value}")
-    clock = [time.perf_counter()]   # one reading after each of INFER_STAGES
+    clock = [(time.perf_counter(), 0.0)]   # then one _mark per INFER_STAGES
     model = build_model(find_config(args.config), seed=args.seed)
     if args.weights:
         model.load_weight_file(args.weights)
     model.params   # binds the seeded weights here, not in "forward"
     img = load_image(args.image)
     orig_hw = (img.h, img.w)
-    clock.append(time.perf_counter())
+    _mark(clock)
     boxed, scale, pads = letterbox(img, target=args.input_size,
                                    stretch=args.stretch)
-    clock.append(time.perf_counter())
+    _mark(clock)
     maps = model.forward(boxed)
-    clock.append(time.perf_counter())
+    _mark(clock)
     candidates = decode(maps, model.anchors, model.strides,
                         conf_threshold=args.conf)
-    clock.append(time.perf_counter())
+    _mark(clock)
     dets = nms(candidates, iou_threshold=args.iou)
-    clock.append(time.perf_counter())
+    _mark(clock)
     log.debug("infer: %d candidates at conf>=%s, %d kept by nms, "
               "%d suppressed", len(candidates), args.conf, len(dets),
               len(candidates) - len(dets))
     restored = [Detection(box=unletterbox_box(d.box, scale, pads, orig_hw),
                           class_id=d.class_id, confidence=d.confidence)
                 for d in dets]
-    rows = to_coco_results(restored, image_id=args.image_id)
-    rows = [{"image_id": r["image_id"], "category_id": r["category_id"],
-             "bbox": [round(v, 3) for v in r["bbox"]],
-             "score": round(r["score"], 6)} for r in rows]
     if args.json or args.out:
-        payload = json.dumps(rows, sort_keys=True, indent=2)
+        payload = results_json(restored, args.image_id)
     if args.out:
         _write_output(args.out, payload + "\n")
     if args.json:
@@ -260,11 +266,13 @@ def cmd_infer(args) -> int:
         if args.out:
             lines.append(f"wrote results to {args.out}")
         text = "\n".join(lines)
-    clock.append(time.perf_counter())
+    _mark(clock)
     print(text)
     if args.timings:
-        for stage, begin, end in zip(INFER_STAGES, clock, clock[1:]):
-            print(f"timing {stage:<9} {end - begin:.4f} s", file=sys.stderr)
+        for stage, (begin, _), (end, peak) in zip(INFER_STAGES, clock,
+                                                  clock[1:]):
+            print(f"timing {stage:<9} {end - begin:.4f} s  "
+                  f"peak_rss {peak:.1f} MB", file=sys.stderr)
     return 0
 
 

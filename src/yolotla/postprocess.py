@@ -18,7 +18,12 @@ covers products rounded among subnormals. The selected cells then go
 through exactly the full-map computation: every class score in float64,
 the first best class, the confidence and the `>=` test, then the box. The
 cells come out in (scale, anchor, y, x) order, as a mask over the whole
-map would give them.
+map would give them. Their class scores are computed in chunks of
+max(1, `tensor.BAND_BYTES` // (8 * classes)) cells, 1,638 at 80 classes,
+each chunk writing its best classes and confidences into preallocated
+columns. So every float64 temporary stays near 1 MiB however many cells
+pass (76,800 on the stride-4 scale of `yolo-tla-s` at 640), and since each
+cell's arithmetic is unchanged, the chunk size changes no bit.
 
 NMS is greedy and class-wise with a fully specified order: detections
 sorted by (-confidence, class_id, x1, y1), a box kept iff its IOU with
@@ -56,7 +61,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import ShapeError, YoloTlaError
-from .tensor import sigmoid64
+from .tensor import BAND_BYTES, sigmoid64
 
 DEFAULT_CONF_THRESHOLD = 0.25
 DEFAULT_IOU_THRESHOLD = 0.45
@@ -143,18 +148,25 @@ def decode(maps, anchors, strides,
         if nc < 1:
             raise ShapeError(
                 f"map {si} has {c} channels, too few for 3*(5+classes)")
-        if not np.isfinite(fmap.data).all():
+        data = fmap.data   # NaN propagates through both min and max
+        if not (np.isfinite(data.min()) and np.isfinite(data.max())):
             raise YoloTlaError(
                 f"head map {si} holds non-finite values (NaN or infinity)")
         row = np.asarray(anchors[si], dtype=np.float64).reshape(3, 2)
-        arr = fmap.data.reshape(3, per, h * w)
+        arr = data.reshape(3, per, h * w)
         obj = sigmoid64(arr[:, 4])
         upper = obj * sigmoid64(arr[:, 5:].max(axis=1))
         anchor, cell = np.nonzero(upper >= floor)
-        cls = sigmoid64(arr[anchor, 5:, cell])     # (cells, nc)
-        best_cls = cls.argmax(axis=1)
-        # the row maximum, read at its first argmax
-        conf = obj[anchor, cell] * cls[np.arange(len(cls)), best_cls]
+        best_cls = np.empty(len(cell), dtype=np.intp)
+        conf = np.empty(len(cell))
+        chunk = max(1, BAND_BYTES // (8 * nc))
+        for lo in range(0, len(cell), chunk):
+            part = slice(lo, lo + chunk)
+            cls = sigmoid64(arr[anchor[part], 5:, cell[part]])   # (cells, nc)
+            best = best_cls[part] = cls.argmax(axis=1)
+            # the row maximum, read at its first argmax
+            conf[part] = (obj[anchor[part], cell[part]]
+                          * cls[np.arange(len(cls)), best])
         keep = conf >= conf_threshold
         anchor, cell = anchor[keep], cell[keep]
         gy, gx = np.divmod(cell, w)
@@ -198,8 +210,10 @@ def _iou(iw, ih, area_a, area_b) -> np.ndarray:
     warns unless the caller silences it."""
     inter = iw * ih
     union = area_a + area_b - inter
-    return np.divide(inter, union, out=np.zeros(union.shape),
-                     where=(iw > 0) & (ih > 0) & (union > 0))
+    with np.errstate(all="ignore"):   # quotients the mask below discards
+        out = inter / union
+    out[~((iw > 0) & (ih > 0) & (union > 0))] = 0.0
+    return out
 
 
 def _keep_class(boxes: np.ndarray, iou_threshold) -> list[int]:
@@ -276,7 +290,7 @@ def nms(dets, iou_threshold=DEFAULT_IOU_THRESHOLD) -> list[Detection]:
     grouped = np.argsort(ranked_class, kind="stable")   # ranks, by class
     cuts = np.flatnonzero(np.diff(ranked_class[grouped])) + 1
     kept = []
-    with np.errstate(all="ignore"):   # for quotients the mask discards
+    with np.errstate(all="ignore"):   # huge finite boxes overflow, as in `iou`
         for members in np.split(grouped, cuts):
             kept.extend(members[_keep_class(boxes[ranked[members]],
                                             iou_threshold)].tolist())
@@ -292,3 +306,28 @@ def to_coco_results(dets, image_id: int) -> list[dict]:
         out.append({"image_id": image_id, "category_id": d.class_id,
                     "bbox": [x1, y1, x2 - x1, y2 - y1], "score": d.confidence})
     return out
+
+
+# One `json.dumps(rows, sort_keys=True, indent=2)` row of `results_json`,
+# with its keys in sorted order.
+_ROW = ('  {\n    "bbox": [\n      %r,\n      %r,\n      %r,\n      %r\n'
+        '    ],\n    "category_id": %r,\n    "image_id": %r,\n'
+        '    "score": %r\n  }')
+
+
+def results_json(dets, image_id: int) -> str:
+    """The COCO results JSON of ``dets``: bbox values rounded to 3 digits
+    and scores to 6 with Python's `round`, byte for byte
+    `json.dumps(rows, sort_keys=True, indent=2)` of those rounded
+    `to_coco_results` rows. json writes an int with `int.__repr__` and a
+    finite float with `float.__repr__`, which is what `%r` writes, so a
+    coordinate clipped to an int image edge stays an int here as there."""
+    if not dets:
+        return "[]"
+    rows = []
+    for d in dets:
+        x1, y1, x2, y2 = d.box
+        rows.append(_ROW % (round(x1, 3), round(y1, 3), round(x2 - x1, 3),
+                            round(y2 - y1, 3), d.class_id, image_id,
+                            round(d.confidence, 6)))
+    return "[\n" + ",\n".join(rows) + "\n]"

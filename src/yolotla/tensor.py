@@ -41,7 +41,8 @@ can differ from an unbanded GEMM. With OpenBLAS 0.3.31 on x86-64, 9 of
 the 491 (conv spec, input side) pairs of the ten bundled configs at 128,
 256, 384 and 640 changed bits: the depthwise 5x5 GEMVs at 160x160 and
 GAM's grouped 7x7 convs at 16 to 96 rows. Head maps moved by at most
-7.5e-9, and none of `yolov5s`'s did.
+7.5e-9, and none of `yolov5s`'s did. `BAND_BYTES` also bounds the chunk
+of float64 class scores that `postprocess.decode` holds at a time.
 """
 from __future__ import annotations
 
@@ -58,7 +59,7 @@ from .errors import ConfigError, ParseError, ShapeError
 
 TNS_MAGIC = b"TNS1"
 _MAX_DIM = np.iinfo(np.intp).max   # no numpy array, not even a stand-in, is longer
-BAND_BYTES = 1 << 20   # conv2d's patch copy per GEMM, see the module docstring
+BAND_BYTES = 1 << 20   # one working-set band; see the module docstring
 
 
 class Tensor:
@@ -392,7 +393,12 @@ def concat_channels(parts: list[Tensor]) -> Tensor:
 
 
 def maxpool2d(x: Tensor, kernel: int, stride: int = 1, pad: int = 0) -> Tensor:
-    """Max pooling with -inf padding so borders never dilute the maximum."""
+    """Max pooling with -inf padding so borders never dilute the maximum.
+
+    Separable: a running maximum over the window's rows, then over its
+    columns. `max` is exact, so each output is its window's maximum; only
+    where +0.0 and -0.0 tie for it may either sign come out, as with
+    numpy's own reductions."""
     if kernel < 1 or stride < 1 or pad < 0:
         raise ConfigError(f"bad pool arguments kernel={kernel} stride={stride} pad={pad}")
     oh = (x.h + 2 * pad - kernel) // stride + 1
@@ -406,4 +412,19 @@ def maxpool2d(x: Tensor, kernel: int, stride: int = 1, pad: int = 0) -> Tensor:
     if pad:
         xp = np.pad(xp, ((0, 0), (0, 0), (pad, pad), (pad, pad)),
                     constant_values=-np.inf)
-    return Tensor(_windows(xp, kernel, kernel, oh, ow, stride, stride).max(axis=(2, 3)))
+    return Tensor(_tap_max(_tap_max(xp, 2, kernel, stride, oh),
+                           3, kernel, stride, ow))
+
+
+def _tap_max(a: np.ndarray, axis: int, kernel: int, stride: int,
+             size: int) -> np.ndarray:
+    """Running `np.maximum` of the ``kernel`` strided slices of ``a`` along
+    ``axis`` that a pool of that stride and output ``size`` reads; a fresh
+    array, never a view of ``a``."""
+    index = [slice(None)] * a.ndim
+    out = None
+    for k in range(kernel):
+        index[axis] = slice(k, k + (size - 1) * stride + 1, stride)
+        tap = a[tuple(index)]
+        out = tap.copy() if out is None else np.maximum(out, tap, out=out)
+    return out

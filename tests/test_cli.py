@@ -449,10 +449,28 @@ class TestInferCommand:
             outs.append((out.replace(str(out_json), "OUT"),
                          out_json.read_bytes()))
         assert outs[0] == outs[1]
-        assert [line.split()[:2] for line in err.splitlines()] == [
+        lines = [line.split() for line in err.splitlines()]
+        assert [line[:2] for line in lines] == [
             ["timing", stage] for stage in ("load", "letterbox", "forward",
                                             "decode", "nms", "serialize")]
-        assert all(line.endswith(" s") for line in err.splitlines())
+        assert all(line[3] == "s" and line[4] == "peak_rss"
+                   and line[6] == "MB" and len(line) == 7 for line in lines)
+        seconds = [float(line[2]) for line in lines]
+        peaks = [float(line[5]) for line in lines]
+        assert min(seconds) >= 0 and peaks[0] > 0
+        assert peaks == sorted(peaks)   # a process peak never decreases
+
+    def test_out_file_holds_the_json_stdout(self, workdir, capsys):
+        out_json = workdir["root"] / "both.json"
+        for conf in ("0.18", "1.0"):
+            code, out, _ = run(
+                ["infer", "--config", "yolov5s", "--image",
+                 str(workdir["image"]), "--input-size", "64", "--conf", conf,
+                 "--json", "--out", str(out_json)], capsys)
+            assert code == 0
+            # print's newline on stdout is the file's closing newline
+            assert out_json.read_bytes() == out.encode()
+        assert out == "[]\n"   # nothing reaches confidence 1.0
 
     def test_weight_file_reproduces_the_seeded_run(self, workdir, capsys):
         weights = workdir["root"] / "model.tlaw"

@@ -1,16 +1,21 @@
 """Decode, IOU, and NMS behavior, including the analytic zero-logit case."""
+import json
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from yolotla import postprocess
 from yolotla.data import letterbox
 from yolotla.errors import ShapeError, YoloTlaError
 from yolotla.graph import build_model, find_config
 from yolotla.postprocess import (Detection, _iou, _overlap, decode, iou, nms,
-                                 nms_reference, to_coco_results)
+                                 nms_reference, results_json,
+                                 to_coco_results)
 from yolotla.tensor import Tensor, sigmoid64
 
 
@@ -269,6 +274,38 @@ class TestDecodeAgainstReference:
             assert [type(d.class_id) for d in got] == [int] * len(got)
 
 
+class TestDecodeChunks:
+    """`decode` scores its selected cells in chunks sized by `BAND_BYTES`."""
+
+    @settings(max_examples=50)
+    @given(case=head_maps(), band=st.integers(0, 400))
+    def test_any_chunk_size_equals_reference(self, case, band):
+        # at most 400 bytes: chunks of 1 to 50 cells, against up to 432
+        # cells on a scale, so most scales are cut into several chunks
+        maps, anchors, strides = case
+        want = decode_reference(maps, anchors, strides, 0.25)
+        with mock.patch.object(postprocess, "BAND_BYTES", band):
+            assert decode(maps, anchors, strides, 0.25) == want
+
+    def test_peak_is_bounded(self):
+        # seed-0 yolo-tla-s at 256 passes all 16,320 cells; decode peaked at
+        # 20.1 MB scoring every class of them at once, 8.5 MB in chunks,
+        # of which the returned list holds 4.8 MB
+        rng = np.random.default_rng(3)
+        img = Tensor(rng.uniform(0, 1, (1, 3, 48, 64)).astype(np.float32))
+        model = build_model(find_config("yolo-tla-s"), seed=0)
+        boxed, _, _ = letterbox(img, target=256)
+        maps = model.forward(boxed)
+        tracemalloc.start()
+        try:
+            cands = decode(maps, model.anchors, model.strides)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(cands) == 16320
+        assert peak < 12e6
+
+
 def det(x1, y1, x2, y2, cls=0, conf=0.9):
     return Detection(box=(x1, y1, x2, y2), class_id=cls, confidence=conf)
 
@@ -464,3 +501,32 @@ class TestCocoSerialization:
     def test_identity_category_mapping(self):
         rows = to_coco_results([det(0, 0, 1, 1, cls=3)], image_id=1)
         assert rows[0]["category_id"] == 3
+
+
+# finite coordinates whose differences stay finite, ints as a clip to an int
+# image edge leaves them, and both zeros
+COORDS = (st.floats(-1e300, 1e300) | st.integers(-10**6, 10**6)
+          | st.sampled_from([0, 0.0, -0.0, 480, 640, 5e-324, 1e-7]))
+
+
+class TestResultsJson:
+    """`results_json` must write exactly the `json.dumps` bytes of the
+    rounded `to_coco_results` rows."""
+
+    @settings(max_examples=200)
+    @given(boxes=st.lists(st.tuples(COORDS, COORDS, COORDS, COORDS),
+                          max_size=8),
+           classes=st.lists(st.integers(0, 79), min_size=8, max_size=8),
+           scores=st.lists(st.floats(0.0, 1.0) | COORDS, min_size=8,
+                           max_size=8),
+           image_id=st.integers(-2**63, 2**63))
+    @example(boxes=[], classes=[0] * 8, scores=[0.5] * 8, image_id=0)
+    def test_equals_json_dumps(self, boxes, classes, scores, image_id):
+        dets = [Detection(box=b, class_id=c, confidence=p)
+                for b, c, p in zip(boxes, classes, scores)]
+        rows = [{"image_id": r["image_id"], "category_id": r["category_id"],
+                 "bbox": [round(v, 3) for v in r["bbox"]],
+                 "score": round(r["score"], 6)}
+                for r in to_coco_results(dets, image_id)]
+        assert results_json(dets, image_id) == json.dumps(
+            rows, sort_keys=True, indent=2)
