@@ -227,9 +227,9 @@ class Block:
         return self.forward([x])
 
     def metered(self, xs: list[Tensor]):
-        """(forward(xs), the CostMeter of that forward alone); meters
-        already active receive nothing from it."""
-        with meter.isolated() as m:
+        """(forward(xs), a CostMeter of that forward's whole cost); meters
+        already active receive none of it."""
+        with meter.CostMeter() as m:
             return self.forward(xs), m
 
     def out_shape(self, shapes: list[Shape]) -> Shape | list[Shape]:
@@ -416,7 +416,6 @@ class GAM(Block):
             raise ConfigError(
                 f"GAM spatial_groups {groups} must divide both channels {cin} "
                 f"and reduced channels {hidden}")
-        self.cin = cin
         self.residual = residual
         self.fc1 = _Linear(cin, hidden, act="relu")
         self.fc2 = _Linear(hidden, cin)
@@ -425,8 +424,6 @@ class GAM(Block):
 
     def forward(self, xs):
         x = xs[0]
-        if x.c != self.cin:
-            raise ShapeError(f"GAM built for {self.cin} channels, got {x.c}")
         channel_gate = sigmoid(self.fc2(self.fc1(x)))
         gated = mul(x, channel_gate)
         spatial_gate = sigmoid(self.sconv2(self.sconv1(gated)))

@@ -155,6 +155,13 @@ def _check_seed(seed: int) -> None:
         raise ConfigError(f"--seed must be non-negative, got {seed}")
 
 
+def _anchor_text(anchors) -> str:
+    """'(w,h)' pairs; a side of 1e6 px or more prints in short exponent
+    form, so one huge fitted box cannot stretch the line."""
+    side = lambda v: f"{v:.1f}" if v < 1e6 else f"{v:.3g}"
+    return " ".join(f"({side(w)},{side(h)})" for w, h in anchors)
+
+
 def cmd_anchors(args) -> int:
     _check_seed(args.seed)
     ds = load_coco(args.dataset)
@@ -164,7 +171,7 @@ def cmd_anchors(args) -> int:
            "anchors": [[round(w, 2), round(h, 2)] for w, h in anchors]}
     lines = [f"fitted {args.k} anchors over {len(boxes)} boxes (seed "
              f"{args.seed}):"]
-    lines.append("  " + " ".join(f"({w:.1f},{h:.1f})" for w, h in anchors))
+    lines.append("  " + _anchor_text(anchors))
     anchor_set = None
     if args.scales:
         try:
@@ -177,8 +184,7 @@ def cmd_anchors(args) -> int:
             {"map": size, "anchors": [[w, h] for w, h in triple]}
             for size, triple in anchor_set.scales]
         for size, triple in anchor_set.scales:
-            lines.append(f"  map {size:>4}: " + " ".join(
-                f"({w:.1f},{h:.1f})" for w, h in triple))
+            lines.append(f"  map {size:>4}: " + _anchor_text(triple))
     if args.patch_config:
         if anchor_set is None:
             raise ConfigError("--patch-config requires --scales")
@@ -240,9 +246,10 @@ def cmd_infer(args) -> int:
     _mark(clock)
     dets = nms(candidates, iou_threshold=args.iou)
     _mark(clock)
+    found = len(candidates)
+    del candidates   # only the kept detections live through serialize
     log.debug("infer: %d candidates at conf>=%s, %d kept by nms, "
-              "%d suppressed", len(candidates), args.conf, len(dets),
-              len(candidates) - len(dets))
+              "%d suppressed", found, args.conf, len(dets), found - len(dets))
     restored = [Detection(box=unletterbox_box(d.box, scale, pads, orig_hw),
                           class_id=d.class_id, confidence=d.confidence)
                 for d in dets]
@@ -316,9 +323,9 @@ def conv_agrees(x: Tensor, spec: ConvSpec, weight: Tensor, bias=None) -> bool:
     """conv2d against the loop-nest conv2d_naive: values within criterion
     4's rtol=1e-5, atol=1e-6, and the same recorded (macs, flops), which
     the loop nest tallies as executed instead of reading the price table."""
-    with meter.isolated() as fast_m:
+    with meter.CostMeter() as fast_m:
         fast = conv2d(x, spec, weight, bias)
-    with meter.isolated() as slow_m:
+    with meter.CostMeter() as slow_m:
         slow = conv2d_naive(x, spec, weight, bias)
     return ((fast_m.macs, fast_m.flops) == (slow_m.macs, slow_m.flops)
             and np.allclose(fast.data, slow.data, rtol=1e-5, atol=1e-6))

@@ -114,7 +114,8 @@ def analyze(model: Model, input_hw=(640, 640), truncate=None) -> CostReport:
 
 def count_empirical(model: Model, input_hw=(640, 640), truncate=None):
     """The same per-layer walk as `analyze`, run on real zeros; returns the
-    summed (macs, flops). Meters active around it receive nothing."""
+    summed (macs, flops). Each layer's own meter takes its work, so meters
+    active around it receive nothing."""
     h, w = input_hw
     x = Tensor(np.zeros((1, INPUT_CHANNELS, int(h), int(w)), np.float32))
     rows = _layer_rows(model, x, truncate)

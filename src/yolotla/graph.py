@@ -359,7 +359,7 @@ class Model:
     # -- structure ---------------------------------------------------------
 
     def head_shapes(self, input_shape) -> list[tuple[int, int, int, int]]:
-        with meter.isolated():
+        with meter.CostMeter():
             return [t.shape for t in self.walk(Tensor.meta(input_shape))]
 
     def _leaves(self):

@@ -1,8 +1,10 @@
 """Operation cost bookkeeping: the one price table and the meters that tally it.
 
 There is exactly one table of per-primitive cost formulas, and only the
-tensor kernels read it: each kernel records its price to every active
-CostMeter, whether it runs on real data or on shape-only (meta) tensors.
+tensor kernels read it: each kernel records its price to the innermost
+active CostMeter, whether it runs on real data or on shape-only (meta)
+tensors. So a meter sees exactly the work inside it that no meter nested
+in it takes.
 The analyzer is a meta forward pass under a meter, so analyzed and
 executed totals agree by construction. The independent check is the
 loop-nest `conv2d_naive`, which tallies the multiply-accumulates it
@@ -18,7 +20,6 @@ Counting convention (also stated in CLI reports):
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 
@@ -47,7 +48,7 @@ class OpCost:
 
 @dataclass
 class CostMeter:
-    """Accumulates primitive costs while active as a context manager."""
+    """Accumulates primitive costs while it is the innermost active meter."""
 
     by_kind: dict[str, OpCost] = field(default_factory=dict)
 
@@ -69,28 +70,15 @@ class CostMeter:
         return self
 
     def __exit__(self, *exc) -> None:
-        # By identity: dataclass equality matches any meter with equal tallies.
-        meters = _local.meters
-        i = next(i for i, m in enumerate(meters) if m is self)
-        _local.meters = meters[:i] + meters[i + 1:]
-
-
-@contextmanager
-def isolated():
-    """A fresh CostMeter for the block; meters already active receive
-    nothing from inside it, so inference never leaks into a measurement."""
-    saved, _local.meters = _local.meters, ()
-    try:
-        with CostMeter() as m:
-            yield m
-    finally:
-        _local.meters = saved
+        # `with` blocks exit innermost first, so the last entry is this one
+        _local.meters = _local.meters[:-1]
 
 
 def record(kind: str, macs: int, flops: int) -> None:
-    """Report a primitive's cost to every active meter (no-op otherwise)."""
-    for m in _local.meters:
-        m.add(kind, macs, flops)
+    """Report a primitive's cost to the innermost active meter, if any."""
+    meters = _local.meters
+    if meters:
+        meters[-1].add(kind, macs, flops)
 
 
 def conv_cost(n: int, out_channels: int, in_per_group: int, kh: int, kw: int,

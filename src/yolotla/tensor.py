@@ -6,9 +6,9 @@ always allocate fresh outputs, so concurrent forward passes over shared
 weights are safe.
 
 Every kernel also accepts meta tensors (shape only, no array). It checks
-its arguments and records its cost to the active meters exactly as for
-real data, then returns a meta result, so a forward pass over meta inputs
-is shape inference and cost analysis in one.
+its arguments and records its cost to the innermost active meter exactly
+as for real data, then returns a meta result, so a forward pass over meta
+inputs is shape inference and cost analysis in one.
 
 The loop-nest `conv2d_naive` is the exception and the oracle: it has no
 meta path and tallies only the work it executes. Every conv path records

@@ -330,6 +330,13 @@ class TestGAM:
         blk, _ = make_block("GAM", [16], {})
         assert blk.out_shape([(1, 16, 8, 8)]) == (1, 16, 8, 8)
 
+    def test_wrong_input_width_is_refused(self):
+        # the first unit's conv checks the width, real or meta alike
+        blk, _ = make_block("GAM", [16], {})
+        for x in (rand_input(1, 8, 4, 4), Tensor.meta((1, 8, 4, 4))):
+            with pytest.raises(ShapeError, match="8 channels.*in_channels=16"):
+                blk.forward([x])
+
 
 class TestSPPF:
 

@@ -80,6 +80,16 @@ def non_finite_dataset(workdir, width):
     return path
 
 
+def huge_box_dataset(workdir):
+    """The workdir's ground truth with annotation 2 a finite 1e200 x 1e200
+    box, whose area is past float64's range."""
+    doc = json.loads(workdir["gt"].read_text())
+    doc["annotations"][2]["bbox"][2:] = [1e200, 1e200]
+    path = workdir["root"] / "huge-box-instances.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli")
@@ -315,11 +325,7 @@ class TestAnchorsCommand:
         assert out == ""
 
     def test_overflowing_box_area_prints_no_warning(self, workdir, capsys):
-        # a finite 1e200 x 1e200 box has an area past float64's range
-        doc = json.loads(workdir["gt"].read_text())
-        doc["annotations"][2]["bbox"][2:] = [1e200, 1e200]
-        path = workdir["root"] / "huge-box-instances.json"
-        path.write_text(json.dumps(doc))
+        path = huge_box_dataset(workdir)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out, err = run(
@@ -327,6 +333,15 @@ class TestAnchorsCommand:
                  "--scales", "80,40"], capsys)
         assert (code, err) == (0, "")
         assert "fitted 6 anchors over 40 boxes" in out
+
+    def test_huge_box_keeps_the_text_report_short(self, workdir, capsys):
+        path = huge_box_dataset(workdir)
+        # seed 1 fits an anchor to the huge box itself
+        code, out, _ = run(["anchors", "--dataset", str(path), "--k", "3",
+                            "--seed", "1", "--scales", "80"], capsys)
+        assert code == 0
+        assert "(1e+200,1e+200)" in out
+        assert max(map(len, out.splitlines())) <= 80
 
     def test_patch_config_writes_a_buildable_model(self, workdir, capsys):
         out_cfg = workdir["root"] / "patched.cfg"

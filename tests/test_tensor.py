@@ -523,13 +523,14 @@ class TestMeterHooks:
         assert fast_m.macs == 2 * oh * ow * 6 * 2 * 9
 
     def test_nested_meters_both_record(self):
-        x = Tensor.full(1, 1, 2, 2, 1.0)
+        # the outer meter counts the work before and after the inner one,
+        # not the work inside it
         with meter.CostMeter() as outer:
-            relu(x)
+            relu(Tensor.full(1, 1, 1, 1, 1.0))
             with meter.CostMeter() as inner:
-                relu(x)
-        assert inner.flops == 4
-        assert outer.flops == 8
+                relu(Tensor.full(1, 1, 2, 2, 1.0))
+            relu(Tensor.full(1, 1, 3, 3, 1.0))
+        assert (inner.flops, outer.flops) == (4, 1 + 9)
 
     def test_nested_meters_with_equal_tallies(self):
         # both empty at the inner exit: the inner must leave, the outer stay
@@ -540,13 +541,25 @@ class TestMeterHooks:
             relu(x)
         assert (inner.flops, outer.flops) == (0, 4)
 
-    def test_isolated_scope_hides_enclosing_meters(self):
+    def test_outer_meter_records_again_after_an_inner_raises(self):
         x = Tensor.full(1, 1, 2, 2, 1.0)
         with meter.CostMeter() as outer:
-            with meter.isolated() as inner:
-                relu(x)
+            with pytest.raises(ValueError):
+                with meter.CostMeter() as inner:
+                    relu(x)
+                    raise ValueError
             relu(x)
         assert (inner.flops, outer.flops) == (4, 4)
+
+    def test_one_meter_entered_twice_leaves_none_active(self):
+        x = Tensor.full(1, 1, 2, 2, 1.0)
+        m = meter.CostMeter()
+        with m:
+            with m:
+                relu(x)
+            relu(x)
+        relu(x)   # after both exits: no meter takes it
+        assert m.flops == 8
 
     def test_meters_in_two_threads_see_only_their_own_work(self):
         # the threads take turns round by round, each inside its own meter
