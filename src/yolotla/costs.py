@@ -29,7 +29,6 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import ConfigError
 from .graph import INPUT_CHANNELS, Model
 from .tensor import Tensor
 
@@ -75,22 +74,16 @@ class CostReport:
 
 
 def _layer_rows(model: Model, x: Tensor, truncate) -> list[LayerCost]:
-    """One LayerCost per node that `model.walk` runs on x, each metered by
-    `Block.metered`; the head's row is last unless the walk is truncated."""
-    n = len(model.blocks)
-    if truncate is not None and not 1 <= truncate <= n:
-        raise ConfigError(
-            f"truncate must be within 1..{n}, got {truncate}")
+    """One LayerCost per node that `model.walk(x, upto=truncate)` runs,
+    metered by `Block.metered` and named by its `model.nodes` spec; the
+    head's row, shaped as its first map, is last unless truncated."""
     rows: list[LayerCost] = []
 
     def step(index, block, ins):
         out, m = block.metered(ins)
-        if block is model.detect:
-            kind, sources, shape = "Detect", model.detect_from, out[0].shape
-        else:
-            spec = model.config.layers[index]
-            kind, sources, shape = spec.kind, spec.sources, out.shape
-        rows.append(LayerCost(index, kind, tuple(sources), shape,
+        spec = model.nodes[index]
+        shape = (out[0] if isinstance(out, list) else out).shape
+        rows.append(LayerCost(index, spec.kind, spec.sources, shape,
                               block.param_count(), m.macs, m.flops))
         return out
 

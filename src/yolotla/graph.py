@@ -17,12 +17,13 @@ Channel args in ``layers`` are base widths; the build multiplies them by
 by ``depth_multiple`` for the C3 family, to at most ``MAX_REPEATS``, and
 must stay 1 elsewhere; it is a C3 block's only repeat count, so an ``n``
 arg is refused. The prediction head is not a layer row: it is assembled
-from ``detect_from``, ``nc`` and the anchor table, one 1x1 conv per scale.
+from ``detect_from``, ``nc`` and the anchor table, one 1x1 conv per scale,
+and it runs as the last of `Model.nodes`, at index ``len(layers)``.
 
-The build is one shape-only pass at a REFERENCE_SIDE square input. Each
-block is built from its sources' widths, then its meta forward gives its
-output shape. The next layers read their widths from those shapes, and
-the detect layers' row counts give the model's strides.
+The build is one shape-only pass over the nodes at a REFERENCE_SIDE
+square input. Each block is built from its sources' widths, then its
+meta forward gives its output shape. The next nodes read their widths
+from those shapes, and the detect layers' row counts give the strides.
 
 Parameters live in a flat dict keyed by path ("layers.4.cv1.conv.weight",
 "detect.m0.conv.bias"). The build allocates none: a model binds its
@@ -293,17 +294,15 @@ def _detect_strides(detect_from, shapes, side: int) -> tuple[int, ...]:
     return tuple(strides)
 
 
-def _release_after(config: ModelConfig) -> tuple[tuple[int, ...], ...]:
-    """For each layer, the cached outputs (-1 is the input) that no later
-    layer reads once it has run. An output nothing reads dies where it is
-    made; the head's sources are never listed, so they live until it runs."""
+def _release_after(nodes) -> tuple[tuple[int, ...], ...]:
+    """For each node, the cached outputs (-1 is the input) that no later
+    node reads once it has run. An output nothing reads dies where it is
+    made."""
     last = {}
-    for spec in config.layers:
+    for spec in nodes:
         last[spec.index] = spec.index
         last.update(dict.fromkeys(spec.sources, spec.index))
-    for i in config.detect_from:
-        del last[i]
-    dead: list[list[int]] = [[] for _ in config.layers]
+    dead: list[list[int]] = [[] for _ in nodes]
     for i, j in last.items():
         dead[j].append(i)
     return tuple(map(tuple, dead))
@@ -324,10 +323,13 @@ class Model:
     def __init__(self, config: ModelConfig, seed: int = 0):
         self.config = config
         self.nc = config.nc
-        self.blocks: list[_blocks.Block] = []
+        self.nodes = (*config.layers,
+                      LayerSpec(len(config.layers), config.detect_from, 1,
+                                "Detect", {"nc": config.nc}))
+        built: list[_blocks.Block] = []
         side = REFERENCE_SIDE
         shapes = {-1: (1, INPUT_CHANNELS, side, side)}
-        for spec in config.layers:
+        for spec in self.nodes:
             ins = [shapes[s] for s in spec.sources]
             args = dict(spec.args)
             try:
@@ -344,12 +346,11 @@ class Model:
                 shapes[spec.index] = block.out_shape(ins)
             except (ConfigError, ShapeError) as e:
                 raise type(e)(f"layer {spec.index} ({spec.kind}): {e}") from e
-            self.blocks.append(block)
-        self.detect = _blocks.Detect(
-            [shapes[i][1] for i in config.detect_from], {"nc": config.nc})
+            built.append(block)
+        *self.blocks, self.detect = built
         self.detect_from = config.detect_from
         self.strides = _detect_strides(config.detect_from, shapes, side)
-        self._release_after = _release_after(config)
+        self._release_after = _release_after(self.nodes)
         self.anchors = [np.array(row, dtype=np.float64)
                         for row in config.anchors]
         self._seed = seed
@@ -419,14 +420,17 @@ class Model:
     # -- execution ---------------------------------------------------------
 
     def walk(self, x: Tensor, upto: int | None = None, step=_forward_step):
-        """The one graph traversal: layers [0, upto), then the head's maps
-        if upto is None, else the last layer's output. A meta x makes it
-        shape-only; a real x binds the seeded weights on first use.
-        `step(index, block, ins)` runs each node in place of
+        """The one graph traversal: runs nodes [0, upto), upto in 1..layers,
+        and returns the last one's output (the head's maps if upto is None).
+        A meta x makes it shape-only; a real x binds the seeded weights on
+        first use. `step(index, block, ins)` runs each node in place of
         `block.forward(ins)`; the head's index is len(self.blocks).
-        The walk holds a layer's output only until its last consumer has
+        The walk holds a node's output only until its last consumer has
         run (buffer liveness as planned once in `__init__`), so a forward
         keeps the live outputs, not every output, in memory."""
+        if upto is not None and not 1 <= upto <= len(self.blocks):
+            raise ConfigError(
+                f"truncate must be within 1..{len(self.blocks)}, got {upto}")
         n, c, h, w = x.shape
         if c != INPUT_CHANNELS:
             raise ShapeError(
@@ -439,15 +443,12 @@ class Model:
         if not x.is_meta:
             self.params   # binds on first use
         cache: dict[int, Tensor] = {-1: x}
-        for spec, block in zip(self.config.layers[:upto], self.blocks[:upto]):
+        for spec, block in zip(self.nodes[:upto], (*self.blocks, self.detect)):
             out = cache[spec.index] = step(
                 spec.index, block, [cache[s] for s in spec.sources])
             for i in self._release_after[spec.index]:
                 del cache[i]
-        if upto is not None:
-            return out
-        return step(len(self.blocks), self.detect,
-                    [cache[i] for i in self.detect_from])
+        return out
 
     def forward(self, x: Tensor) -> list[Tensor]:
         """Run the graph; returns one raw prediction map per detect scale."""
@@ -506,7 +507,11 @@ def load_weights(path) -> dict[str, np.ndarray]:
     """Read a weight file back into {path: rank-4 float32 array}, each
     payload straight from the file into its own array once the file is
     known to hold it."""
-    with open(path, "rb") as fh:
+    try:
+        fh = open(path, "rb")
+    except OSError as e:
+        raise ParseError(f"cannot read weights {path}: {e.strerror or e}") from e
+    with fh:
         size = os.fstat(fh.fileno()).st_size
         head = fh.read(9)
         if head[:4] != WEIGHT_MAGIC:

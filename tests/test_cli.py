@@ -602,6 +602,15 @@ class TestInferCommand:
              "--weights", str(path)], capsys)
         assert_one_line_error(code, err)
 
+    @pytest.mark.parametrize("name", ["missing.tlaw", "."],
+                             ids=["missing", "directory"])
+    def test_unreadable_weights_exit_one(self, workdir, capsys, name):
+        code, _, err = run(
+            ["infer", "--config", "yolov5s", "--image",
+             str(workdir["image"]), "--input-size", "64",
+             "--weights", str(workdir["root"] / name)], capsys)
+        assert_one_line_error(code, err)
+        assert err.startswith("error: cannot read weights ")
 
     def test_non_finite_weights_exit_one(self, workdir, capsys):
         model = build_model(find_config("yolov5s"), seed=0)

@@ -578,6 +578,25 @@ class TestForward:
             m.forward(rand_image(60, 64))
 
 
+class TestNodes:
+    """The head is the walk's last node; `upto` selects only layers."""
+
+    @pytest.mark.parametrize("name", bundled_config_names())
+    def test_head_is_the_last_node(self, name):
+        m = build_model(find_config(name))
+        head = m.nodes[-1]
+        assert m.nodes[:-1] == m.config.layers
+        assert (head.index, head.kind, head.sources) == (
+            len(m.blocks), "Detect", m.detect_from)
+
+    def test_upto_outside_the_layers_refused(self):
+        m = build_model(toy_config(), seed=0)
+        x = Tensor.meta((1, 3, 64, 64))
+        for upto in (0, len(m.blocks) + 1):
+            with pytest.raises(ConfigError, match=f"within 1..12, got {upto}"):
+                m.walk(x, upto=upto)
+
+
 class TestLiveness:
     """`walk` holds each layer output only until its last consumer has run;
     the head's sources live until the head runs."""
