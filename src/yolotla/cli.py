@@ -31,10 +31,9 @@ from .blocks import BLOCKS
 from .costs import (CONVENTION, analyze, closed_form_cross,
                     closed_form_standard)
 from .data import (letterbox, load_coco, load_image, load_results,
-                   unletterbox_box)
+                   read_json, unletterbox_box)
 from .errors import ConfigError, YoloTlaError
-from .graph import (build_model, bundled_config_names, find_config,
-                    parse_config, read_config)
+from .graph import build_model, bundled_config_names, find_config, parse_config
 from .metrics import ap_from_ranking, evaluate, exact_envelope_ap
 from .postprocess import (DEFAULT_CONF_THRESHOLD, DEFAULT_IOU_THRESHOLD,
                           Detection, decode, nms, results_json)
@@ -190,12 +189,13 @@ def cmd_anchors(args) -> int:
             raise ConfigError("--patch-config requires --scales")
         if not args.out:
             raise ConfigError("--patch-config requires --out")
-        cfg_doc = read_config(find_config(args.patch_config))
-        cfg = parse_config(cfg_doc)
+        cfg_path = find_config(args.patch_config)
+        cfg = parse_config(cfg_path)
         if len(cfg.detect_from) != len(anchor_set.scales):
             raise ConfigError(
                 f"config {cfg.name} detects on {len(cfg.detect_from)} scales, "
                 f"fitted {len(anchor_set.scales)}")
+        cfg_doc = read_json(cfg_path, "config")
         cfg_doc["anchors"] = [
             [[round(w, 2), round(h, 2)] for w, h in triple]
             for _, triple in anchor_set.scales]

@@ -5,9 +5,10 @@ categories arrays; only the documented field subset is read, extra
 fields are ignored), and detections the COCO results layout. In both,
 ids, widths and heights are JSON integers, a file name and a category
 name are JSON strings (a missing name reads as ""), image and category ids
-are unique, a bbox is four finite JSON numbers and a score one. Images load
-from binary PPM ("P6", 8-bit) or the ".tns" tensor format; richer codecs
-are out of scope to keep the dependency surface flat.
+are unique, an annotation or a result names a listed image, a bbox is four
+finite JSON numbers and a score one. Images load from binary PPM ("P6",
+8-bit) or the ".tns" tensor format; richer codecs are out of scope to keep
+the dependency surface flat.
 
 Letterboxing preserves aspect ratio: nearest-neighbor resize so the
 longer side hits the target, then center padding with 114/255 gray. The
@@ -19,6 +20,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -174,6 +176,7 @@ def load_results(path, ds: Dataset) -> dict[int, list[Detection]]:
     if not isinstance(rows, list):
         raise ParseError(f"{path}: results root must be a list")
     dets: dict[int, list[Detection]] = {}
+    image_ids = {im.id for im in ds.images}
 
     def detection(rec):
         img, cat = _integer(rec, "image_id"), _integer(rec, "category_id")
@@ -182,11 +185,19 @@ def load_results(path, ds: Dataset) -> dict[int, list[Detection]]:
             raise TypeError(f"'score' must be a number, got {score!r}")
         if not math.isfinite(score):
             raise ParseError(f"has a non-finite score {score}")
-        dets.setdefault(img, []).append(Detection(
-            (x, y, x + w, y + h), ds.class_index(cat), float(score)))
+        cls = ds.class_index(cat)
+        if img not in image_ids:
+            raise ParseError(f"references missing image {img}")
+        dets.setdefault(img, []).append(
+            Detection((x, y, x + w, y + h), cls, float(score)))
 
     _records(path, "results", rows, detection)
     return dets
+
+
+# a PPM header field after any whitespace and '#' comments (each to its LF)
+_PPM_FIELD = rb"(?:\s|#[^\n]*)*(\S*)"
+_PPM_HEADER = re.compile(rb"P6" + _PPM_FIELD * 3)
 
 
 def _parse_ppm(blob: bytes, path) -> Tensor:
@@ -194,22 +205,11 @@ def _parse_ppm(blob: bytes, path) -> Tensor:
     # then raw RGB triples; '#' starts a comment anywhere in the header
     if blob[:2] != b"P6":
         raise ParseError(f"{path}: not a binary PPM (magic {blob[:2]!r})")
-    pos = 2
-    fields = []
-    while len(fields) < 3:
-        while pos < len(blob) and blob[pos:pos + 1].isspace():
-            pos += 1
-        if blob[pos:pos + 1] == b"#":
-            while pos < len(blob) and blob[pos] != 0x0A:
-                pos += 1
-            continue
-        start = pos
-        while pos < len(blob) and not blob[pos:pos + 1].isspace():
-            pos += 1
-        if start == pos:
-            raise ParseError(f"{path}: truncated PPM header")
-        fields.append(blob[start:pos])
-    pos += 1   # single whitespace after maxval
+    header = _PPM_HEADER.match(blob)
+    fields = list(header.groups())
+    if not all(fields):   # a field is empty only at the end of the file
+        raise ParseError(f"{path}: truncated PPM header")
+    pos = header.end() + 1   # single whitespace after maxval
     try:
         width, height, maxval = (int(f) for f in fields)
     except ValueError:
@@ -232,26 +232,22 @@ def _parse_ppm(blob: bytes, path) -> Tensor:
 
 def load_image(path) -> Tensor:
     """Load an image as a (1, 3, H, W) tensor with values in [0, 1]."""
-    name = str(path)
-    if name.endswith(".tns"):
-        try:
-            t = load_tns(path)
-        except OSError as e:
-            raise ParseError(f"cannot read image {path}: {e}") from e
-        if t.n != 1 or t.c != 3:
-            raise ParseError(
-                f"{path}: expected a (1, 3, H, W) tensor, got {t.shape}")
-        if not np.isfinite(t.data).all():
-            raise ParseError(f"{path}: pixel values must be finite")
-        return t
-    if name.endswith(".ppm"):
-        try:
-            blob = Path(path).read_bytes()
-        except OSError as e:
-            raise ParseError(f"cannot read image {path}: {e}") from e
-        return _parse_ppm(blob, path)
-    raise ParseError(
-        f"{path}: unsupported image format (supported: .ppm P6, .tns)")
+    suffix = str(path)[-4:]
+    if suffix not in (".ppm", ".tns"):
+        raise ParseError(
+            f"{path}: unsupported image format (supported: .ppm P6, .tns)")
+    try:
+        if suffix == ".ppm":
+            return _parse_ppm(Path(path).read_bytes(), path)
+        t = load_tns(path)
+    except OSError as e:
+        raise ParseError(f"cannot read image {path}: {e}") from e
+    if t.n != 1 or t.c != 3:
+        raise ParseError(
+            f"{path}: expected a (1, 3, H, W) tensor, got {t.shape}")
+    if not np.isfinite(t.data).all():
+        raise ParseError(f"{path}: pixel values must be finite")
+    return t
 
 
 def resize_nearest(img: Tensor, new_h: int, new_w: int) -> Tensor:

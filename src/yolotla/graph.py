@@ -182,17 +182,11 @@ def _parse_layer(index: int, row) -> LayerSpec:
     return LayerSpec(index, tuple(resolved), repeats, kind, dict(args))
 
 
-def read_config(path) -> dict:
-    """The JSON object stored in a config file, before any validation."""
-    doc = read_json(path, "config")
-    if not isinstance(doc, dict):
-        raise ConfigError(f"config {path}: root must be an object")
-    return doc
-
-
 def parse_config(source) -> ModelConfig:
     """Parse and validate a model config from a path or an already-read dict."""
-    doc = source if isinstance(source, dict) else read_config(source)
+    doc = source if isinstance(source, dict) else read_json(source, "config")
+    if not isinstance(doc, dict):
+        raise ConfigError(f"config {source}: root must be an object")
     missing = _TOP_FIELDS - set(doc)
     if missing:
         raise ConfigError(f"config is missing fields: {sorted(missing)}")
@@ -461,15 +455,16 @@ class Model:
 
     def load_weight_file(self, path) -> None:
         """Bind a weight file. An entry holding a NaN or an infinity is
-        refused. Entries are stored at rank 4; each one whose size matches
-        its manifest shape takes that shape, and `_bind` rejects the rest."""
+        refused. Entries are stored at rank 4; each one stored at its
+        manifest shape padded with trailing 1s (as `save_weights` writes
+        it) takes that shape, and `_bind` rejects every other shape."""
         expected = dict(self.param_specs())
         params = {}
         for name, arr in load_weights(path).items():
             if not np.isfinite(arr).all():
                 raise WeightError(f"parameter {name} holds a non-finite value")
             want = expected.get(name)
-            if want is not None and arr.size == math.prod(want):
+            if want is not None and arr.shape == _pad4(want):
                 arr = arr.reshape(want)
             params[name] = arr
         with self._bind_lock:

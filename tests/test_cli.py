@@ -926,6 +926,13 @@ class TestCocoInputPolicy:
         err = self.eval_fails(paths, capsys)
         assert "results[0] is malformed: 'score' must be a number" in err
 
+    def test_result_on_unlisted_image_exits_one(self, workdir, capsys):
+        # as an annotation may not, and as COCO's own results loader refuses
+        paths = edited_input(workdir, "results",
+                             set_field(None, 3, "image_id", 99999))
+        err = self.eval_fails(paths, capsys)
+        assert "results[3] references missing image 99999" in err
+
     @pytest.mark.parametrize("section", ["images", "categories"])
     def test_duplicate_id_exits_one(self, workdir, capsys, section):
         def repeat_first_id(doc):

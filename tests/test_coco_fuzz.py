@@ -6,8 +6,9 @@ strings and lists in a bbox or a score, NaN, the infinities (Python's json
 writes and reads them; `1e400` reads as an infinity) and integers past
 float range. Whatever the input, the only exception that may escape is a
 `YoloTlaError`, and an accepted document holds only integer ids, string
-file and category names, four-number boxes and numeric scores, and gives
-back exactly those ids and names.
+file and category names, four-number boxes and numeric scores, puts
+results only on images its ground truth lists, and gives back exactly
+those ids and names.
 """
 import json
 import math
@@ -60,7 +61,8 @@ def ground_truths(draw):
 
 
 results = st.lists(st.fixed_dictionaries({
-    "image_id": small_ids, "category_id": st.sampled_from([1, 3]),
+    "image_id": st.sampled_from([1, 2]),   # the `dataset` fixture's ids
+    "category_id": st.sampled_from([1, 3]),
     "bbox": boxes, "score": st.floats(0, 1) | st.integers(0, 1)}),
     min_size=1, max_size=4)
 
@@ -168,6 +170,8 @@ def dataset(folder):
 @given(rows=mutated(results))
 @example(rows=[{"image_id": 1.9, "category_id": "1", "bbox": "1234",
                 "score": 1}])
+@example(rows=[{"image_id": 9, "category_id": 1, "bbox": [0, 0, 1, 1],
+                "score": 0.5}])   # an image the ground truth does not list
 def test_results_reader_refuses_or_keeps_ids(folder, dataset, rows):
     try:
         dets = load_results(written(folder, rows, "results.json"), dataset)
@@ -176,6 +180,8 @@ def test_results_reader_refuses_or_keeps_ids(folder, dataset, rows):
     assert all(exact_int(row["image_id"]) and exact_int(row["category_id"])
                and four_numbers(row["bbox"])
                and type(row["score"]) in (int, float) for row in rows)
+    assert {row["image_id"] for row in rows} <= {
+        im.id for im in dataset.images}
     assert all(map(exact_int, dets))
     got = sorted((img, d.class_id, d.confidence)
                  for img, found in dets.items() for d in found)

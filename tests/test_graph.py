@@ -1,5 +1,6 @@
 """Config parsing, scaling, deterministic init, weight files, execution."""
 import json
+import re
 import sys
 import threading
 import tracemalloc
@@ -491,6 +492,16 @@ class TestWeightFiles:
             lambda p: p.update({"layers.0.conv.weight":
                                 np.zeros((8, 3, 2, 2), np.float32)}),
             "layers.0.conv.weight", tmp_path)
+
+    @pytest.mark.parametrize("name, stored", [
+        ("layers.0.conv.weight", (3, 8, 3, 3)),
+        ("detect.m0.conv.bias", (1, 1, 1, 21))])
+    def test_right_size_wrong_arrangement_named(self, name, stored, tmp_path):
+        # only the manifest shape padded with trailing 1s takes that shape
+        self.assert_rejected_unchanged(
+            lambda p: p.update({name: p[name].reshape(stored)}),
+            re.escape(f"parameter {name} has shape {stored}, expected"),
+            tmp_path)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_parameter_named(self, value, tmp_path):

@@ -35,3 +35,42 @@ def test_numpy_is_the_only_third_party_import():
                  for name in imported_modules(
                      ast.parse(path.read_text(), str(path)))}
     assert top_level - sys.stdlib_module_names == {"numpy"}
+
+
+# the readers `tests/test_reader_fuzz.py` and `tests/test_coco_fuzz.py` fuzz
+FUZZED_READERS = {"data.read_json", "data.load_image", "tensor.load_tns",
+                  "graph.load_weights"}
+
+
+def opens_for_reading(call: ast.Call) -> bool:
+    """`open` with a read mode (or none written out), `read_bytes` or
+    `read_text`."""
+    func = call.func
+    name = (func.attr if isinstance(func, ast.Attribute)
+            else getattr(func, "id", None))
+    if name in ("read_bytes", "read_text"):
+        return True
+    mode = next((kw.value for kw in call.keywords if kw.arg == "mode"),
+                call.args[1] if len(call.args) > 1 else None)
+    writes = (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+              and not {"r", "+"} & set(mode.value))
+    return name == "open" and not writes
+
+
+def file_reads(tree, scope):
+    """The qualified name (module.function) of each function that opens a
+    file for reading."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.Call) and opens_for_reading(node):
+            yield scope
+        named = isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        yield from file_reads(node, f"{scope}.{node.name}" if named else scope)
+
+
+def test_only_the_fuzzed_readers_read_files():
+    # every input byte enters through a reader whose refusals are fuzzed
+    readers = {reader for path in SRC.rglob("*.py")
+               for reader in file_reads(ast.parse(path.read_text(), str(path)),
+                                        path.stem)}
+    assert readers == FUZZED_READERS

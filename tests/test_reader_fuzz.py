@@ -6,7 +6,8 @@ overwrites a few of its bytes, or rewrites an entry's dims with arbitrary
 u32 values; the PPM fuzzer also builds headers from a small alphabet of
 digits, signs, whitespace and comment marks. Whatever the input, the only
 exception that may escape is a `YoloTlaError`, and a file the reader
-accepts is written back byte for byte by its writer.
+accepts is written back byte for byte by its writer. The PPM header scan
+also answers every header exactly as a byte-by-byte tokenizer does.
 """
 import struct
 
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from yolotla.data import load_image
+from yolotla.data import _parse_ppm, load_image
 from yolotla.errors import ParseError, YoloTlaError
 from yolotla.graph import load_weights, save_weights
 from yolotla.tensor import Tensor, load_tns, save_tns
@@ -165,3 +166,77 @@ def test_ppm_reader_refuses_or_reads(folder, blob):
         return
     assert t.n == 1 and t.c == 3
     assert float(t.data.min()) >= 0.0 and float(t.data.max()) <= 1.0
+
+
+def ppm_reference(blob: bytes, path) -> Tensor:
+    """The PPM reader as a byte-by-byte tokenizer, the oracle for
+    `data._parse_ppm`'s pattern scan."""
+    if blob[:2] != b"P6":
+        raise ParseError(f"{path}: not a binary PPM (magic {blob[:2]!r})")
+    pos = 2
+    fields = []
+    while len(fields) < 3:
+        while pos < len(blob) and blob[pos:pos + 1].isspace():
+            pos += 1
+        if blob[pos:pos + 1] == b"#":
+            while pos < len(blob) and blob[pos] != 0x0A:
+                pos += 1
+            continue
+        start = pos
+        while pos < len(blob) and not blob[pos:pos + 1].isspace():
+            pos += 1
+        if start == pos:
+            raise ParseError(f"{path}: truncated PPM header")
+        fields.append(blob[start:pos])
+    pos += 1   # single whitespace after maxval
+    try:
+        width, height, maxval = (int(f) for f in fields)
+    except ValueError:
+        raise ParseError(f"{path}: non-numeric PPM header fields "
+                         f"{fields}") from None
+    if width < 1 or height < 1:
+        raise ParseError(
+            f"{path}: PPM dimensions must be positive, got {width}x{height}")
+    if maxval != 255:
+        raise ParseError(f"{path}: only 8-bit PPM supported, maxval {maxval}")
+    need = width * height * 3
+    payload = blob[pos:pos + need]
+    if len(payload) < need:
+        raise ParseError(
+            f"{path}: PPM payload holds {len(payload)} bytes, needs {need}")
+    arr = np.frombuffer(payload, dtype=np.uint8).reshape(height, width, 3)
+    chw = arr.astype(np.float32).transpose(2, 0, 1) / 255.0
+    return Tensor(chw[None])
+
+
+def outcome(parse, blob: bytes):
+    """The tensor bytes a reader returns, or the error it raises."""
+    try:
+        t = parse(blob, "x.ppm")
+    except Exception as e:
+        return type(e), str(e)
+    return t.shape, t.data.dtype, t.data.tobytes()
+
+
+@st.composite
+def ppm_headers(draw):
+    """A P6 header of drawn pieces, among them every ASCII whitespace byte,
+    CRLF line ends and a '#' that lands inside a field, then a payload."""
+    pieces = st.sampled_from([b"1", b"2", b"255", b"0", b"+", b"_", b"x",
+                              b" ", b"\t", b"\n", b"\r", b"\r\n", b"\v", b"\f",
+                              b"#", b"# c\n", b"#\r\n"])
+    head = b"P6" + b"".join(draw(st.lists(pieces, max_size=12)))
+    return head + draw(st.binary(max_size=16))
+
+
+@settings(max_examples=1000)
+@given(blob=ppm_files() | ppm_headers())
+@example(blob=b"P6\v1\f1\r\n255\r\n\x00\x80\xff")
+@example(blob=b"P6 1#2 1 255\n")
+@example(blob=b"P6#c\n1#\n1 255 \x01\x02\x03")
+@example(blob=b"P6 1 1 255")
+@example(blob=b"P6 1 #\r2\n1 255\n\x00\x00\x00")   # '#' runs to LF, not CR
+@example(blob=b"P6 1 1 # no newline")
+@example(blob=b"P7 1 1 255\n\x00\x00\x00")
+def test_ppm_scan_matches_the_tokenizer(blob):
+    assert outcome(_parse_ppm, blob) == outcome(ppm_reference, blob)
