@@ -12,7 +12,8 @@ the dependency surface flat.
 
 Letterboxing preserves aspect ratio: nearest-neighbor resize so the
 longer side hits the target, then center padding with 114/255 gray. The
-returned (scale, pads) affine maps detections back to source pixels.
+returned per-axis ((scale_x, scale_y), pads) affine maps detections back
+to source pixels; ``stretch`` is the same affine with unequal scales.
 Nearest neighbor is chosen for bit-for-bit determinism everywhere.
 """
 from __future__ import annotations
@@ -198,11 +199,12 @@ def load_results(path, ds: Dataset) -> dict[int, list[Detection]]:
 # a PPM header field after any whitespace and '#' comments (each to its LF)
 _PPM_FIELD = rb"(?:\s|#[^\n]*)*(\S*)"
 _PPM_HEADER = re.compile(rb"P6" + _PPM_FIELD * 3)
+_PPM_INTEGER = re.compile(rb"-?[0-9]+")   # int() also takes '+' and '_'
 
 
 def _parse_ppm(blob: bytes, path) -> Tensor:
-    # header: P6, whitespace-separated width/height/maxval, one whitespace,
-    # then raw RGB triples; '#' starts a comment anywhere in the header
+    # header: P6, whitespace-separated decimal width/height/maxval, one
+    # whitespace, then raw RGB triples; '#' starts a comment in the header
     if blob[:2] != b"P6":
         raise ParseError(f"{path}: not a binary PPM (magic {blob[:2]!r})")
     header = _PPM_HEADER.match(blob)
@@ -211,8 +213,10 @@ def _parse_ppm(blob: bytes, path) -> Tensor:
         raise ParseError(f"{path}: truncated PPM header")
     pos = header.end() + 1   # single whitespace after maxval
     try:
-        width, height, maxval = (int(f) for f in fields)
-    except ValueError:
+        if not all(map(_PPM_INTEGER.fullmatch, fields)):
+            raise ValueError
+        width, height, maxval = map(int, fields)
+    except ValueError:   # also a field past Python's integer digit limit
         raise ParseError(f"{path}: non-numeric PPM header fields "
                          f"{fields}") from None
     if width < 1 or height < 1:
@@ -241,7 +245,7 @@ def load_image(path) -> Tensor:
             return _parse_ppm(Path(path).read_bytes(), path)
         t = load_tns(path)
     except OSError as e:
-        raise ParseError(f"cannot read image {path}: {e}") from e
+        raise ParseError(f"cannot read image {path}: {e.strerror or e}") from e
     if t.n != 1 or t.c != 3:
         raise ParseError(
             f"{path}: expected a (1, 3, H, W) tensor, got {t.shape}")
@@ -261,37 +265,36 @@ def resize_nearest(img: Tensor, new_h: int, new_w: int) -> Tensor:
 
 
 def letterbox(img: Tensor, target: int = TARGET_SIDE, stretch: bool = False):
-    """Standardize to target x target; returns (tensor, scale, (pad_x, pad_y)).
+    """Standardize to target x target; returns (tensor, (scale_x, scale_y),
+    (pad_x, pad_y)).
 
-    With ``stretch`` the aspect ratio is not preserved and ``scale`` is a
-    per-axis (scale_x, scale_y) pair with zero padding.
+    The scales are equal, fitting the longer side to the target, unless
+    ``stretch`` fits each side on its own (the aspect ratio is then lost
+    and both pads are zero).
     """
     if target < 1:
         raise ConfigError(f"letterbox target side must be at least 1, "
                           f"got {target}")
     n, c, h, w = img.shape
     if stretch:
-        out = resize_nearest(img, target, target)
-        return out, (target / w, target / h), (0.0, 0.0)
-    scale = min(target / h, target / w)
-    new_h = max(1, int(round(h * scale)))
-    new_w = max(1, int(round(w * scale)))
+        sx, sy = target / w, target / h
+    else:
+        sx = sy = min(target / h, target / w)
+    new_h = max(1, int(round(h * sy)))
+    new_w = max(1, int(round(w * sx)))
     resized = resize_nearest(img, new_h, new_w)
     canvas = np.full((n, c, target, target), PAD_VALUE, dtype=np.float32)
     pad_y = (target - new_h) // 2
     pad_x = (target - new_w) // 2
     canvas[:, :, pad_y:pad_y + new_h, pad_x:pad_x + new_w] = resized.data
-    return Tensor(canvas), scale, (float(pad_x), float(pad_y))
+    return Tensor(canvas), (sx, sy), (float(pad_x), float(pad_y))
 
 
 def unletterbox_box(box, scale, pads, orig_hw):
     """Map a letterboxed-space box back to source pixels, clipped."""
     x1, y1, x2, y2 = box
+    sx, sy = scale
     pad_x, pad_y = pads
-    if isinstance(scale, tuple):
-        sx, sy = scale
-    else:
-        sx = sy = scale
     h, w = orig_hw
     return (min(max((x1 - pad_x) / sx, 0.0), w),
             min(max((y1 - pad_y) / sy, 0.0), h),

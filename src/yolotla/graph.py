@@ -490,7 +490,7 @@ def save_weights(path, params: dict[str, np.ndarray]) -> None:
         fh.write(struct.pack("<B", WEIGHT_VERSION))
         fh.write(struct.pack("<I", len(params)))
         for name in sorted(params):
-            arr = np.ascontiguousarray(params[name], dtype=np.float32)
+            arr = np.ascontiguousarray(params[name], dtype="<f4")
             encoded = name.encode("utf-8")
             fh.write(struct.pack("<I", len(encoded)))
             fh.write(encoded)

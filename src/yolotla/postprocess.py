@@ -179,11 +179,9 @@ def decode(maps, anchors, strides,
         y1 = np.clip(cy - bh / 2, 0.0, img_h)
         x2 = np.clip(cx + bw / 2, 0.0, img_w)
         y2 = np.clip(cy + bh / 2, 0.0, img_h)
-        columns = (v.tolist() for v in (x1, y1, x2, y2, best_cls[keep],
-                                        conf[keep]))
-        out.extend(Detection(box=(bx1, by1, bx2, by2), class_id=c,
-                             confidence=p)
-                   for bx1, by1, bx2, by2, c, p in zip(*columns))
+        boxes = zip(*(v.tolist() for v in (x1, y1, x2, y2)))
+        out.extend(map(Detection, boxes, best_cls[keep].tolist(),
+                       conf[keep].tolist()))
     return out
 
 

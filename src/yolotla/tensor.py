@@ -202,7 +202,9 @@ class ConvSpec:
 
 
 def _check_conv_args(x: Tensor, spec: ConvSpec, weight: Tensor,
-                     bias: np.ndarray | None) -> None:
+                     bias: np.ndarray | None) -> tuple[int, int, int]:
+    """Refuse a conv call whose arguments disagree with ``spec``; return
+    the call's output height and width and its input channels per group."""
     if x.c != spec.in_channels:
         raise ShapeError(
             f"input has {x.c} channels, conv spec expects in_channels={spec.in_channels}")
@@ -216,13 +218,16 @@ def _check_conv_args(x: Tensor, spec: ConvSpec, weight: Tensor,
     if bias is not None and bias.shape != (spec.out_channels,):
         raise ShapeError(
             f"bias shape {bias.shape} must be ({spec.out_channels},) to match out_channels")
+    return (*spec.out_hw(x.h, x.w), spec.in_channels // spec.groups)
 
 
-def _padded(x: Tensor, spec: ConvSpec) -> np.ndarray:
-    if spec.pad_h == 0 and spec.pad_w == 0:
+def _padded(x: Tensor, ph: int, pw: int, value: float = 0.0) -> np.ndarray:
+    """x's array with ph rows and pw columns of ``value`` on each side (x's
+    own array when both are 0): zeros for a conv, -inf for a max pool."""
+    if ph == 0 and pw == 0:
         return x.data
-    return np.pad(x.data, ((0, 0), (0, 0), (spec.pad_h, spec.pad_h),
-                           (spec.pad_w, spec.pad_w)))
+    return np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw)),
+                  constant_values=value)
 
 
 def _windows(xp: np.ndarray, kh: int, kw: int, oh: int, ow: int,
@@ -238,12 +243,9 @@ def conv2d(x: Tensor, spec: ConvSpec, weight: Tensor,
     """Grouped 2-D convolution as float32 GEMMs, one per band of output
     rows in each group, each written straight into its slice of the
     output."""
-    _check_conv_args(x, spec, weight, bias)
-    n, cin = x.n, x.c
-    oh, ow = spec.out_hw(x.h, x.w)
+    oh, ow, cing = _check_conv_args(x, spec, weight, bias)
+    n, g = x.n, spec.groups
     kh, kw = spec.kernel_h, spec.kernel_w
-    g = spec.groups
-    cing = cin // g
     coutg = spec.out_channels // g
     macs, flops = meter.conv_cost(n, spec.out_channels, cing, kh, kw, oh, ow,
                                   bias is not None)
@@ -254,7 +256,8 @@ def conv2d(x: Tensor, spec: ConvSpec, weight: Tensor,
     k = cing * kh * kw
     wmat = weight.data.reshape(g, coutg, k)
     out = np.empty((n, g, coutg, oh * ow), dtype=np.float32)
-    view = _windows(_padded(x, spec), kh, kw, oh, ow, spec.stride_h, spec.stride_w)
+    view = _windows(_padded(x, spec.pad_h, spec.pad_w), kh, kw, oh, ow,
+                    spec.stride_h, spec.stride_w)
     rows = max(1, BAND_BYTES // (4 * n * k * ow))
     for gi in range(g):
         patches = view[:, gi * cing:(gi + 1) * cing]
@@ -278,15 +281,12 @@ def conv2d_naive(x: Tensor, spec: ConvSpec, weight: Tensor,
     executed so instrumented runs report exactly what the loops did. Use
     small inputs only.
     """
-    _check_conv_args(x, spec, weight, bias)
-    n, cin = x.n, x.c
-    oh, ow = spec.out_hw(x.h, x.w)
+    oh, ow, cing = _check_conv_args(x, spec, weight, bias)
+    n, g = x.n, spec.groups
     kh, kw = spec.kernel_h, spec.kernel_w
-    g = spec.groups
-    cing = cin // g
     coutg = spec.out_channels // g
 
-    xp = _padded(x, spec)
+    xp = _padded(x, spec.pad_h, spec.pad_w)
     wd = weight.data
     out = np.empty((n, spec.out_channels, oh, ow), dtype=np.float32)
     macs_done = 0
@@ -408,10 +408,7 @@ def maxpool2d(x: Tensor, kernel: int, stride: int = 1, pad: int = 0) -> Tensor:
     meter.record("maxpool", 0, meter.maxpool_cost(x.n * x.c * oh * ow, kernel, kernel))
     if x.is_meta:
         return Tensor.meta((x.n, x.c, oh, ow))
-    xp = x.data
-    if pad:
-        xp = np.pad(xp, ((0, 0), (0, 0), (pad, pad), (pad, pad)),
-                    constant_values=-np.inf)
+    xp = _padded(x, pad, pad, -np.inf)
     return Tensor(_tap_max(_tap_max(xp, 2, kernel, stride, oh),
                            3, kernel, stride, ow))
 

@@ -557,11 +557,12 @@ class TestInferCommand:
         assert isinstance(json.loads(out), list)
 
     def test_missing_image_exits_one(self, workdir, capsys):
+        path = workdir["root"] / "missing.ppm"
         code, _, err = run(
-            ["infer", "--config", "yolov5s", "--image",
-             str(workdir["root"] / "missing.ppm")], capsys)
+            ["infer", "--config", "yolov5s", "--image", str(path)], capsys)
         assert code == 1
-        assert err.startswith("error:")
+        assert err == (f"error: cannot read image {path}: "
+                       f"No such file or directory\n")
 
 
     def test_unwritable_out_exits_one(self, workdir, capsys):

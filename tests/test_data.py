@@ -4,10 +4,12 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from yolotla.data import (Dataset, letterbox, load_coco, load_image,
                           resize_nearest, unletterbox_box, PAD_VALUE)
-from yolotla.errors import ParseError
+from yolotla.errors import ConfigError, ParseError
 from yolotla.tensor import Tensor, save_tns
 
 
@@ -170,6 +172,15 @@ class TestLoadImage:
         with pytest.raises(ParseError, match="must be positive"):
             load_image(p)
 
+    @pytest.mark.parametrize("header", [
+        b"P6 +1 1_0 2_55\n", b"P6 +1 10 255\n", b"P6 1 1_0 255\n",
+        b"P6 1 10 +255\n", b"P6 1 10 0x1\n", b"P6 1 10 --255\n"])
+    def test_header_fields_are_decimal_digits(self, tmp_path, header):
+        p = tmp_path / "signed.ppm"
+        p.write_bytes(header + b"\0" * 30)
+        with pytest.raises(ParseError, match="non-numeric PPM header fields"):
+            load_image(p)
+
     def test_tns_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
         t = Tensor(rng.uniform(0, 1, (1, 3, 5, 4)).astype(np.float32))
@@ -216,13 +227,13 @@ class TestLetterbox:
         rng = np.random.default_rng(2)
         t = Tensor(rng.uniform(size=(1, 3, 640, 640)).astype(np.float32))
         out, scale, pads = letterbox(t)
-        assert scale == 1.0 and pads == (0.0, 0.0)
+        assert scale == (1.0, 1.0) and pads == (0.0, 0.0)
         np.testing.assert_array_equal(out.data, t.data)
 
     def test_half_height_pads_vertically(self):
         t = Tensor(np.zeros((1, 3, 320, 640), np.float32))
         out, scale, (pad_x, pad_y) = letterbox(t)
-        assert scale == 1.0 and (pad_x, pad_y) == (0.0, 160.0)
+        assert scale == (1.0, 1.0) and (pad_x, pad_y) == (0.0, 160.0)
         assert out.shape == (1, 3, 640, 640)
         assert np.all(out.data[:, :, :160] == np.float32(PAD_VALUE))
         assert np.all(out.data[:, :, 480:] == np.float32(PAD_VALUE))
@@ -231,7 +242,7 @@ class TestLetterbox:
     def test_scale_shrinks_long_side_to_target(self):
         t = Tensor(np.zeros((1, 3, 480, 1280), np.float32))
         out, scale, (pad_x, pad_y) = letterbox(t)
-        assert scale == 0.5
+        assert scale == (0.5, 0.5)
         assert pad_x == 0.0 and pad_y == (640 - 240) // 2
         assert out.shape == (1, 3, 640, 640)
 
@@ -242,11 +253,12 @@ class TestLetterbox:
             w = int(rng.integers(40, 900))
             img = Tensor(np.zeros((1, 3, h, w), np.float32))
             _, scale, pads = letterbox(img)
+            sx, sy = scale
             x1, y1 = rng.uniform(0, w * 0.5), rng.uniform(0, h * 0.5)
             x2 = rng.uniform(x1 + 1, w)
             y2 = rng.uniform(y1 + 1, h)
-            boxed = (x1 * scale + pads[0], y1 * scale + pads[1],
-                     x2 * scale + pads[0], y2 * scale + pads[1])
+            boxed = (x1 * sx + pads[0], y1 * sy + pads[1],
+                     x2 * sx + pads[0], y2 * sy + pads[1])
             back = unletterbox_box(boxed, scale, pads, (h, w))
             for got, want in zip(back, (x1, y1, x2, y2)):
                 assert abs(got - want) <= 1.0
@@ -259,3 +271,37 @@ class TestLetterbox:
         assert pads == (0.0, 0.0)
         back = unletterbox_box((0, 0, 640, 640), scale, pads, (320, 160))
         assert back == (0.0, 0.0, 160.0, 320.0)
+
+
+def letterbox_reference(img: Tensor, target: int = 640, stretch: bool = False):
+    """The two-path letterbox that `letterbox`'s one per-axis path replaced:
+    a float scale when letterboxing, an (sx, sy) pair under ``stretch``."""
+    if target < 1:
+        raise ConfigError(f"letterbox target side must be at least 1, "
+                          f"got {target}")
+    n, c, h, w = img.shape
+    if stretch:
+        out = resize_nearest(img, target, target)
+        return out, (target / w, target / h), (0.0, 0.0)
+    scale = min(target / h, target / w)
+    new_h = max(1, int(round(h * scale)))
+    new_w = max(1, int(round(w * scale)))
+    resized = resize_nearest(img, new_h, new_w)
+    canvas = np.full((n, c, target, target), PAD_VALUE, dtype=np.float32)
+    pad_y = (target - new_h) // 2
+    pad_x = (target - new_w) // 2
+    canvas[:, :, pad_y:pad_y + new_h, pad_x:pad_x + new_w] = resized.data
+    return Tensor(canvas), scale, (float(pad_x), float(pad_y))
+
+
+@settings(max_examples=300)
+@given(h=st.integers(1, 96), w=st.integers(1, 96), target=st.integers(1, 128),
+       stretch=st.booleans())
+def test_letterbox_matches_two_path_reference(h, w, target, stretch):
+    pixels = np.arange(3 * h * w, dtype=np.float32).reshape(1, 3, h, w)
+    img = Tensor(pixels / pixels.size)
+    out, scale, pads = letterbox(img, target, stretch)
+    want, want_scale, want_pads = letterbox_reference(img, target, stretch)
+    assert out.data.tobytes() == want.data.tobytes()
+    assert pads == want_pads
+    assert scale == (want_scale if stretch else (want_scale, want_scale))

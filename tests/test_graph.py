@@ -545,6 +545,14 @@ class TestWeightFiles:
         with pytest.raises(ParseError, match="not UTF-8"):
             load_weights(path)
 
+    def test_payload_is_little_endian_f4(self, tmp_path):
+        # load_weights reads "<f4" whatever the host's byte order
+        path = tmp_path / "w.tlaw"
+        values = [1.5, -2.0, 3.25]
+        save_weights(path, {"w": np.array(values, ">f4")})
+        # header (9 bytes), name length and name (5), dims (16), payload
+        assert path.read_bytes()[30:] == np.array(values, "<f4").tobytes()
+
     def test_vectors_stored_rank4(self, tmp_path):
         path = tmp_path / "v.tlaw"
         save_weights(path, {"x.norm.scale": np.arange(5, dtype=np.float32)})

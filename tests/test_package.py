@@ -57,20 +57,35 @@ def opens_for_reading(call: ast.Call) -> bool:
     return name == "open" and not writes
 
 
-def file_reads(tree, scope):
-    """The qualified name (module.function) of each function that opens a
-    file for reading."""
+def calling_scopes(tree, scope, matches):
+    """The qualified name (module.function) of each function holding a call
+    that ``matches``."""
     for node in ast.iter_child_nodes(tree):
-        if isinstance(node, ast.Call) and opens_for_reading(node):
+        if isinstance(node, ast.Call) and matches(node):
             yield scope
         named = isinstance(
             node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        yield from file_reads(node, f"{scope}.{node.name}" if named else scope)
+        yield from calling_scopes(
+            node, f"{scope}.{node.name}" if named else scope, matches)
+
+
+def package_calling_scopes(matches) -> set[str]:
+    return {name for path in SRC.rglob("*.py")
+            for name in calling_scopes(ast.parse(path.read_text(), str(path)),
+                                       path.stem, matches)}
 
 
 def test_only_the_fuzzed_readers_read_files():
     # every input byte enters through a reader whose refusals are fuzzed
-    readers = {reader for path in SRC.rglob("*.py")
-               for reader in file_reads(ast.parse(path.read_text(), str(path)),
-                                        path.stem)}
-    assert readers == FUZZED_READERS
+    assert package_calling_scopes(opens_for_reading) == FUZZED_READERS
+
+
+def calls_np_pad(call: ast.Call) -> bool:
+    func = call.func
+    return (isinstance(func, ast.Attribute) and func.attr == "pad"
+            and getattr(func.value, "id", None) in ("np", "numpy"))
+
+
+def test_only_tensor_padded_pads():
+    # conv and max pool borders come from one helper, each with its fill
+    assert package_calling_scopes(calls_np_pad) == {"tensor._padded"}

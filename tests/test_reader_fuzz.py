@@ -190,6 +190,9 @@ def ppm_reference(blob: bytes, path) -> Tensor:
         fields.append(blob[start:pos])
     pos += 1   # single whitespace after maxval
     try:
+        for f in fields:   # an optional '-', then decimal digits only
+            if not (f[1:] if f[:1] == b"-" else f).isdigit():
+                raise ValueError(f)
         width, height, maxval = (int(f) for f in fields)
     except ValueError:
         raise ParseError(f"{path}: non-numeric PPM header fields "
