@@ -30,13 +30,12 @@ from .anchors import assign_to_scales, fit_anchors
 from .blocks import BLOCKS
 from .costs import (CONVENTION, analyze, closed_form_cross,
                     closed_form_standard)
-from .data import (letterbox, load_coco, load_image, load_results,
-                   read_json, unletterbox_box)
+from .data import load_coco, load_image, load_results, read_json
 from .errors import ConfigError, YoloTlaError
 from .graph import build_model, bundled_config_names, find_config, parse_config
 from .metrics import ap_from_ranking, evaluate, exact_envelope_ap
 from .postprocess import (DEFAULT_CONF_THRESHOLD, DEFAULT_IOU_THRESHOLD,
-                          Detection, decode, nms, results_json)
+                          results_json)
 from .tensor import ConvSpec, Tensor, conv2d, conv2d_naive
 
 log = logging.getLogger("yolotla")
@@ -212,47 +211,26 @@ def cmd_anchors(args) -> int:
 
 # -- infer -------------------------------------------------------------------
 
-INFER_STAGES = ("load", "letterbox", "forward", "decode", "nms", "serialize")
-
-
-def _mark(clock: list) -> None:
-    """Append (wall seconds, process peak RSS in MB so far) to ``clock``;
-    `ru_maxrss` counts KiB on Linux and bytes on macOS."""
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    clock.append((time.perf_counter(),
-                  peak / (1 << 20 if sys.platform == "darwin" else 1 << 10)))
-
-
 def cmd_infer(args) -> int:
     _check_seed(args.seed)
     for flag, value in (("--conf", args.conf), ("--iou", args.iou)):
         if not 0.0 <= value <= 1.0:
             raise ConfigError(f"{flag} must be within [0, 1], got {value}")
-    clock = [(time.perf_counter(), 0.0)]   # then one _mark per INFER_STAGES
+    clock = [("start", time.perf_counter(), 0.0)]
+
+    def mark(stage: str) -> None:   # ru_maxrss: KiB on Linux, bytes on macOS
+        rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        clock.append((stage, time.perf_counter(),
+                      rss / (1 << 20 if sys.platform == "darwin" else 1024)))
+
     model = build_model(find_config(args.config), seed=args.seed)
     if args.weights:
         model.load_weight_file(args.weights)
     model.params   # binds the seeded weights here, not in "forward"
     img = load_image(args.image)
-    orig_hw = (img.h, img.w)
-    _mark(clock)
-    boxed, scale, pads = letterbox(img, target=args.input_size,
-                                   stretch=args.stretch)
-    _mark(clock)
-    maps = model.forward(boxed)
-    _mark(clock)
-    candidates = decode(maps, model.anchors, model.strides,
-                        conf_threshold=args.conf)
-    _mark(clock)
-    dets = nms(candidates, iou_threshold=args.iou)
-    _mark(clock)
-    found = len(candidates)
-    del candidates   # only the kept detections live through serialize
-    log.debug("infer: %d candidates at conf>=%s, %d kept by nms, "
-              "%d suppressed", found, args.conf, len(dets), found - len(dets))
-    restored = [Detection(box=unletterbox_box(d.box, scale, pads, orig_hw),
-                          class_id=d.class_id, confidence=d.confidence)
-                for d in dets]
+    mark("load")
+    restored = model.infer(img, args.input_size, stretch=args.stretch,
+                           conf=args.conf, iou=args.iou, mark=mark)
     if args.json or args.out:
         payload = results_json(restored, args.image_id)
     if args.out:
@@ -273,11 +251,10 @@ def cmd_infer(args) -> int:
         if args.out:
             lines.append(f"wrote results to {args.out}")
         text = "\n".join(lines)
-    _mark(clock)
+    mark("serialize")
     print(text)
     if args.timings:
-        for stage, (begin, _), (end, peak) in zip(INFER_STAGES, clock,
-                                                  clock[1:]):
+        for (_, begin, _), (stage, end, peak) in zip(clock, clock[1:]):
             print(f"timing {stage:<9} {end - begin:.4f} s  "
                   f"peak_rss {peak:.1f} MB", file=sys.stderr)
     return 0

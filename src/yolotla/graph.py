@@ -35,6 +35,7 @@ count.
 """
 from __future__ import annotations
 
+import logging
 import math
 import os
 import struct
@@ -47,10 +48,14 @@ import numpy as np
 
 from . import blocks as _blocks
 from . import meter
-from .data import read_json
+from .data import letterbox, read_json, unletterbox_box
 from .errors import (ConfigError, ParseError, ShapeError, WeightError,
                      is_instance)
+from .postprocess import (DEFAULT_CONF_THRESHOLD, DEFAULT_IOU_THRESHOLD,
+                          Detection, decode, nms)
 from .tensor import Tensor
+
+log = logging.getLogger("yolotla")
 
 WEIGHT_MAGIC = b"TLAW"
 WEIGHT_VERSION = 1
@@ -448,6 +453,27 @@ class Model:
         """Run the graph; returns one raw prediction map per detect scale."""
         return self.walk(x)
 
+    def infer(self, img: Tensor, input_size: int, *, stretch: bool = False,
+              conf=DEFAULT_CONF_THRESHOLD, iou=DEFAULT_IOU_THRESHOLD,
+              mark=lambda stage: None) -> list[Detection]:
+        """Runs letterbox (to ``input_size``), forward, decode (at ``conf``)
+        and nms (at ``iou``) on ``img``, calling ``mark`` with each stage's
+        name as it ends; returns the kept detections in ``img``'s pixels."""
+        boxed, scale, pads = letterbox(img, target=input_size, stretch=stretch)
+        mark("letterbox")
+        maps = self.forward(boxed)
+        mark("forward")
+        candidates = decode(maps, self.anchors, self.strides, conf)
+        mark("decode")
+        dets = nms(candidates, iou)
+        mark("nms")
+        found = len(candidates)
+        del candidates   # only the kept detections outlive NMS
+        log.debug("infer: %d candidates at conf>=%s, %d kept by nms, "
+                  "%d suppressed", found, conf, len(dets), found - len(dets))
+        return [Detection(unletterbox_box(d.box, scale, pads, (img.h, img.w)),
+                          d.class_id, d.confidence) for d in dets]
+
     # -- weight files ------------------------------------------------------
 
     def save_weight_file(self, path) -> None:
@@ -546,7 +572,3 @@ def load_weights(path) -> dict[str, np.ndarray]:
         if fh.tell() != size:
             raise ParseError(f"{path} has {size - fh.tell()} trailing bytes")
     return out
-
-
-def weight_file_float_count(path) -> int:
-    return sum(int(a.size) for a in load_weights(path).values())

@@ -11,11 +11,13 @@ import pytest
 
 from yolotla import graph, meter
 from yolotla.costs import analyze, count_empirical
+from yolotla.data import letterbox, unletterbox_box
 from yolotla.errors import ConfigError, ParseError, ShapeError, WeightError
 from yolotla.graph import (Model, build_model, bundled_config_names,
                            find_config, init_params, load_weights,
                            parse_config, save_weights, scale_channels,
-                           scale_repeats, weight_file_float_count)
+                           scale_repeats)
+from yolotla.postprocess import Detection, decode, nms
 from yolotla.tensor import Tensor
 
 
@@ -458,7 +460,8 @@ class TestWeightFiles:
         m = build_model(toy_config(), seed=1)
         path = tmp_path / "toy.tlaw"
         m.save_weight_file(path)
-        assert weight_file_float_count(path) == m.param_count()
+        floats = sum(a.size for a in load_weights(path).values())
+        assert floats == m.param_count()
 
     @staticmethod
     def assert_rejected_unchanged(edit, message, tmp_path):
@@ -790,3 +793,29 @@ class TestPipelineShapes:
         assert [t.shape for t in maps] == [
             (1, 255, 32, 32), (1, 255, 16, 16),
             (1, 255, 8, 8), (1, 255, 4, 4)]
+
+
+class TestInfer:
+    """`Model.infer` is the stages run by hand, each kept box mapped back
+    to the source image."""
+
+    @pytest.fixture(scope="class", params=["yolov5s", "yolo-tla-s"])
+    def model(self, request):
+        return build_model(find_config(request.param))
+
+    @pytest.mark.parametrize("stretch", [False, True],
+                             ids=["letterbox", "stretch"])
+    @pytest.mark.parametrize("side", [64, 128])
+    def test_equals_the_stages_by_hand(self, model, side, stretch):
+        img = rand_image(48, 80, seed=5)
+        marks = []
+        got = model.infer(img, side, stretch=stretch, conf=0.18,
+                          mark=marks.append)
+        boxed, scale, pads = letterbox(img, target=side, stretch=stretch)
+        kept = nms(decode(model.forward(boxed), model.anchors, model.strides,
+                          conf_threshold=0.18))
+        want = [Detection(unletterbox_box(d.box, scale, pads, (48, 80)),
+                          d.class_id, d.confidence) for d in kept]
+        assert marks == ["letterbox", "forward", "decode", "nms"]
+        assert want
+        assert repr(got) == repr(want)   # repr tells an int edge from a float

@@ -89,3 +89,57 @@ def calls_np_pad(call: ast.Call) -> bool:
 def test_only_tensor_padded_pads():
     # conv and max pool borders come from one helper, each with its fill
     assert package_calling_scopes(calls_np_pad) == {"tensor._padded"}
+
+
+# the inference stages after load; `Model.infer` runs them for every caller
+INFER_STAGE_FUNCTIONS = {"letterbox", "decode", "nms", "unletterbox_box"}
+
+
+def calls_an_infer_stage(call: ast.Call) -> bool:
+    # a bare name: `bytes.decode` is an attribute call and no stage
+    return getattr(call.func, "id", None) in INFER_STAGE_FUNCTIONS
+
+
+def test_only_model_infer_runs_the_infer_stages():
+    # a change to the stages after load has one home, not one per caller
+    assert package_calling_scopes(calls_an_infer_stage) == {"graph.Model.infer"}
+
+
+# definitions that no code in the package names, each with why it stays
+UNREFERENCED = {
+    "metrics.match_image": "the acceptance tests match one image with it",
+    "graph.Model.head_shapes": "perfbench reads the head map shapes with it",
+    "postprocess.to_coco_results": "perfbench writes its results rows with it",
+    "graph.Model.save_weight_file": "README's way to write a .tlaw file",
+    "postprocess.nms_reference": "the oracle the NMS tests compare with",
+    "anchors.iou_wh": "the oracle the anchor distance tests compare with",
+    "cli._Parser.error": "argparse calls this override by name",
+}
+
+
+def definitions(tree, module):
+    """(qualified name, name) of each top-level function and class and of
+    each method."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in tree.body:
+        if isinstance(node, defs):
+            yield f"{module}.{node.name}", node.name
+            if isinstance(node, ast.ClassDef):
+                yield from ((f"{module}.{node.name}.{item.name}", item.name)
+                            for item in node.body if isinstance(item, defs))
+
+
+def test_every_definition_is_reached():
+    # src/ holds only what the package itself or its public API reaches;
+    # Python calls the dunder methods
+    trees = {path.stem: ast.parse(path.read_text(), str(path))
+             for path in SRC.rglob("*.py")}
+    named = set(yolotla.__all__) | {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in trees.values() for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))}
+    unreached = {qualified for module, tree in trees.items()
+                 for qualified, name in definitions(tree, module)
+                 if name not in named
+                 and not (name.startswith("__") and name.endswith("__"))}
+    assert unreached == set(UNREFERENCED)
