@@ -41,7 +41,7 @@ import numpy as np
 from . import meter
 from .errors import ConfigError, ShapeError, is_instance
 from .tensor import (ConvSpec, Tensor, add, concat_channels, conv2d, maxpool2d,
-                     mul, relu, sigmoid, silu, upsample_nearest)
+                     mul, relu, resize_nearest, sigmoid, silu)
 
 Shape = tuple[int, int, int, int]
 IntPair = int | list | tuple   # an int or [a, b]; `_pair` checks the items
@@ -461,7 +461,8 @@ class Upsample(Block):
         self.factor = factor
 
     def forward(self, xs):
-        return upsample_nearest(xs[0], self.factor)
+        x, f = xs[0], self.factor
+        return resize_nearest(x, x.h * f, x.w * f)
 
 
 class Concat(Block):

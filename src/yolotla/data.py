@@ -10,11 +10,11 @@ finite JSON numbers and a score one. Images load from binary PPM ("P6",
 8-bit) or the ".tns" tensor format; richer codecs are out of scope to keep
 the dependency surface flat.
 
-Letterboxing preserves aspect ratio: nearest-neighbor resize so the
-longer side hits the target, then center padding with 114/255 gray. The
+Letterboxing preserves aspect ratio: `tensor.resize_nearest` (nearest
+neighbor, chosen for bit-for-bit determinism) so the longer side hits the
+target, then center padding with 114/255 gray by `tensor._padded`. The
 returned per-axis ((scale_x, scale_y), pads) affine maps detections back
 to source pixels; ``stretch`` is the same affine with unequal scales.
-Nearest neighbor is chosen for bit-for-bit determinism everywhere.
 """
 from __future__ import annotations
 
@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import ConfigError, ParseError, is_instance
 from .postprocess import Detection
-from .tensor import Tensor, load_tns
+from .tensor import Tensor, _padded, load_tns, resize_nearest
 
 log = logging.getLogger("yolotla")
 
@@ -254,16 +254,6 @@ def load_image(path) -> Tensor:
     return t
 
 
-def resize_nearest(img: Tensor, new_h: int, new_w: int) -> Tensor:
-    """Nearest-neighbor resize; source index = center-aligned floor map."""
-    n, c, h, w = img.shape
-    rows = np.minimum(((np.arange(new_h) + 0.5) * h / new_h).astype(int),
-                      h - 1)
-    cols = np.minimum(((np.arange(new_w) + 0.5) * w / new_w).astype(int),
-                      w - 1)
-    return Tensor(img.data[:, :, rows[:, None], cols[None, :]])
-
-
 def letterbox(img: Tensor, target: int = TARGET_SIDE, stretch: bool = False):
     """Standardize to target x target; returns (tensor, (scale_x, scale_y),
     (pad_x, pad_y)).
@@ -275,18 +265,18 @@ def letterbox(img: Tensor, target: int = TARGET_SIDE, stretch: bool = False):
     if target < 1:
         raise ConfigError(f"letterbox target side must be at least 1, "
                           f"got {target}")
-    n, c, h, w = img.shape
+    h, w = img.h, img.w
     if stretch:
         sx, sy = target / w, target / h
     else:
         sx = sy = min(target / h, target / w)
     new_h = max(1, int(round(h * sy)))
     new_w = max(1, int(round(w * sx)))
-    resized = resize_nearest(img, new_h, new_w)
-    canvas = np.full((n, c, target, target), PAD_VALUE, dtype=np.float32)
     pad_y = (target - new_h) // 2
     pad_x = (target - new_w) // 2
-    canvas[:, :, pad_y:pad_y + new_h, pad_x:pad_x + new_w] = resized.data
+    canvas = _padded(resize_nearest(img, new_h, new_w),
+                     (pad_y, target - new_h - pad_y),
+                     (pad_x, target - new_w - pad_x), PAD_VALUE)
     return Tensor(canvas), (sx, sy), (float(pad_x), float(pad_y))
 
 

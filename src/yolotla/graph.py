@@ -442,11 +442,13 @@ class Model:
         if not x.is_meta:
             self.params   # binds on first use
         cache: dict[int, Tensor] = {-1: x}
-        for spec, block in zip(self.nodes[:upto], (*self.blocks, self.detect)):
-            out = cache[spec.index] = step(
-                spec.index, block, [cache[s] for s in spec.sources])
-            for i in self._release_after[spec.index]:
-                del cache[i]
+        # inf and NaN from a float32 overflow reach decode's head map check
+        with np.errstate(over="ignore", invalid="ignore"):
+            for spec, block in zip(self.nodes[:upto], (*self.blocks, self.detect)):
+                out = cache[spec.index] = step(
+                    spec.index, block, [cache[s] for s in spec.sources])
+                for i in self._release_after[spec.index]:
+                    del cache[i]
         return out
 
     def forward(self, x: Tensor) -> list[Tensor]:

@@ -26,7 +26,7 @@ K = 48 with inputs in [-1, 1] it allows about 1.4e-4. Criterion 4's cases
 test checks. At the models' widths (K in the thousands) the observed error
 relative to max(|y64|, 1) reaches 2e-5 to 3e-5, still inside the bound.
 `sigmoid` and `silu` compute in float32 as well; box decoding keeps the
-float64 `sigmoid64`.
+float64 `sigmoid64`. All three are `_logistic`, the one `np.exp` call.
 
 `conv2d` runs each group's GEMM over bands of output rows (row-band
 im2col, as in MEC, Cho & Brand 2017). A band holds as many rows as keep
@@ -187,18 +187,24 @@ class ConvSpec:
 
     def out_hw(self, h: int, w: int) -> tuple[int, int]:
         """Floor-mode output size; rejects configurations that produce nothing."""
-        oh = (h + 2 * self.pad_h - self.kernel_h) // self.stride_h + 1
-        ow = (w + 2 * self.pad_w - self.kernel_w) // self.stride_w + 1
-        if oh < 1 or ow < 1:
-            raise ConfigError(
-                f"conv output size ({oh}, {ow}) is empty for input ({h}, {w}), "
-                f"kernel ({self.kernel_h}, {self.kernel_w}), stride "
-                f"({self.stride_h}, {self.stride_w}), pad ({self.pad_h}, {self.pad_w})")
-        return oh, ow
+        return _window_hw("conv", (h, w), (self.kernel_h, self.kernel_w),
+                          (self.stride_h, self.stride_w), (self.pad_h, self.pad_w))
 
     def weight_shape(self) -> tuple[int, int, int, int]:
         return (self.out_channels, self.in_channels // self.groups,
                 self.kernel_h, self.kernel_w)
+
+
+def _window_hw(what: str, hw, kernel, stride, pad) -> tuple[int, int]:
+    """Floor-mode output (height, width) of a window sliding over an ``hw``
+    input, each argument an (h, w) pair; refuses an output that is empty."""
+    (h, w), (kh, kw), (sh, sw), (ph, pw) = hw, kernel, stride, pad
+    oh, ow = (h + 2 * ph - kh) // sh + 1, (w + 2 * pw - kw) // sw + 1
+    if oh < 1 or ow < 1:
+        raise ConfigError(
+            f"{what} output size ({oh}, {ow}) is empty for input {hw}, "
+            f"kernel {kernel}, stride {stride}, pad {pad}")
+    return oh, ow
 
 
 def _check_conv_args(x: Tensor, spec: ConvSpec, weight: Tensor,
@@ -221,13 +227,13 @@ def _check_conv_args(x: Tensor, spec: ConvSpec, weight: Tensor,
     return (*spec.out_hw(x.h, x.w), spec.in_channels // spec.groups)
 
 
-def _padded(x: Tensor, ph: int, pw: int, value: float = 0.0) -> np.ndarray:
-    """x's array with ph rows and pw columns of ``value`` on each side (x's
-    own array when both are 0): zeros for a conv, -inf for a max pool."""
-    if ph == 0 and pw == 0:
+def _padded(x: Tensor, rows: tuple, cols: tuple, value=0.0) -> np.ndarray:
+    """x's array with (top, bottom) ``rows`` and (left, right) ``cols`` of
+    ``value`` (x's own array when all are 0): zeros for a conv, -inf for a
+    max pool, gray for a letterbox."""
+    if not any(rows + cols):
         return x.data
-    return np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw)),
-                  constant_values=value)
+    return np.pad(x.data, ((0, 0), (0, 0), rows, cols), constant_values=value)
 
 
 def _windows(xp: np.ndarray, kh: int, kw: int, oh: int, ow: int,
@@ -256,8 +262,8 @@ def conv2d(x: Tensor, spec: ConvSpec, weight: Tensor,
     k = cing * kh * kw
     wmat = weight.data.reshape(g, coutg, k)
     out = np.empty((n, g, coutg, oh * ow), dtype=np.float32)
-    view = _windows(_padded(x, spec.pad_h, spec.pad_w), kh, kw, oh, ow,
-                    spec.stride_h, spec.stride_w)
+    view = _windows(_padded(x, (spec.pad_h,) * 2, (spec.pad_w,) * 2),
+                    kh, kw, oh, ow, spec.stride_h, spec.stride_w)
     rows = max(1, BAND_BYTES // (4 * n * k * ow))
     for gi in range(g):
         patches = view[:, gi * cing:(gi + 1) * cing]
@@ -286,7 +292,7 @@ def conv2d_naive(x: Tensor, spec: ConvSpec, weight: Tensor,
     kh, kw = spec.kernel_h, spec.kernel_w
     coutg = spec.out_channels // g
 
-    xp = _padded(x, spec.pad_h, spec.pad_w)
+    xp = _padded(x, (spec.pad_h,) * 2, (spec.pad_w,) * 2)
     wd = weight.data
     out = np.empty((n, spec.out_channels, oh, ow), dtype=np.float32)
     macs_done = 0
@@ -339,40 +345,43 @@ def relu(x: Tensor) -> Tensor:
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    return _elementwise("sigmoid", x, lambda: _sigmoid32(x.data))
+    return _elementwise("sigmoid", x, lambda: _logistic(x.data))
 
 
 def silu(x: Tensor) -> Tensor:
     """x * sigmoid(x), the default activation behind every conv block."""
     def compute():
-        out = _sigmoid32(x.data)
+        out = _logistic(x.data)
         out *= x.data
         return out
     return _elementwise("silu", x, compute)
 
 
-def _sigmoid32(arr: np.ndarray) -> np.ndarray:
-    """Logistic in float32. exp(-x) overflows to inf below x = -88.7, which
-    gives the exact limit 0, so that overflow is expected and not reported."""
-    out = np.negative(arr)
+def sigmoid64(arr: np.ndarray) -> np.ndarray:
+    """Logistic of a plain array in float64, for box decoding."""
+    return _logistic(arr, np.float64)
+
+
+def _logistic(arr: np.ndarray, dtype=None) -> np.ndarray:
+    """1 / (1 + exp(-arr)) in ``dtype`` (arr's own if None), a fresh array.
+    exp(-x) overflows to inf below x = -88.7 (float32) or -709.8 (float64),
+    giving the exact limit 0, so that overflow is expected, not reported."""
+    out = np.negative(arr, dtype=dtype)
     with np.errstate(over="ignore"):
         np.exp(out, out=out)
     out += 1.0
     return np.reciprocal(out, out=out)
 
 
-def sigmoid64(arr: np.ndarray) -> np.ndarray:
-    """Logistic of a plain array in float64, for box decoding."""
-    return 1.0 / (1.0 + np.exp(-arr.astype(np.float64)))
-
-
-def upsample_nearest(x: Tensor, factor: int = 2) -> Tensor:
-    """Integer-factor nearest-neighbor upsampling (pure data movement)."""
-    if factor < 1:
-        raise ConfigError(f"upsample factor must be >= 1, got {factor}")
+def resize_nearest(x: Tensor, new_h: int, new_w: int) -> Tensor:
+    """Nearest-neighbor resize (pure data movement); source index =
+    center-aligned floor map, exactly i // f for an integer factor f."""
     if x.is_meta:
-        return Tensor.meta((x.n, x.c, x.h * factor, x.w * factor))
-    data = np.repeat(np.repeat(x.data, factor, axis=2), factor, axis=3)
+        return Tensor.meta((x.n, x.c, new_h, new_w))
+    data = x.data
+    for axis, old, new in ((2, x.h, new_h), (3, x.w, new_w)):
+        src = ((np.arange(new) + 0.5) * old / new).astype(int)
+        data = np.take(data, np.minimum(src, old - 1), axis=axis)
     return Tensor(data)
 
 
@@ -401,14 +410,12 @@ def maxpool2d(x: Tensor, kernel: int, stride: int = 1, pad: int = 0) -> Tensor:
     numpy's own reductions."""
     if kernel < 1 or stride < 1 or pad < 0:
         raise ConfigError(f"bad pool arguments kernel={kernel} stride={stride} pad={pad}")
-    oh = (x.h + 2 * pad - kernel) // stride + 1
-    ow = (x.w + 2 * pad - kernel) // stride + 1
-    if oh < 1 or ow < 1:
-        raise ConfigError(f"pool output size ({oh}, {ow}) is empty for input ({x.h}, {x.w})")
+    oh, ow = _window_hw("pool", (x.h, x.w), (kernel,) * 2, (stride,) * 2,
+                        (pad,) * 2)
     meter.record("maxpool", 0, meter.maxpool_cost(x.n * x.c * oh * ow, kernel, kernel))
     if x.is_meta:
         return Tensor.meta((x.n, x.c, oh, ow))
-    xp = _padded(x, pad, pad, -np.inf)
+    xp = _padded(x, (pad,) * 2, (pad,) * 2, -np.inf)
     return Tensor(_tap_max(_tap_max(xp, 2, kernel, stride, oh),
                            3, kernel, stride, ow))
 

@@ -121,6 +121,10 @@ class TestFitAnchors:
         with pytest.raises(ConfigError, match="2 box"):
             fit_anchors(boxes, k=2)
 
+    def test_k_below_one_rejected(self):
+        with pytest.raises(ConfigError, match="k must be at least 1, got 0"):
+            fit_anchors([(10, 10), (20, 20)], k=0)
+
     def test_empty_rejected(self):
         with pytest.raises(ConfigError, match="non-empty"):
             fit_anchors(np.zeros((0, 2)), k=1)

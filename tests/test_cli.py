@@ -213,6 +213,7 @@ class TestAnalyzeCommand:
     @pytest.mark.parametrize("kind,arg,value,message", [
         ("GAM", "ratio", 0, "GAM ratio 0 must divide"),
         ("SPPF", "k", "5", "argument 'k' must be int, got '5'"),
+        ("ConvBNAct", "act", "tanh", "unsupported activation 'tanh'"),
     ])
     def test_malformed_block_argument_exits_one(self, kind, arg, value,
                                                 message, tmp_path, capsys):
@@ -246,8 +247,10 @@ class TestAnalyzeCommand:
         ("depth_multiple", 1e308, "times depth_multiple 1e+308 is not finite"),
         ("out", 2 ** 1100, "times width_multiple 0.5 is not finite"),
         ("anchors", math.inf, "is not a finite positive (w, h) pair"),
+        ("width_multiple", 10 ** 400, "width_multiple must be a finite"),
     ], ids=["width-nan", "depth-nan", "width-inf", "depth-inf",
-            "width-1e308", "depth-1e308", "out-2**1100", "anchor-inf"])
+            "width-1e308", "depth-1e308", "out-2**1100", "anchor-inf",
+            "width-400-digits"])
     def test_non_finite_number_exits_one(self, field, value, message,
                                          tmp_path, capsys):
         doc = json.loads(find_config("yolov5s").read_text())
@@ -364,6 +367,14 @@ class TestAnchorsCommand:
              "--out", str(workdir["root"] / "x.cfg")], capsys)
         assert code == 1
         assert "--scales" in err
+
+    def test_patch_config_needs_out(self, workdir, capsys):
+        code, _, err = run(
+            ["anchors", "--dataset", str(workdir["gt"]), "--k", "12",
+             "--scales", "160,80,40,20", "--patch-config", "yolov5s-tiny"],
+            capsys)
+        assert_one_line_error(code, err)
+        assert err == "error: --patch-config requires --out\n"
 
     def test_scale_count_must_match_the_config(self, workdir, capsys):
         code, _, err = run(
@@ -658,6 +669,43 @@ class TestInferCommand:
         assert_one_line_error(code, err)
         assert "head map 0 holds non-finite values" in err
         assert out == ""
+
+    def test_forward_overflow_is_one_error_line(self, workdir, capsys):
+        # finite weights whose forward leaves the float32 range: numpy's
+        # overflow and invalid-value warnings stay silent, and the head map
+        # check reports it
+        model = build_model(find_config("yolov5s"), seed=0)
+        params = {name: value * np.float32(1e30)
+                  if name.endswith("conv.weight") else value
+                  for name, value in model.params.items()}
+        path = workdir["root"] / "forward-overflow.tlaw"
+        save_weights(path, params)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(
+                ["infer", "--config", "yolov5s", "--image",
+                 str(workdir["image"]), "--input-size", "64",
+                 "--weights", str(path), "--json"], capsys)
+        assert (code, out) == (1, "")
+        assert err == ("error: head map 0 holds non-finite values "
+                       "(NaN or infinity)\n")
+
+    def test_far_negative_detect_biases_find_nothing(self, workdir, capsys):
+        # every head logit near -1000, where exp(-x) overflows float64
+        model = build_model(find_config("yolov5s"), seed=0)
+        params = {name: np.full_like(value, -1000.0)
+                  if name.startswith("detect.") and name.endswith(".bias")
+                  else value for name, value in model.params.items()}
+        path = workdir["root"] / "far-negative.tlaw"
+        save_weights(path, params)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(
+                ["infer", "--config", "yolov5s", "--image",
+                 str(workdir["image"]), "--input-size", "64",
+                 "--weights", str(path), "--json"], capsys)
+        assert (code, err) == (0, "")
+        assert json.loads(out) == []
 
     def test_candidate_counts_are_logged(self, workdir, capsys, caplog):
         argv = ["infer", "--config", "yolov5s", "--image",

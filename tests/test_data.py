@@ -98,6 +98,14 @@ class TestLoadCoco:
         with pytest.raises(ParseError, match="image 42"):
             load_coco(write_doc(tmp_path, doc))
 
+    def test_dangling_category_reference(self, tmp_path):
+        doc = coco_doc()
+        doc["annotations"][0]["category_id"] = 42
+        with pytest.raises(ParseError,
+                           match=r"annotations\[0\] references missing "
+                                 r"category 42"):
+            load_coco(write_doc(tmp_path, doc))
+
     def test_unknown_extra_fields_ignored(self, tmp_path):
         doc = coco_doc()
         doc["info"] = {"year": 2024}

@@ -87,6 +87,15 @@ class TestScaling:
         with pytest.raises(ConfigError, match="multiple of 8"):
             scale_channels(100, 0.5)
 
+    def test_repeats_past_the_limit_rejected(self):
+        doc = toy_config()
+        doc["layers"][2][1] = 3
+        doc["depth_multiple"] = 400
+        with pytest.raises(ConfigError, match=(
+                r"^layer 2 \(C3\): repeats 3 times depth_multiple 400\.0 is "
+                r"1200, above the limit of 1000$")):
+            build_model(doc)
+
 
 class TestParseValidation:
 
@@ -519,6 +528,20 @@ class TestWeightFiles:
         path = tmp_path / "junk.tlaw"
         path.write_bytes(b"NOPE" + b"\x00" * 16)
         with pytest.raises(ParseError, match="magic"):
+            load_weights(path)
+
+    # a header is the magic (4 bytes), the version (1) and the entry count
+    # (4); each entry starts with its name length (4)
+    @pytest.mark.parametrize("edit, message", [
+        (lambda blob: blob[:7], "truncated before the entry count"),
+        (lambda blob: blob[:4] + b"\x02" + blob[5:], "unsupported version 2"),
+        (lambda blob: blob[:11], "truncated inside an entry header"),
+    ], ids=["cut-in-count", "version-2", "cut-in-name-length"])
+    def test_malformed_header(self, edit, message, tmp_path):
+        path = tmp_path / "header.tlaw"
+        save_weights(path, {"ab": np.zeros(1, np.float32)})
+        path.write_bytes(edit(path.read_bytes()))
+        with pytest.raises(ParseError, match=message):
             load_weights(path)
 
     def test_truncated_payload(self, tmp_path):

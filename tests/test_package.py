@@ -80,15 +80,24 @@ def test_only_the_fuzzed_readers_read_files():
     assert package_calling_scopes(opens_for_reading) == FUZZED_READERS
 
 
-def calls_np_pad(call: ast.Call) -> bool:
-    func = call.func
-    return (isinstance(func, ast.Attribute) and func.attr == "pad"
-            and getattr(func.value, "id", None) in ("np", "numpy"))
+def calls_numpy(name: str):
+    """A matcher of calls to ``np.<name>``."""
+    def matches(call: ast.Call) -> bool:
+        func = call.func
+        return (isinstance(func, ast.Attribute) and func.attr == name
+                and getattr(func.value, "id", None) in ("np", "numpy"))
+    return matches
 
 
 def test_only_tensor_padded_pads():
-    # conv and max pool borders come from one helper, each with its fill
-    assert package_calling_scopes(calls_np_pad) == {"tensor._padded"}
+    # conv, max pool and letterbox borders come from one helper, each with
+    # its fill
+    assert package_calling_scopes(calls_numpy("pad")) == {"tensor._padded"}
+
+
+def test_only_tensor_logistic_calls_exp():
+    # sigmoid, silu and sigmoid64 share one logistic and its overflow rule
+    assert package_calling_scopes(calls_numpy("exp")) == {"tensor._logistic"}
 
 
 # the inference stages after load; `Model.infer` runs them for every caller

@@ -204,6 +204,12 @@ class TestDecode:
         with pytest.raises(ShapeError, match="25 channels"):
             decode([bad], ANCHORS, [32])
 
+    def test_count_mismatch_rejected(self):
+        maps = [Tensor(raw_map(3, 2, 2))]
+        with pytest.raises(ShapeError, match="1 maps, 2 anchor rows and 1 "
+                           "strides do not line up"):
+            decode(maps, ANCHORS * 2, [32])
+
     def test_inconsistent_scales_rejected(self):
         maps = [Tensor(raw_map(3, 4, 4)), Tensor(raw_map(3, 2, 2))]
         anchors = [ANCHORS[0], ANCHORS[0]]
@@ -232,21 +238,25 @@ class TestDecode:
         assert len(dets) == 3 * 16 + 3 * 4
 
 
+F32_MAX = float(np.finfo(np.float32).max)
+
+
 @st.composite
 def head_maps(draw):
     """One to three scales of float32 logits, from gentle to far past the
-    point where `sigmoid64` rounds to 1, sometimes with the best class
-    logit repeated near 40, where the class scores tie after rounding."""
+    point where `sigmoid64` rounds to 1 and its exp overflows float64, up
+    to +-float32 max, sometimes with the best class logit repeated near
+    40, where the class scores tie after rounding."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     nc = draw(st.integers(1, 6))
-    scale = draw(st.sampled_from([0.01, 0.5, 3.0, 12.0, 60.0]))
+    scale = draw(st.sampled_from([0.01, 0.5, 3.0, 12.0, 60.0, 1e3, 1e38]))
     side = 16 * draw(st.integers(1, 3))
     strides = draw(st.sampled_from([[8], [16], [4, 8], [4, 8, 16]]))
     maps = []
     for stride in strides:
-        arr = (rng.standard_normal((1, 3 * (5 + nc), side // stride,
-                                    side // stride)) * scale
-               ).astype(np.float32)
+        arr = np.clip(rng.standard_normal((1, 3 * (5 + nc), side // stride,
+                                            side // stride)) * scale,
+                      -F32_MAX, F32_MAX).astype(np.float32)
         if nc > 1 and draw(st.booleans()):
             cls = arr.reshape(3, 5 + nc, -1)[:, 5:]
             cls[:, :2] = np.float32(40) + rng.integers(

@@ -12,13 +12,16 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from yolotla.cli import conv_agrees
 from yolotla.errors import ConfigError, ParseError, ShapeError
 from yolotla import meter, tensor
 from yolotla.tensor import (ConvSpec, Tensor, add, concat_channels, conv2d,
                             conv2d_naive, load_tns, maxpool2d, mul, relu,
-                            save_tns, sigmoid, silu, upsample_nearest)
+                            resize_nearest, save_tns, sigmoid, sigmoid64,
+                            silu)
 
 
 def random_tensor(rng, n, c, h, w, scale=1.0):
@@ -37,6 +40,28 @@ def maxpool_reference(x: np.ndarray, kernel: int, stride: int, pad: int) -> np.n
             if 0 <= iy < h and 0 <= ix < w:
                 out[b, ch, oy, ox] = max(out[b, ch, oy, ox], x[b, ch, iy, ix])
     return out
+
+
+def resize_reference(x: np.ndarray, new_h: int, new_w: int) -> np.ndarray:
+    """The letterbox resampler that `resize_nearest` replaced: one fancy
+    index over both axes."""
+    n, c, h, w = x.shape
+    rows = np.minimum(((np.arange(new_h) + 0.5) * h / new_h).astype(int),
+                      h - 1)
+    cols = np.minimum(((np.arange(new_w) + 0.5) * w / new_w).astype(int),
+                      w - 1)
+    return x[:, :, rows[:, None], cols[None, :]]
+
+
+def upsample_reference(x: np.ndarray, factor: int) -> np.ndarray:
+    """The neck's upsampler that `resize_nearest` replaced."""
+    return np.repeat(np.repeat(x, factor, axis=2), factor, axis=3)
+
+
+def sigmoid64_reference(arr: np.ndarray) -> np.ndarray:
+    """The float64 logistic that `_logistic` replaced in `sigmoid64`."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-arr.astype(np.float64)))
 
 
 def conv_reference64(x: np.ndarray, spec: ConvSpec, w: np.ndarray,
@@ -439,6 +464,20 @@ class TestElementwise:
         np.testing.assert_allclose(sig, ref, rtol=1e-6, atol=tiny)
         np.testing.assert_allclose(act, vals * ref, rtol=1e-6, atol=tiny)
 
+    @settings(max_examples=200)
+    @given(values=st.lists(st.floats(width=32, allow_nan=False), min_size=1,
+                           max_size=64))
+    def test_sigmoid64_equals_the_old_formula(self, values):
+        # float32 values up to +-float32 max and the infinities; exp(-x)
+        # overflows float64 below x = -709.8
+        arr = np.array(values + [-710.0, -1e4, -3.4e38], np.float32)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = sigmoid64(arr)
+        want = sigmoid64_reference(arr)
+        assert got.dtype == np.float64
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
     def test_relu_clamps_negatives(self):
         x = Tensor(np.array([[[[-2.0, 0.0, 3.5]]]], dtype=np.float32))
         np.testing.assert_array_equal(relu(x).data[0, 0, 0], [0.0, 0.0, 3.5])
@@ -462,11 +501,37 @@ class TestSpatialOps:
 
     def test_upsample_nearest_repeats_pixels(self):
         x = Tensor(np.array([[[[1.0, 2.0], [3.0, 4.0]]]], dtype=np.float32))
-        out = upsample_nearest(x, 2)
+        out = resize_nearest(x, 4, 4)
         assert out.shape == (1, 1, 4, 4)
         np.testing.assert_array_equal(
             out.data[0, 0],
             [[1, 1, 2, 2], [1, 1, 2, 2], [3, 3, 4, 4], [3, 3, 4, 4]])
+
+    @settings(max_examples=200)
+    @given(h=st.integers(1, 24), w=st.integers(1, 24),
+           new_h=st.integers(1, 48), new_w=st.integers(1, 48),
+           factor=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    def test_resize_equals_both_old_resamplers(self, h, w, new_h, new_w,
+                                               factor, seed):
+        x = random_tensor(np.random.default_rng(seed), 2, 3, h, w)
+        pairs = [(resize_nearest(x, new_h, new_w),
+                  resize_reference(x.data, new_h, new_w)),
+                 (resize_nearest(x, h * factor, w * factor),
+                  upsample_reference(x.data, factor))]
+        for got, want in pairs:
+            assert got.data.tobytes() == want.tobytes()
+            assert got.shape == want.shape
+            assert resize_nearest(Tensor.meta(x.shape), *got.shape[2:]
+                                  ).shape == got.shape
+
+    @pytest.mark.parametrize("kernel,stride,pad,message", [
+        (0, 1, 0, "bad pool arguments kernel=0 stride=1 pad=0"),
+        (5, 1, 0, r"pool output size \(0, 0\) is empty for input \(4, 4\)"),
+    ], ids=["kernel-0", "window-past-input"])
+    def test_maxpool_refusals(self, kernel, stride, pad, message):
+        for x in (Tensor.zeros(1, 2, 4, 4), Tensor.meta((1, 2, 4, 4))):
+            with pytest.raises(ConfigError, match=message):
+                maxpool2d(x, kernel, stride, pad)
 
     def test_concat_stacks_channels_in_order(self):
         a = Tensor.full(1, 2, 2, 2, 1.0)
@@ -615,8 +680,8 @@ class TestMetaTensors:
         def run(x):
             y = silu(conv2d(x, spec, wt, bias))
             y = maxpool2d(add(y, relu(y)), 3, 1, 1)
-            y = concat_channels([mul(y, sigmoid(y)), upsample_nearest(
-                maxpool2d(y, 2, 2), 2)])
+            y = concat_channels([mul(y, sigmoid(y)), resize_nearest(
+                maxpool2d(y, 2, 2), y.h, y.w)])
             return conv2d(y, fc, fc_wt, np.zeros(5, np.float32))
 
         real = random_tensor(rng, 2, 4, 11, 10)
