@@ -3,7 +3,7 @@
 Layout is fixed at (batch, channels, height, width), row-major, 32-bit
 floats. Kernels are pure functions: they never write through an input and
 always allocate fresh outputs, so concurrent forward passes over shared
-weights are safe.
+weights are safe; they share one worker pool (below) and stay bit-identical.
 
 Every kernel also accepts meta tensors (shape only, no array). It checks
 its arguments and records its cost to the innermost active meter exactly
@@ -33,20 +33,23 @@ im2col, as in MEC, Cho & Brand 2017). A band holds as many rows as keep
 its patch copy, n * K * rows * out_width floats, within `BAND_BYTES`
 (1 MiB, about one core's L2), and never fewer than one row. Each band is
 one `np.matmul` written straight into its slice of the output. So a conv
-allocates its output, the padded input, and one band at a time, never a
-whole group's patch matrix (80 MB for GAM's first 7x7 conv at 160x160).
+allocates its output, the padded input, and one band at a time per thread,
+never a whole group's patch matrix (80 MB for GAM's first 7x7 conv).
 A band changes the shape of the BLAS call, and BLAS may then sum a dot
 product in another order: the bound above still holds, but the last bits
-can differ from an unbanded GEMM. With OpenBLAS 0.3.31 on x86-64, 9 of
-the 491 (conv spec, input side) pairs of the ten bundled configs at 128,
-256, 384 and 640 changed bits: the depthwise 5x5 GEMVs at 160x160 and
-GAM's grouped 7x7 convs at 16 to 96 rows. Head maps moved by at most
-7.5e-9, and none of `yolov5s`'s did. `BAND_BYTES` also bounds the chunk
-of float64 class scores that `postprocess.decode` holds at a time.
+can differ from an unbanded GEMM (README's "Determinism" lists where).
+Above `SPLIT_FLOPS` the caller and a pool of CPUs - 1 threads take a call's
+bands (`sigmoid`, `silu`: channel slices) one at a time; numpy drops the GIL
+in copies, GEMMs and ufuncs. Each band is the serial loop's BLAS call, so
+bytes never depend on the pool. Workers run in a copy of the caller's context.
+`BAND_BYTES` also bounds the chunk of float64 class scores that
+`postprocess.decode` holds at a time.
 """
 from __future__ import annotations
 
+import contextvars
 import math
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -60,6 +63,10 @@ from .errors import ConfigError, ParseError, ShapeError
 TNS_MAGIC = b"TNS1"
 _MAX_DIM = np.iinfo(np.intp).max   # no numpy array, not even a stand-in, is longer
 BAND_BYTES = 1 << 20   # one working-set band; see the module docstring
+SPLIT_FLOPS = 1 << 22   # a call of at most this many FLOPs runs on the caller alone
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1) - 1   # the CPUs usable, less the caller's
+_POOL: dict = {}   # process id -> its workers; a forked child starts its own
 
 
 class Tensor:
@@ -265,17 +272,41 @@ def conv2d(x: Tensor, spec: ConvSpec, weight: Tensor,
     view = _windows(_padded(x, (spec.pad_h,) * 2, (spec.pad_w,) * 2),
                     kh, kw, oh, ow, spec.stride_h, spec.stride_w)
     rows = max(1, BAND_BYTES // (4 * n * k * ow))
-    for gi in range(g):
-        patches = view[:, gi * cing:(gi + 1) * cing]
-        for r0 in range(0, oh, rows):
-            r1 = min(r0 + rows, oh)
-            np.matmul(wmat[gi],
-                      patches[..., r0:r1, :].reshape(n, k, (r1 - r0) * ow),
-                      out=out[:, gi, :, r0 * ow:r1 * ow])
+
+    def band(gi: int, r0: int, r1: int) -> None:
+        np.matmul(wmat[gi], view[:, gi * cing:(gi + 1) * cing, ..., r0:r1, :]
+                  .reshape(n, k, (r1 - r0) * ow), out=out[:, gi, :, r0 * ow:r1 * ow])
+    _run_items(band, [(gi, r0, min(r0 + rows, oh)) for gi in range(g)
+                      for r0 in range(0, oh, rows)], flops)
     out = out.reshape(n, spec.out_channels, oh, ow)
-    if bias is not None:
+    if bias is not None:   # one pass: a band's slice is strided, 2.6x slower
         out += bias.astype(np.float32).reshape(1, -1, 1, 1)
     return Tensor(out)
+
+
+def _run_items(fn, items: list[tuple], flops: int) -> None:
+    """fn(*item) per item, each writing its own slice of an output array."""
+    helpers = min(len(items) - 1, _WORKERS) if flops > SPLIT_FLOPS else 0
+    todo = iter(items)   # under the GIL each next() hands one item to one thread
+    try:
+        if helpers and os.getpid() not in _POOL:   # a racing spare is dropped
+            from concurrent.futures import ThreadPoolExecutor
+            _POOL.setdefault(os.getpid(), ThreadPoolExecutor(_WORKERS, "yolotla-band"))
+        futures = [_POOL[os.getpid()].submit(contextvars.copy_context().run,
+                                             _run_share, fn, todo) for _ in range(helpers)]
+    except RuntimeError:   # the interpreter is exiting: the caller runs them all
+        futures = []
+    try:
+        _run_share(fn, todo)
+    finally:   # a worker that has not started by now is not waited for
+        failed = [f.exception() for f in futures if not f.cancel()]
+    for exc in filter(None, failed):
+        raise exc
+
+
+def _run_share(fn, items) -> None:
+    for item in items:
+        fn(*item)
 
 
 def conv2d_naive(x: Tensor, spec: ConvSpec, weight: Tensor,
@@ -345,28 +376,37 @@ def relu(x: Tensor) -> Tensor:
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    return _elementwise("sigmoid", x, lambda: _logistic(x.data))
+    return _by_channels("sigmoid", x, _logistic)
 
 
 def silu(x: Tensor) -> Tensor:
     """x * sigmoid(x), the default activation behind every conv block."""
+    return _by_channels("silu", x, lambda a, out: np.multiply(
+        _logistic(a, out), a, out=out))
+
+
+def _by_channels(fn: str, x: Tensor, part) -> Tensor:
+    """`_elementwise` of part(x's channels, out's channels), a slice per thread."""
     def compute():
-        out = _logistic(x.data)
-        out *= x.data
+        flops = meter.elementwise_cost(fn, x.numel)
+        out, k = np.empty_like(x.data), _WORKERS + 1 if flops > SPLIT_FLOPS else 1
+        cuts = [x.c * i // k for i in range(k + 1)]
+        _run_items(part, [(x.data[:, a:b], out[:, a:b])
+                          for a, b in zip(cuts, cuts[1:]) if a < b], flops)
         return out
-    return _elementwise("silu", x, compute)
+    return _elementwise(fn, x, compute)
 
 
 def sigmoid64(arr: np.ndarray) -> np.ndarray:
     """Logistic of a plain array in float64, for box decoding."""
-    return _logistic(arr, np.float64)
+    return _logistic(arr, dtype=np.float64)
 
 
-def _logistic(arr: np.ndarray, dtype=None) -> np.ndarray:
-    """1 / (1 + exp(-arr)) in ``dtype`` (arr's own if None), a fresh array.
-    exp(-x) overflows to inf below x = -88.7 (float32) or -709.8 (float64),
-    giving the exact limit 0, so that overflow is expected, not reported."""
-    out = np.negative(arr, dtype=dtype)
+def _logistic(arr: np.ndarray, out=None, dtype=None) -> np.ndarray:
+    """1 / (1 + exp(-arr)) in ``dtype`` (arr's own if None), into ``out``
+    (a fresh array if None). exp(-x) overflows to inf below x = -88.7
+    (float32) or -709.8 (float64), giving the exact limit 0, unreported."""
+    out = np.negative(arr, dtype=dtype, out=out)
     with np.errstate(over="ignore"):
         np.exp(out, out=out)
     out += 1.0

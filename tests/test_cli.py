@@ -674,6 +674,17 @@ class TestInferCommand:
         # finite weights whose forward leaves the float32 range: numpy's
         # overflow and invalid-value warnings stay silent, and the head map
         # check reports it
+        self.overflow_is_one_error_line(workdir, capsys, 64)
+
+    def test_forward_overflow_on_the_pool_is_one_error_line(self, workdir,
+                                                            capsys):
+        # at 320 the large convs and SiLUs run their bands and channel
+        # slices on the pool's threads too, which must keep the walk's
+        # errstate
+        self.overflow_is_one_error_line(workdir, capsys, 320)
+
+    @staticmethod
+    def overflow_is_one_error_line(workdir, capsys, side):
         model = build_model(find_config("yolov5s"), seed=0)
         params = {name: value * np.float32(1e30)
                   if name.endswith("conv.weight") else value
@@ -684,7 +695,7 @@ class TestInferCommand:
             warnings.simplefilter("error")
             code, out, err = run(
                 ["infer", "--config", "yolov5s", "--image",
-                 str(workdir["image"]), "--input-size", "64",
+                 str(workdir["image"]), "--input-size", str(side),
                  "--weights", str(path), "--json"], capsys)
         assert (code, out) == (1, "")
         assert err == ("error: head map 0 holds non-finite values "

@@ -1,5 +1,6 @@
 """Config parsing, scaling, deterministic init, weight files, execution."""
 import json
+import os
 import re
 import sys
 import threading
@@ -9,7 +10,7 @@ import weakref
 import numpy as np
 import pytest
 
-from yolotla import graph, meter
+from yolotla import graph, meter, tensor
 from yolotla.costs import analyze, count_empirical
 from yolotla.data import letterbox, unletterbox_box
 from yolotla.errors import ConfigError, ParseError, ShapeError, WeightError
@@ -611,6 +612,47 @@ class TestForward:
         for index, shape in enumerate(shapes):
             assert not executed[index].is_meta
             assert executed[index].shape == shape, f"layer {index}"
+
+    def test_concurrent_forwards_share_the_pool_bit_exactly(self,
+                                                            monkeypatch):
+        # at 128 yolov5s's large convs and SiLUs spread over the pool,
+        # which four callers then share: no caller waits forever, and each
+        # gets a serial forward's bytes
+        m = build_model(find_config("yolov5s"), seed=0)
+        x = rand_image(128, 128)
+        want = [t.data.tobytes() for t in m.forward(x)]
+        handed = []
+        pool = tensor._POOL.get(os.getpid())   # started by that forward
+        if pool:
+            submit = pool.submit
+
+            def counted(*args):
+                handed.append(threading.current_thread().name)
+                return submit(*args)
+
+            monkeypatch.setattr(pool, "submit", counted)
+        got = [None] * 4
+        barrier = threading.Barrier(len(got))
+
+        def run(i):
+            barrier.wait(timeout=60)
+            got[i] = [t.data.tobytes() for t in m.forward(x)]
+
+        threads = [threading.Thread(target=run, args=(i,), name=f"caller-{i}")
+                   for i in range(len(got))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == [want] * len(got)
+        assert set(handed) == ({f"caller-{i}" for i in range(len(got))}
+                               if tensor._WORKERS else set())
 
     def test_wrong_channel_count(self):
         m = build_model(toy_config(), seed=0)

@@ -1,5 +1,6 @@
 """Guards over the package source as a whole."""
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
@@ -112,6 +113,29 @@ def calls_an_infer_stage(call: ast.Call) -> bool:
 def test_only_model_infer_runs_the_infer_stages():
     # a change to the stages after load has one home, not one per caller
     assert package_calling_scopes(calls_an_infer_stage) == {"graph.Model.infer"}
+
+
+# Build and analyze every bundled config in a fresh interpreter; argv[1]
+# is the package's parent. Prints the threads alive and which of the
+# conv pool's modules were imported.
+IDLE_PROBE = """
+import sys, threading
+sys.path.insert(0, sys.argv[1])
+from yolotla import analyze, build_model, bundled_config_names, find_config
+for name in bundled_config_names():
+    analyze(build_model(find_config(name)), (640, 640))
+print([t.name for t in threading.enumerate()],
+      sorted({"concurrent.futures", "queue"} & set(sys.modules)))
+"""
+
+
+def test_build_and_analyze_start_no_thread():
+    # shape-only forwards never split, so `reports` and every set-up
+    # neither start the pool nor import its modules
+    done = subprocess.run([sys.executable, "-c", IDLE_PROBE, str(SRC.parent)],
+                          capture_output=True, text=True, timeout=300)
+    assert (done.returncode, done.stdout) == (0, "['MainThread'] []\n"), \
+        done.stderr
 
 
 # definitions that no code in the package names, each with why it stays

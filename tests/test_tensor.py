@@ -4,15 +4,22 @@ The loop-nest convolution is the reference implementation. Hand-worked
 cases pin it down first; the vectorized path is then required to agree with
 it across randomized shapes, strides, padding, and group counts.
 """
+import bisect
+import contextlib
 import itertools
+import math
+import os
+import subprocess
+import sys
 import threading
 import time
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from yolotla.cli import conv_agrees
@@ -64,6 +71,91 @@ def sigmoid64_reference(arr: np.ndarray) -> np.ndarray:
         return 1.0 / (1.0 + np.exp(-arr.astype(np.float64)))
 
 
+def logistic_serial_reference(arr: np.ndarray, times_x: bool) -> np.ndarray:
+    """`sigmoid` (``times_x`` False) or `silu` as one pass over the whole
+    array on the calling thread, as before the pool."""
+    out = np.negative(arr)
+    with np.errstate(over="ignore"):
+        np.exp(out, out=out)
+    out += 1.0
+    np.reciprocal(out, out=out)
+    if times_x:
+        out *= arr
+    return out
+
+
+def conv2d_serial_reference(x: Tensor, spec: ConvSpec, weight: Tensor,
+                            bias: np.ndarray | None = None) -> np.ndarray:
+    """The band loop `conv2d` ran before the pool: each (group, band) GEMM
+    in turn on the calling thread, then the bias over the whole output."""
+    oh, ow = spec.out_hw(x.h, x.w)
+    n, g = x.n, spec.groups
+    kh, kw = spec.kernel_h, spec.kernel_w
+    cing, coutg = spec.in_channels // g, spec.out_channels // g
+    k = cing * kh * kw
+    wmat = weight.data.reshape(g, coutg, k)
+    out = np.empty((n, g, coutg, oh * ow), dtype=np.float32)
+    view = tensor._windows(
+        tensor._padded(x, (spec.pad_h,) * 2, (spec.pad_w,) * 2),
+        kh, kw, oh, ow, spec.stride_h, spec.stride_w)
+    rows = max(1, tensor.BAND_BYTES // (4 * n * k * ow))
+    for gi in range(g):
+        patches = view[:, gi * cing:(gi + 1) * cing]
+        for r0 in range(0, oh, rows):
+            r1 = min(r0 + rows, oh)
+            np.matmul(wmat[gi],
+                      patches[..., r0:r1, :].reshape(n, k, (r1 - r0) * ow),
+                      out=out[:, gi, :, r0 * ow:r1 * ow])
+    out = out.reshape(n, spec.out_channels, oh, ow)
+    if bias is not None:
+        out += bias.astype(np.float32).reshape(1, -1, 1, 1)
+    return out
+
+
+@contextlib.contextmanager
+def shares_seen(until="started", **constants):
+    """Set tensor's module ``constants`` (SPLIT_FLOPS, BAND_BYTES) for the
+    block and yield the set of threads that ran a share of some
+    `_run_items` call's items. The caller takes no item until each worker
+    handed a share has ``until`` "started" (so every call that splits runs
+    on the pool, however small) or "ended" its share."""
+    threads = set()
+    signals = {"started": threading.Semaphore(0),
+               "ended": threading.Semaphore(0)}
+    handed = []
+    run_share = tensor._run_share
+
+    def spy(fn, items):
+        threads.add(threading.get_ident())
+        if threading.current_thread().name.startswith("yolotla-band"):
+            signals["started"].release()
+            try:
+                run_share(fn, items)
+            finally:
+                signals["ended"].release()
+            return
+        while handed:
+            handed.pop()
+            assert signals[until].acquire(timeout=60)
+        run_share(fn, items)
+
+    with pytest.MonkeyPatch.context() as mp:
+        tensor._run_items(lambda: None, [(), ()], math.inf)   # starts the pool
+        pool = tensor._POOL.get(os.getpid())
+        if pool:
+            submit = pool.submit
+
+            def counted(*args):
+                handed.append(None)
+                return submit(*args)
+
+            mp.setattr(pool, "submit", counted)
+        mp.setattr(tensor, "_run_share", spy)
+        for name, value in constants.items():
+            mp.setattr(tensor, name, value)
+        yield threads
+
+
 def conv_reference64(x: np.ndarray, spec: ConvSpec, w: np.ndarray,
                      bias: np.ndarray | None) -> np.ndarray:
     """Float64 convolution over sliding windows, for sizes the loop nest
@@ -100,16 +192,80 @@ BANDED = [
 
 
 def record_gemms(monkeypatch) -> list[tuple[int, int]]:
-    """Patch np.matmul to log (patch bytes, output columns) per call."""
-    calls = []
+    """Patch np.matmul to log (patch bytes, output columns) per call, in
+    the order of the output slices the calls write: the pool may run the
+    bands in any order."""
+    calls, starts = [], []
+    lock = threading.Lock()
     matmul = np.matmul
 
     def spy(a, b, out):
-        calls.append((b.nbytes, out.shape[-1]))
+        with lock:
+            i = bisect.bisect(starts, out.ctypes.data)
+            starts.insert(i, out.ctypes.data)
+            calls.insert(i, (b.nbytes, out.shape[-1]))
         return matmul(a, b, out=out)
 
     monkeypatch.setattr(np, "matmul", spy)
     return calls
+
+
+@st.composite
+def banded_convs(draw):
+    """(spec, batch, side, rows per band) of a conv call with two or more
+    bands: dense, grouped or depthwise, kernel 1 to 7, stride 1 or 2, and
+    padding up to half the kernel."""
+    kernel = draw(st.sampled_from([1, 3, 5, 7]))
+    stride = draw(st.integers(1, 2))
+    pad = draw(st.integers(0, kernel // 2))
+    groups = draw(st.sampled_from([1, 2, 4]))
+    if draw(st.booleans()):
+        cin = cout = groups
+    else:
+        cin, cout = (groups * draw(st.integers(1, 3)) for _ in range(2))
+    spec = ConvSpec(cin, cout, kernel, kernel, stride, stride, pad, pad,
+                    groups, has_bias=draw(st.booleans()))
+    side = draw(st.integers(kernel + stride, 20))
+    oh = spec.out_hw(side, side)[0]
+    return spec, draw(st.integers(1, 2)), side, draw(st.integers(1, oh - 1))
+
+
+# A conv big enough to split at the module's constants, run in a process
+# that forks after the pool has started; argv[1] is the package's parent.
+FORK_PROBE = """
+import os, signal, sys, threading
+sys.path.insert(0, sys.argv[1])
+from yolotla import tensor
+from yolotla.tensor import ConvSpec, Tensor, conv2d
+spec = ConvSpec(64, 32, 3, 3, 2, 2, 1, 1)
+x, wt = Tensor.zeros(2, 64, 84, 84), Tensor.zeros(*spec.weight_shape())
+conv2d(x, spec, wt)
+pid = os.fork()
+if pid == 0:
+    signal.alarm(30)   # a child that hangs must not outlive the test
+    conv2d(x, spec, wt)
+    workers = [t for t in threading.enumerate() if t.name.startswith("yolotla")]
+    os._exit(0 if bool(workers) == (tensor._WORKERS > 0) else 3)
+print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+"""
+
+# The same conv from an atexit handler, which runs after the pool's workers
+# have been shut down; argv[2] says whether the pool started before exit.
+EXIT_PROBE = """
+import atexit, math, sys
+sys.path.insert(0, sys.argv[1])
+from yolotla import tensor
+from yolotla.tensor import ConvSpec, Tensor, conv2d
+spec = ConvSpec(64, 32, 3, 3, 2, 2, 1, 1)
+x = Tensor(tensor.np.linspace(-1, 1, 2 * 64 * 84 * 84, dtype="f4").reshape(2, 64, 84, 84))
+wt = Tensor(tensor.np.full(spec.weight_shape(), 0.5, "f4"))
+limit, tensor.SPLIT_FLOPS = tensor.SPLIT_FLOPS, math.inf
+want = conv2d(x, spec, wt).data.tobytes()
+tensor.SPLIT_FLOPS = limit
+if sys.argv[2] == "started":
+    conv2d(x, spec, wt)
+atexit.register(lambda: print(conv2d(x, spec, wt).data.tobytes() == want))
+"""
 
 
 class TestTensorType:
@@ -433,7 +589,83 @@ class TestConvBands:
         finally:
             tracemalloc.stop()
         padded = 4 * 64 * 166 * 166
-        assert peak <= out.data.nbytes + padded + 2 * tensor.BAND_BYTES
+        # the caller and each pool worker copy one band at a time
+        bands = max(2, tensor._WORKERS + 1)
+        assert peak <= out.data.nbytes + padded + bands * tensor.BAND_BYTES
+
+    @settings(max_examples=150)
+    @given(case=banded_convs(), seed=st.integers(0, 2**32 - 1))
+    @example(case=(ConvSpec(16, 16, 5, 5, pad_h=2, pad_w=2, groups=16,
+                            has_bias=True), 1, 20, 3), seed=0)
+    @example(case=(ConvSpec(16, 4, 7, 7, pad_h=3, pad_w=3, groups=4,
+                            has_bias=True), 2, 20, 4), seed=0)
+    def test_pool_bands_equal_the_serial_loop(self, case, seed):
+        # every call split, bands of ``rows`` output rows: the bytes equal
+        # the serial loop's, whatever thread ran each band
+        spec, n, side, rows = case
+        rng = np.random.default_rng(seed)
+        x = random_tensor(rng, n, spec.in_channels, side, side)
+        wt = Tensor(rng.uniform(-1, 1, spec.weight_shape()).astype(np.float32))
+        bias = (rng.uniform(-1, 1, spec.out_channels).astype(np.float32)
+                if spec.has_bias else None)
+        k = spec.in_channels // spec.groups * spec.kernel_h * spec.kernel_w
+        ow = spec.out_hw(side, side)[1]
+        with shares_seen(SPLIT_FLOPS=-1, BAND_BYTES=4 * n * k * ow * rows) \
+                as threads:
+            got = conv2d(x, spec, wt, bias).data
+            want = conv2d_serial_reference(x, spec, wt, bias)
+        assert got.tobytes() == want.tobytes()
+        assert (len(threads) > 1) == (tensor._WORKERS > 0)
+
+    @pytest.mark.parametrize("spec, side", BANDED)
+    def test_module_constants_split_these_convs_bit_exactly(self, spec, side):
+        rng = np.random.default_rng(12)
+        x = random_tensor(rng, 2, spec.in_channels, side, side)
+        wt = Tensor(rng.uniform(-1, 1, spec.weight_shape()).astype(np.float32))
+        bias = rng.uniform(-1, 1, spec.out_channels).astype(np.float32)
+        with shares_seen() as threads:
+            got = conv2d(x, spec, wt, bias).data
+        assert got.tobytes() == conv2d_serial_reference(x, spec, wt,
+                                                        bias).tobytes()
+        assert (len(threads) > 1) == (tensor._WORKERS > 0)
+
+    def test_an_error_in_a_worker_reaches_the_caller(self):
+        # only the first band overflows, and the worker takes it while the
+        # caller waits; the caller runs the rest, then raises the worker's
+        # error, and the pool serves the next call as before
+        spec = ConvSpec(4, 4, 3, 3, pad_h=1, pad_w=1)
+        x = np.zeros((1, 4, 16, 16), np.float32)
+        x[..., 0, :] = 3e38
+        wt = Tensor(np.full(spec.weight_shape(), 3e38, np.float32))
+        with shares_seen("ended", SPLIT_FLOPS=-1,
+                         BAND_BYTES=4 * 36 * 16 * 4) as threads:
+            with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+                conv2d(Tensor(x), spec, wt)
+            x[..., 0, :], wt = 1.0, Tensor(np.ones(spec.weight_shape(),
+                                                   np.float32))
+            got = conv2d(Tensor(x), spec, wt).data
+            want = conv2d_serial_reference(Tensor(x), spec, wt)
+        assert got.tobytes() == want.tobytes()
+        assert (len(threads) > 1) == (tensor._WORKERS > 0)
+
+    @pytest.mark.parametrize("pool", ["started", "unstarted"])
+    def test_a_conv_at_interpreter_exit_runs_on_the_caller(self, pool):
+        # once the interpreter has shut the pool down it takes no work
+        done = subprocess.run(
+            [sys.executable, "-c", EXIT_PROBE,
+             str(Path(tensor.__file__).parent.parent), pool],
+            capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stdout, done.stderr) == (0, "True\n", "")
+
+    def test_a_forked_child_starts_its_own_pool(self):
+        # the parent's workers do not exist in a forked child; bands
+        # queued to them would never run, and their queue would hold
+        # every call's arrays
+        done = subprocess.run(
+            [sys.executable, "-c", FORK_PROBE,
+             str(Path(tensor.__file__).parent.parent)],
+            capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stdout) == (0, "0\n"), done.stderr
 
 
 class TestElementwise:
@@ -477,6 +709,40 @@ class TestElementwise:
         want = sigmoid64_reference(arr)
         assert got.dtype == np.float64
         assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+    @settings(max_examples=150)
+    @given(shape=st.tuples(st.integers(1, 2), st.integers(1, 9),
+                           st.integers(1, 5), st.integers(1, 5)),
+           values=st.lists(st.floats(width=32, allow_nan=False), min_size=1,
+                           max_size=32),
+           split=st.booleans())
+    def test_logistics_equal_the_serial_pass(self, shape, values, split):
+        # any float32 and the infinities, every call split or none; silu
+        # of -inf is 0 * -inf, whose invalid-value warning the caller's
+        # errstate silences on every thread
+        arr = np.resize(np.array(values, np.float32), shape)
+        with shares_seen(SPLIT_FLOPS=-1 if split else math.inf) as threads:
+            with np.errstate(invalid="ignore"):
+                got = [f(Tensor(arr)).data for f in (sigmoid, silu)]
+                want = [logistic_serial_reference(arr, times_x)
+                        for times_x in (False, True)]
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+        assert (len(threads) > 1) == (split and shape[1] > 1
+                                      and tensor._WORKERS > 0)
+
+    @pytest.mark.parametrize("above", [False, True], ids=["at", "above"])
+    @pytest.mark.parametrize("fn, times_x", [(sigmoid, False), (silu, True)],
+                             ids=["sigmoid", "silu"])
+    def test_logistics_split_only_above_the_threshold(self, fn, times_x,
+                                                      above):
+        unit = meter.ELEMENTWISE_UNIT_COST[fn.__name__]
+        width = tensor.SPLIT_FLOPS // (4 * unit) + above
+        arr = np.random.default_rng(5).uniform(
+            -20, 20, (1, 4, 1, width)).astype(np.float32)
+        with shares_seen() as threads:
+            got = fn(Tensor(arr)).data
+        assert got.tobytes() == logistic_serial_reference(arr, times_x).tobytes()
+        assert (len(threads) > 1) == (above and tensor._WORKERS > 0)
 
     def test_relu_clamps_negatives(self):
         x = Tensor(np.array([[[[-2.0, 0.0, 3.5]]]], dtype=np.float32))
