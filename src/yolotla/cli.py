@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import os
 import resource
 import sys
 import time
@@ -500,7 +501,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()   # a closed pipe fails here, not at exit
+        return code
+    except BrokenPipeError:   # the reader left early; the exit flush goes nowhere
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return 1
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1

@@ -38,10 +38,10 @@ never a whole group's patch matrix (80 MB for GAM's first 7x7 conv).
 A band changes the shape of the BLAS call, and BLAS may then sum a dot
 product in another order: the bound above still holds, but the last bits
 can differ from an unbanded GEMM (README's "Determinism" lists where).
-Above `SPLIT_FLOPS` the caller and a pool of CPUs - 1 threads take a call's
-bands (`sigmoid`, `silu`: channel slices) one at a time; numpy drops the GIL
-in copies, GEMMs and ufuncs. Each band is the serial loop's BLAS call, so
-bytes never depend on the pool. Workers run in a copy of the caller's context.
+Above `SPLIT_FLOPS` the caller and a pool of CPUs - 1 threads take a conv's
+bands one at a time; numpy drops the GIL in copies and GEMMs. Each band is
+the serial loop's BLAS call, so bytes never depend on the pool. Workers run
+in a copy of the caller's context.
 `BAND_BYTES` also bounds the chunk of float64 class scores that
 `postprocess.decode` holds at a time.
 """
@@ -376,37 +376,25 @@ def relu(x: Tensor) -> Tensor:
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    return _by_channels("sigmoid", x, _logistic)
+    return _elementwise("sigmoid", x, lambda: _logistic(x.data))
 
 
 def silu(x: Tensor) -> Tensor:
     """x * sigmoid(x), the default activation behind every conv block."""
-    return _by_channels("silu", x, lambda a, out: np.multiply(
-        _logistic(a, out), a, out=out))
-
-
-def _by_channels(fn: str, x: Tensor, part) -> Tensor:
-    """`_elementwise` of part(x's channels, out's channels), a slice per thread."""
-    def compute():
-        flops = meter.elementwise_cost(fn, x.numel)
-        out, k = np.empty_like(x.data), _WORKERS + 1 if flops > SPLIT_FLOPS else 1
-        cuts = [x.c * i // k for i in range(k + 1)]
-        _run_items(part, [(x.data[:, a:b], out[:, a:b])
-                          for a, b in zip(cuts, cuts[1:]) if a < b], flops)
-        return out
-    return _elementwise(fn, x, compute)
+    return _elementwise("silu", x, lambda: np.multiply(
+        out := _logistic(x.data), x.data, out=out))
 
 
 def sigmoid64(arr: np.ndarray) -> np.ndarray:
     """Logistic of a plain array in float64, for box decoding."""
-    return _logistic(arr, dtype=np.float64)
+    return _logistic(arr, np.float64)
 
 
-def _logistic(arr: np.ndarray, out=None, dtype=None) -> np.ndarray:
-    """1 / (1 + exp(-arr)) in ``dtype`` (arr's own if None), into ``out``
-    (a fresh array if None). exp(-x) overflows to inf below x = -88.7
-    (float32) or -709.8 (float64), giving the exact limit 0, unreported."""
-    out = np.negative(arr, dtype=dtype, out=out)
+def _logistic(arr: np.ndarray, dtype=None) -> np.ndarray:
+    """1 / (1 + exp(-arr)) in ``dtype`` (arr's own if None), a fresh array.
+    exp(-x) overflows to inf below x = -88.7 (float32) or -709.8 (float64),
+    giving the exact limit 0, unreported."""
+    out = np.negative(arr, dtype=dtype)
     with np.errstate(over="ignore"):
         np.exp(out, out=out)
     out += 1.0

@@ -161,6 +161,13 @@ class TestAssignToScales:
                      for _, triple in out.scales]
         assert mean_area == sorted(mean_area)
 
+    @pytest.mark.parametrize("anchors", [[10, 13, 16],
+                                         [(10, 13, 1)] * 12],
+                             ids=["flat", "triples"])
+    def test_anchors_that_are_not_pairs_rejected(self, anchors):
+        with pytest.raises(ConfigError, match=r"anchors must be \(w, h\) pairs"):
+            assign_to_scales(anchors, [160, 80, 40, 20])
+
     def test_count_mismatch(self):
         with pytest.raises(ConfigError, match="cannot fill"):
             assign_to_scales(TABLE_ANCHORS[:9], [160, 80, 40, 20])

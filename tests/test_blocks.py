@@ -387,6 +387,12 @@ class TestPlumbingBlocks:
         assert [m.shape for m in maps] == [(1, 255, 8, 8), (1, 255, 4, 4)]
         assert blk.param_count() == (8 * 255 + 255) + (16 * 255 + 255)
 
+    def test_detect_rejects_wrong_map_count(self):
+        blk, _ = make_block("Detect", [8, 16], {"nc": 80})
+        with pytest.raises(ShapeError,
+                           match="Detect built for 2 scales, got 1 inputs"):
+            blk.forward([rand_input(1, 8, 8, 8)])
+
     def test_unknown_argument_rejected(self):
         with pytest.raises(ConfigError, match="unknown"):
             BLOCKS["ConvBNAct"]([3], {"out": 8, "bogus": 1})

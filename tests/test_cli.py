@@ -678,9 +678,8 @@ class TestInferCommand:
 
     def test_forward_overflow_on_the_pool_is_one_error_line(self, workdir,
                                                             capsys):
-        # at 320 the large convs and SiLUs run their bands and channel
-        # slices on the pool's threads too, which must keep the walk's
-        # errstate
+        # at 320 the large convs run their bands on the pool's threads
+        # too, which must keep the walk's errstate
         self.overflow_is_one_error_line(workdir, capsys, 320)
 
     @staticmethod
@@ -1048,6 +1047,21 @@ class TestUnexpectedException:
         assert err == "internal error: RuntimeError: invariant broken " \
                       "second line\n"
 
+    @pytest.mark.parametrize("message, line", [
+        ("Unable to allocate 84.0 GiB",
+         "error: cannot allocate memory: Unable to allocate 84.0 GiB\n"),
+        ("", "error: cannot allocate memory\n"),
+    ], ids=["with-message", "bare"])
+    def test_memory_error_is_one_line_with_exit_one(self, capsys, monkeypatch,
+                                                    message, line):
+        def exhausted(args):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "cmd_configs", exhausted)
+        code, out, err = run(["configs"], capsys)
+        assert_one_line_error(code, err)
+        assert (out, err) == ("", line)
+
 
 class TestOracleCheckCommand:
     def test_all_suites_pass(self, capsys):
@@ -1100,13 +1114,15 @@ class TestOracleCheckCommand:
         assert "result" not in out
 
 
-def run_process(argv, timeout):
+def run_process(argv, timeout, stdout=subprocess.PIPE, **env):
     """Run argv in a child interpreter that imports the package from this
-    checkout's `src/`, ahead of any PYTHONPATH already set."""
+    checkout's `src/`, ahead of any PYTHONPATH already set, with ``env``
+    added to the environment."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run(argv, capture_output=True, timeout=timeout,
-                          env=dict(os.environ, PYTHONPATH=path))
+    return subprocess.run(argv, stdout=stdout, stderr=subprocess.PIPE,
+                          timeout=timeout,
+                          env=dict(os.environ, PYTHONPATH=path, **env))
 
 
 class TestProcessLevelInvocation:
@@ -1116,6 +1132,22 @@ class TestProcessLevelInvocation:
         second = run_process(argv, timeout=300)
         assert first.returncode == 0
         assert first.stdout == second.stdout
+
+    @pytest.mark.parametrize("unbuffered", ["1", ""],
+                             ids=["unbuffered", "buffered"])
+    def test_closed_stdout_exits_one_in_silence(self, unbuffered):
+        # a reader that leaves early (`| head -1`) is no fault of this
+        # program; its read end is closed first, so the first write fails,
+        # whether at a print or at the flush before exit
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = run_process(
+                [sys.executable, "-m", "yolotla.cli", "configs", "--json"],
+                timeout=60, stdout=write, PYTHONUNBUFFERED=unbuffered)
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (1, b"")
 
     def test_no_command_exits_one(self):
         proc = run_process([sys.executable, "-m", "yolotla.cli"], timeout=60)

@@ -586,6 +586,11 @@ class TestWeightFiles:
         raw = load_weights(path)
         assert raw["x.norm.scale"].shape == (5, 1, 1, 1)
 
+    def test_rank5_parameter_refused(self, tmp_path):
+        with pytest.raises(WeightError, match="cannot store rank-5 parameter"):
+            save_weights(tmp_path / "r5.tlaw",
+                         {"w": np.zeros((1, 2, 1, 1, 1), np.float32)})
+
 
 class TestForward:
 
@@ -615,7 +620,7 @@ class TestForward:
 
     def test_concurrent_forwards_share_the_pool_bit_exactly(self,
                                                             monkeypatch):
-        # at 128 yolov5s's large convs and SiLUs spread over the pool,
+        # at 128 yolov5s's large convs spread their bands over the pool,
         # which four callers then share: no caller waits forever, and each
         # gets a serial forward's bytes
         m = build_model(find_config("yolov5s"), seed=0)

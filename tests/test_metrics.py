@@ -213,6 +213,11 @@ class TestAveragePrecision:
     def test_no_ground_truth(self):
         assert ap_from_ranking([True], n_gt=0) == (0.0, [])
 
+    @pytest.mark.parametrize("flags, n_gt", [([True], 0), ([], 3)],
+                             ids=["no-ground-truth", "no-detections"])
+    def test_exact_envelope_of_nothing_is_zero(self, flags, n_gt):
+        assert metrics.exact_envelope_ap(flags, n_gt) == 0.0
+
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(11)
         checked = 0

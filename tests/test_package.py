@@ -101,6 +101,14 @@ def test_only_tensor_logistic_calls_exp():
     assert package_calling_scopes(calls_numpy("exp")) == {"tensor._logistic"}
 
 
+def test_only_conv2d_hands_work_to_the_pool():
+    # the worker pool serves conv bands alone; every other kernel is one
+    # pass on the caller
+    def calls_run_items(call: ast.Call) -> bool:
+        return getattr(call.func, "id", None) == "_run_items"
+    assert package_calling_scopes(calls_run_items) == {"tensor.conv2d"}
+
+
 # the inference stages after load; `Model.infer` runs them for every caller
 INFER_STAGE_FUNCTIONS = {"letterbox", "decode", "nms", "unletterbox_box"}
 

@@ -204,6 +204,14 @@ class TestDecode:
         with pytest.raises(ShapeError, match="25 channels"):
             decode([bad], ANCHORS, [32])
 
+    @pytest.mark.parametrize("shape, message", [
+        ((2, 24, 2, 2), "decode expects batch 1, got 2"),
+        ((1, 15, 2, 2), r"15 channels, too few for 3\*\(5\+classes\)"),
+    ], ids=["batch-2", "no-classes"])
+    def test_map_shape_rejected(self, shape, message):
+        with pytest.raises(ShapeError, match=message):
+            decode([Tensor(np.zeros(shape, np.float32))], ANCHORS, [32])
+
     def test_count_mismatch_rejected(self):
         maps = [Tensor(raw_map(3, 2, 2))]
         with pytest.raises(ShapeError, match="1 maps, 2 anchor rows and 1 "

@@ -73,7 +73,7 @@ def sigmoid64_reference(arr: np.ndarray) -> np.ndarray:
 
 def logistic_serial_reference(arr: np.ndarray, times_x: bool) -> np.ndarray:
     """`sigmoid` (``times_x`` False) or `silu` as one pass over the whole
-    array on the calling thread, as before the pool."""
+    array on the calling thread."""
     out = np.negative(arr)
     with np.errstate(over="ignore"):
         np.exp(out, out=out)
@@ -357,6 +357,15 @@ class TestConvSpec:
         with pytest.raises(ConfigError):
             ConvSpec(6, 4, 3, 3, groups=4)
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"pad_w": -1}, r"padding must be >= 0, got \(0, -1\)"),
+        ({"in_channels": 8, "groups": 4}, "out_channels 6 not divisible"),
+    ], ids=["negative-pad", "out-channels-not-divisible"])
+    def test_rejects_bad_fields(self, fields, message):
+        with pytest.raises(ConfigError, match=message):
+            ConvSpec(**{"in_channels": 4, "out_channels": 6, "kernel_h": 3,
+                        "kernel_w": 3, **fields})
+
     def test_rejects_empty_output(self):
         spec = ConvSpec(1, 1, 5, 5)
         with pytest.raises(ConfigError):
@@ -530,6 +539,18 @@ class TestConvOracle:
         wt = Tensor(np.zeros((2, 3, 2, 3), dtype=np.float32))
         with pytest.raises(ShapeError, match="weight shape"):
             conv2d(x, spec, wt)
+
+    @pytest.mark.parametrize("has_bias, bias, message", [
+        (False, np.zeros(2, np.float32), "has_bias=False but bias given"),
+        (True, None, "has_bias=True but bias missing"),
+        (True, np.zeros(3, np.float32), r"bias shape \(3,\) must be \(2,\)"),
+    ], ids=["given", "missing", "wrong-shape"])
+    def test_bias_mismatch_rejected(self, has_bias, bias, message):
+        x = Tensor.zeros(1, 3, 4, 4)
+        spec = ConvSpec(3, 2, 1, 1, has_bias=has_bias)
+        wt = Tensor(np.zeros(spec.weight_shape(), dtype=np.float32))
+        with pytest.raises(ShapeError, match=message):
+            conv2d(x, spec, wt, bias)
 
 
 class TestConvBands:
@@ -717,9 +738,9 @@ class TestElementwise:
                            max_size=32),
            split=st.booleans())
     def test_logistics_equal_the_serial_pass(self, shape, values, split):
-        # any float32 and the infinities, every call split or none; silu
-        # of -inf is 0 * -inf, whose invalid-value warning the caller's
-        # errstate silences on every thread
+        # any float32 and the infinities, with every conv split or none:
+        # the logistics stay one pass on the caller either way; silu of
+        # -inf is 0 * -inf, whose invalid-value warning errstate silences
         arr = np.resize(np.array(values, np.float32), shape)
         with shares_seen(SPLIT_FLOPS=-1 if split else math.inf) as threads:
             with np.errstate(invalid="ignore"):
@@ -727,8 +748,7 @@ class TestElementwise:
                 want = [logistic_serial_reference(arr, times_x)
                         for times_x in (False, True)]
         assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
-        assert (len(threads) > 1) == (split and shape[1] > 1
-                                      and tensor._WORKERS > 0)
+        assert not threads   # no `_run_items` share ran
 
     @pytest.mark.parametrize("above", [False, True], ids=["at", "above"])
     @pytest.mark.parametrize("fn, times_x", [(sigmoid, False), (silu, True)],
@@ -742,7 +762,7 @@ class TestElementwise:
         with shares_seen() as threads:
             got = fn(Tensor(arr)).data
         assert got.tobytes() == logistic_serial_reference(arr, times_x).tobytes()
-        assert (len(threads) > 1) == (above and tensor._WORKERS > 0)
+        assert not threads   # above SPLIT_FLOPS too: only conv bands split
 
     def test_relu_clamps_negatives(self):
         x = Tensor(np.array([[[[-2.0, 0.0, 3.5]]]], dtype=np.float32))
@@ -812,6 +832,10 @@ class TestSpatialOps:
         b = Tensor.zeros(1, 2, 4, 5)
         with pytest.raises(ShapeError):
             concat_channels([a, b])
+
+    def test_concat_rejects_no_inputs(self):
+        with pytest.raises(ShapeError, match="at least one input"):
+            concat_channels([])
 
     def test_maxpool_padding_never_wins(self):
         # all-negative input: -inf padding must not leak into any output
