@@ -7,11 +7,12 @@ success, 1 validation or usage error or a request too large to allocate,
 2 internal oracle failure or an unexpected exception, which ends in one
 stderr line, `internal error: <Type>: <message>`, not a traceback.
 
-Everything is driven by flags; there are no environment variables, and
-identical invocations with identical seeds print byte-identical output.
-JSON output is sorted and carries no timestamps so it can be golden-file
-tested; `infer --timings` writes each stage's wall seconds and the process
-peak RSS after it to stderr only.
+Everything is driven by flags. Identical invocations with identical seeds
+print identical bytes for one BLAS build and thread count (README
+"Determinism": `OPENBLAS_NUM_THREADS` can change `infer`'s bytes). JSON
+output is sorted and carries no timestamps so it can be golden-file tested;
+`infer --timings` writes each stage's wall seconds and the process peak RSS
+after it to stderr only. An output file is written whole or not at all.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ import os
 import resource
 import sys
 import time
-from pathlib import Path
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -32,7 +33,7 @@ from .blocks import BLOCKS
 from .costs import (CONVENTION, analyze, closed_form_cross,
                     closed_form_standard)
 from .data import load_coco, load_image, load_results, read_json
-from .errors import ConfigError, YoloTlaError
+from .errors import ConfigError, YoloTlaError, writing
 from .graph import build_model, bundled_config_names, find_config, parse_config
 from .metrics import ap_from_ranking, evaluate, exact_envelope_ap
 from .postprocess import (DEFAULT_CONF_THRESHOLD, DEFAULT_IOU_THRESHOLD,
@@ -69,13 +70,6 @@ class _Parser(argparse.ArgumentParser):
 
 def _json_print(doc) -> None:
     print(json.dumps(doc, sort_keys=True, indent=2))
-
-
-def _write_output(path, text: str) -> None:
-    try:
-        Path(path).write_text(text)
-    except OSError as e:
-        raise ConfigError(f"cannot write {path}: {e.strerror or e}") from e
 
 
 # -- analyze -----------------------------------------------------------------
@@ -163,46 +157,48 @@ def _anchor_text(anchors) -> str:
 
 def cmd_anchors(args) -> int:
     _check_seed(args.seed)
-    ds = load_coco(args.dataset)
-    boxes = [(ann.bbox[2], ann.bbox[3]) for ann in ds.annotations]
-    anchors = fit_anchors(boxes, k=args.k, seed=args.seed)
-    doc = {"k": args.k, "seed": args.seed,
-           "anchors": [[round(w, 2), round(h, 2)] for w, h in anchors]}
-    lines = [f"fitted {args.k} anchors over {len(boxes)} boxes (seed "
-             f"{args.seed}):"]
-    lines.append("  " + _anchor_text(anchors))
-    anchor_set = None
-    if args.scales:
-        try:
-            sizes = [int(s) for s in args.scales.split(",") if s]
-        except ValueError:
-            raise ConfigError(f"--scales must be comma-separated integers, "
-                              f"got {args.scales!r}") from None
-        anchor_set = assign_to_scales(anchors, sizes)
-        doc["scales"] = [
-            {"map": size, "anchors": [[w, h] for w, h in triple]}
-            for size, triple in anchor_set.scales]
-        for size, triple in anchor_set.scales:
-            lines.append(f"  map {size:>4}: " + _anchor_text(triple))
     if args.patch_config:
-        if anchor_set is None:
+        if not args.scales:
             raise ConfigError("--patch-config requires --scales")
         if not args.out:
             raise ConfigError("--patch-config requires --out")
-        cfg_path = find_config(args.patch_config)
-        cfg = parse_config(cfg_path)
-        if len(cfg.detect_from) != len(anchor_set.scales):
-            raise ConfigError(
-                f"config {cfg.name} detects on {len(cfg.detect_from)} scales, "
-                f"fitted {len(anchor_set.scales)}")
-        cfg_doc = read_json(cfg_path, "config")
-        cfg_doc["anchors"] = [
-            [[round(w, 2), round(h, 2)] for w, h in triple]
-            for _, triple in anchor_set.scales]
-        parse_config(cfg_doc)   # re-validate before writing
-        _write_output(args.out, json.dumps(cfg_doc, indent=2) + "\n")
-        lines.append(f"wrote patched config to {args.out}")
-        doc["patched"] = str(args.out)
+    # --out names the patched config, so without --patch-config no file
+    with writing(args.out) if args.patch_config else nullcontext() as fh:
+        ds = load_coco(args.dataset)
+        boxes = [(ann.bbox[2], ann.bbox[3]) for ann in ds.annotations]
+        anchors = fit_anchors(boxes, k=args.k, seed=args.seed)
+        doc = {"k": args.k, "seed": args.seed,
+               "anchors": [[round(w, 2), round(h, 2)] for w, h in anchors]}
+        lines = [f"fitted {args.k} anchors over {len(boxes)} boxes (seed "
+                 f"{args.seed}):"]
+        lines.append("  " + _anchor_text(anchors))
+        if args.scales:
+            try:
+                sizes = [int(s) for s in args.scales.split(",") if s]
+            except ValueError:
+                raise ConfigError(f"--scales must be comma-separated "
+                                  f"integers, got {args.scales!r}") from None
+            anchor_set = assign_to_scales(anchors, sizes)
+            doc["scales"] = [
+                {"map": size, "anchors": [[w, h] for w, h in triple]}
+                for size, triple in anchor_set.scales]
+            for size, triple in anchor_set.scales:
+                lines.append(f"  map {size:>4}: " + _anchor_text(triple))
+        if fh:
+            cfg_path = find_config(args.patch_config)
+            cfg = parse_config(cfg_path)
+            if len(cfg.detect_from) != len(anchor_set.scales):
+                raise ConfigError(
+                    f"config {cfg.name} detects on {len(cfg.detect_from)} "
+                    f"scales, fitted {len(anchor_set.scales)}")
+            cfg_doc = read_json(cfg_path, "config")
+            cfg_doc["anchors"] = [
+                [[round(w, 2), round(h, 2)] for w, h in triple]
+                for _, triple in anchor_set.scales]
+            parse_config(cfg_doc)   # re-validate before writing
+            fh.write((json.dumps(cfg_doc, indent=2) + "\n").encode())
+            lines.append(f"wrote patched config to {args.out}")
+            doc["patched"] = str(args.out)
     if args.json:
         _json_print(doc)
     else:
@@ -224,18 +220,19 @@ def cmd_infer(args) -> int:
         clock.append((stage, time.perf_counter(),
                       rss / (1 << 20 if sys.platform == "darwin" else 1024)))
 
-    model = build_model(find_config(args.config), seed=args.seed)
-    if args.weights:
-        model.load_weight_file(args.weights)
-    model.params   # binds the seeded weights here, not in "forward"
-    img = load_image(args.image)
-    mark("load")
-    restored = model.infer(img, args.input_size, stretch=args.stretch,
-                           conf=args.conf, iou=args.iou, mark=mark)
-    if args.json or args.out:
-        payload = results_json(restored, args.image_id)
-    if args.out:
-        _write_output(args.out, payload + "\n")
+    with writing(args.out) if args.out else nullcontext() as fh:
+        model = build_model(find_config(args.config), seed=args.seed)
+        if args.weights:
+            model.load_weight_file(args.weights)
+        model.params   # binds the seeded weights here, not in "forward"
+        img = load_image(args.image)
+        mark("load")
+        restored = model.infer(img, args.input_size, stretch=args.stretch,
+                               conf=args.conf, iou=args.iou, mark=mark)
+        if args.json or fh:
+            payload = results_json(restored, args.image_id)
+        if fh:
+            fh.write((payload + "\n").encode())
     if args.json:
         text = payload
     else:
@@ -264,13 +261,14 @@ def cmd_infer(args) -> int:
 # -- eval --------------------------------------------------------------------
 
 def cmd_eval(args) -> int:
-    ds = load_coco(args.gt)
-    dets = load_results(args.results, ds)
-    rep = evaluate(ds.gt_by_image(), dets)
-    if args.pr_csv:
-        _write_output(args.pr_csv, "class,recall,precision\n" + "".join(
-            f"{cls},{r:.6f},{p:.6f}\n"
-            for cls in rep.classes for r, p in rep.pr_curves.get(cls, [])))
+    with writing(args.pr_csv) if args.pr_csv else nullcontext() as fh:
+        ds = load_coco(args.gt)
+        dets = load_results(args.results, ds)
+        rep = evaluate(ds.gt_by_image(), dets)
+        if fh:
+            fh.write(("class,recall,precision\n" + "".join(
+                f"{cls},{r:.6f},{p:.6f}\n" for cls in rep.classes
+                for r, p in rep.pr_curves.get(cls, []))).encode())
     if args.json:
         _json_print(rep.to_dict())
         return 0

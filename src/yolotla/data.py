@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import ConfigError, ParseError, is_instance
 from .postprocess import Detection
-from .tensor import Tensor, _padded, load_tns, resize_nearest
+from .tensor import Tensor, _padded, _parse_tns, resize_nearest
 
 log = logging.getLogger("yolotla")
 
@@ -241,11 +241,12 @@ def load_image(path) -> Tensor:
         raise ParseError(
             f"{path}: unsupported image format (supported: .ppm P6, .tns)")
     try:
-        if suffix == ".ppm":
-            return _parse_ppm(Path(path).read_bytes(), path)
-        t = load_tns(path)
+        blob = Path(path).read_bytes()
     except OSError as e:
         raise ParseError(f"cannot read image {path}: {e.strerror or e}") from e
+    if suffix == ".ppm":
+        return _parse_ppm(blob, path)
+    t = _parse_tns(blob, path)
     if t.n != 1 or t.c != 3:
         raise ParseError(
             f"{path}: expected a (1, 3, H, W) tensor, got {t.shape}")

@@ -1,9 +1,12 @@
-"""Exception types raised across the package, and the one type test that
-config readers share.
+"""Exception types raised across the package, the one type test that
+config readers share, and the one writer of every file the package writes.
 
 Every error message names the offending thing (dimension, field, parameter
 path) so failures in larger pipelines stay diagnosable.
 """
+import os
+import stat
+from contextlib import contextmanager
 
 
 class YoloTlaError(Exception):
@@ -32,3 +35,34 @@ def is_instance(value, *types: type) -> bool:
     if isinstance(value, bool):
         return bool in types
     return isinstance(value, types)
+
+
+@contextmanager
+def writing(path):
+    """Yield a binary file whose bytes land at `path` whole or not at all:
+    a new file beside the target (a symlink's target; the link stays)
+    replaces it when the block ends cleanly and is removed on any exception.
+    An existing target that is not a regular file (a FIFO, a device) is
+    written in place. Every OSError, the block's own included, ends as one
+    ConfigError, so a bad path fails on entry, before the block's work."""
+    try:
+        try:   # stat follows links, /dev/stdout's included
+            in_place = not stat.S_ISREG(os.stat(path).st_mode)
+        except FileNotFoundError:
+            in_place = False
+        if in_place:
+            with open(path, "wb") as fh:
+                yield fh
+            return
+        target = os.path.realpath(path)
+        temp = f"{target}.{os.urandom(8).hex()}.tmp"
+        fh = open(temp, "xb")   # a new file's permission bits, unlike mkstemp
+        try:
+            with fh:
+                yield fh
+            os.replace(temp, target)
+        except BaseException:
+            os.unlink(temp)
+            raise
+    except OSError as e:
+        raise ConfigError(f"cannot write {path}: {e.strerror or e}") from e

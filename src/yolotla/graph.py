@@ -50,7 +50,7 @@ from . import blocks as _blocks
 from . import meter
 from .data import letterbox, read_json, unletterbox_box
 from .errors import (ConfigError, ParseError, ShapeError, WeightError,
-                     is_instance)
+                     is_instance, writing)
 from .postprocess import (DEFAULT_CONF_THRESHOLD, DEFAULT_IOU_THRESHOLD,
                           Detection, decode, nms)
 from .tensor import Tensor
@@ -513,7 +513,7 @@ def _pad4(shape: tuple[int, ...]) -> tuple[int, int, int, int]:
 
 def save_weights(path, params: dict[str, np.ndarray]) -> None:
     """Write a weight file: entries sorted by path, shapes padded to rank 4."""
-    with open(path, "wb") as fh:
+    with writing(path) as fh:
         fh.write(WEIGHT_MAGIC)
         fh.write(struct.pack("<B", WEIGHT_VERSION))
         fh.write(struct.pack("<I", len(params)))

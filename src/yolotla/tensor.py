@@ -58,7 +58,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from . import meter
-from .errors import ConfigError, ParseError, ShapeError
+from .errors import ConfigError, ParseError, ShapeError, writing
 
 TNS_MAGIC = b"TNS1"
 _MAX_DIM = np.iinfo(np.intp).max   # no numpy array, not even a stand-in, is longer
@@ -143,7 +143,7 @@ def _checked_shape(shape: tuple) -> tuple[int, int, int, int]:
 
 def save_tns(t: Tensor, path) -> None:
     """Write a tensor as magic 'TNS1', four little-endian u32 dims, f32 payload."""
-    with open(path, "wb") as fh:
+    with writing(path) as fh:
         fh.write(TNS_MAGIC)
         fh.write(struct.pack("<4I", *t.shape))
         fh.write(t.data.astype("<f4").tobytes())
@@ -151,7 +151,13 @@ def save_tns(t: Tensor, path) -> None:
 
 def load_tns(path) -> Tensor:
     """Read a tensor written by save_tns, validating magic and payload size."""
-    raw = Path(path).read_bytes()
+    try:
+        return _parse_tns(Path(path).read_bytes(), path)
+    except OSError as e:
+        raise ParseError(f"cannot read tensor {path}: {e.strerror or e}") from e
+
+
+def _parse_tns(raw: bytes, path) -> Tensor:
     if len(raw) < 20 or raw[:4] != TNS_MAGIC:
         raise ParseError(f"{path}: not a .tns file (bad magic)")
     dims = struct.unpack("<4I", raw[4:20])

@@ -121,6 +121,14 @@ class TestFitAnchors:
         with pytest.raises(ConfigError, match="2 box"):
             fit_anchors(boxes, k=2)
 
+    def test_one_anchor_accepted(self):
+        rng = np.random.default_rng(6)
+        trace: list[float] = []
+        out = fit_anchors(rng.uniform(2, 300, size=(40, 2)), k=1, seed=0,
+                          trace=trace)
+        assert out.shape == (1, 2)
+        assert all(b <= a for a, b in zip(trace, trace[1:])), trace
+
     def test_k_below_one_rejected(self):
         with pytest.raises(ConfigError, match="k must be at least 1, got 0"):
             fit_anchors([(10, 10), (20, 20)], k=0)
@@ -175,6 +183,10 @@ class TestAssignToScales:
     def test_duplicate_scale_sizes_rejected(self):
         with pytest.raises(ConfigError, match="repeat"):
             assign_to_scales(TABLE_ANCHORS, [80, 80, 40, 20])
+
+    def test_scale_of_side_one_accepted(self):
+        out = assign_to_scales(TABLE_ANCHORS[:3], [1])
+        assert out.scales == ((1, TABLE_ROWS[160]),)
 
     @pytest.mark.parametrize("sizes", [[0, 80, 40, 20], [160, -5, 40, 20]])
     def test_scale_size_below_one_rejected(self, sizes):

@@ -5,20 +5,24 @@ directory. Output determinism matters as much as correctness here: the
 same invocation must print the same bytes, so JSON output can be
 golden-file tested downstream.
 """
+import errno
 import hashlib
 import json
 import logging
 import math
 import os
+import stat
 import subprocess
 import sys
+import threading
+import time
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from yolotla import cli, meter
+from yolotla import cli, errors, meter
 from yolotla.cli import main
 from yolotla.graph import build_model, find_config, save_weights
 from yolotla.tensor import Tensor, save_tns
@@ -918,6 +922,127 @@ class TestReportOutputGuard:
         written = (csv_path.read_bytes() if name == "eval-pr-csv"
                    else out.encode())
         assert hashlib.sha256(written).hexdigest() == REPORT_DIGESTS[name]
+
+
+class _HalfWriter:
+    """A file whose first write stores half its bytes, then fails."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(data[:len(data) // 2])
+        self.fh.flush()
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+class TestOutputFiles:
+    """Every output file is written whole or not at all, and a bad output
+    path is refused before the command reads or computes anything."""
+
+    def infer_argv(self, workdir, out):
+        return ["infer", "--config", "yolov5s", "--image",
+                str(workdir["image"]), "--input-size", "64", "--conf", "0.18",
+                "--json", "--out", str(out)]
+
+    def test_infer_refuses_a_missing_directory_before_the_forward(
+            self, workdir, capsys, tmp_path):
+        out = tmp_path / "no-such-dir" / "x.json"
+        start = time.perf_counter()
+        code, stdout, err = run(
+            ["infer", "--config", "yolo-tla-s", "--image",
+             str(workdir["image"]), "--out", str(out)], capsys)
+        assert time.perf_counter() - start < 1.0   # the forward takes ~3 s
+        assert (code, stdout) == (1, "")
+        assert err == f"error: cannot write {out}: No such file or directory\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--gt", "missing-gt.json", "--results", "missing.json",
+         "--pr-csv"],
+        ["anchors", "--dataset", "missing-gt.json", "--scales",
+         "160,80,40,20", "--patch-config", "yolov5s-tiny", "--out"],
+    ], ids=["eval", "anchors"])
+    def test_refuses_a_missing_directory_before_reading(self, capsys,
+                                                         tmp_path, argv):
+        # the inputs are missing too: the output path is checked first
+        out = tmp_path / "no-such-dir" / "x"
+        code, stdout, err = run(argv + [str(out)], capsys)
+        assert (code, stdout) == (1, "")
+        assert err == f"error: cannot write {out}: No such file or directory\n"
+
+    def test_failed_write_leaves_the_old_file(self, workdir, capsys,
+                                              tmp_path, monkeypatch):
+        out = tmp_path / "dets.json"
+        out.write_bytes(b"old results")
+        def half_open(path, mode):   # seen by the writer alone
+            return _HalfWriter(open(path, mode))
+        monkeypatch.setattr(errors, "open", half_open, raising=False)
+        code, stdout, err = run(self.infer_argv(workdir, out), capsys)
+        assert (code, stdout) == (1, "")
+        assert err == f"error: cannot write {out}: No space left on device\n"
+        assert out.read_bytes() == b"old results"
+        assert list(tmp_path.iterdir()) == [out]
+
+    def test_replaced_file_is_a_new_file(self, workdir, capsys, tmp_path):
+        out = tmp_path / "dets.json"
+        out.write_bytes(b"old results")
+        out.chmod(0o600)
+        old_inode = out.stat().st_ino
+        probe = tmp_path / "probe"
+        probe.touch()   # the permission bits a new file gets
+        code, stdout, _ = run(self.infer_argv(workdir, out), capsys)
+        assert code == 0
+        assert out.read_bytes() == stdout.encode()
+        assert out.stat().st_ino != old_inode
+        assert out.stat().st_mode == probe.stat().st_mode
+        assert sorted(tmp_path.iterdir()) == [out, probe]
+
+    def test_symlink_target_is_written_and_the_link_stays(
+            self, workdir, capsys, tmp_path):
+        target = tmp_path / "target.json"
+        target.write_bytes(b"old results")
+        link = tmp_path / "link.json"
+        link.symlink_to(target)
+        code, stdout, _ = run(self.infer_argv(workdir, link), capsys)
+        assert code == 0
+        assert link.is_symlink() and link.resolve() == target
+        assert target.read_bytes() == stdout.encode()
+        assert sorted(tmp_path.iterdir()) == [link, target]
+
+    def test_fifo_is_written_in_place(self, workdir, capsys, tmp_path):
+        fifo = tmp_path / "results.fifo"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()),
+                                  daemon=True)
+        reader.start()
+        # a write end of our own, closed last, ends the read however the
+        # command treats the FIFO
+        held = os.open(fifo, os.O_WRONLY)
+        try:
+            code, stdout, _ = run(self.infer_argv(workdir, fifo), capsys)
+        finally:
+            os.close(held)
+            reader.join(timeout=60)
+        assert not reader.is_alive()
+        assert code == 0
+        assert got == [stdout.encode()]
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+        assert list(tmp_path.iterdir()) == [fifo]
+
+    def test_anchors_out_without_patch_config_writes_nothing(
+            self, workdir, capsys, tmp_path):
+        out = tmp_path / "patched.cfg"
+        code, _, _ = run(["anchors", "--dataset", str(workdir["gt"]),
+                          "--k", "12", "--out", str(out)], capsys)
+        assert code == 0
+        assert list(tmp_path.iterdir()) == []
 
 
 def edited_input(workdir, file, edit):

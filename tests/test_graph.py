@@ -591,6 +591,18 @@ class TestWeightFiles:
             save_weights(tmp_path / "r5.tlaw",
                          {"w": np.zeros((1, 2, 1, 1, 1), np.float32)})
 
+    @pytest.mark.parametrize("old", [None, b"old bytes"], ids=["new", "old"])
+    def test_refused_save_leaves_the_path_as_it_was(self, tmp_path, old):
+        # entries before the rank-5 one are written before it is refused
+        path = tmp_path / "r5.tlaw"
+        if old:
+            path.write_bytes(old)
+        with pytest.raises(WeightError, match="cannot store rank-5"):
+            save_weights(path, {"a": np.zeros(3, np.float32),
+                                "w": np.zeros((1, 2, 1, 1, 1), np.float32)})
+        assert list(tmp_path.iterdir()) == ([path] if old else [])
+        assert not old or path.read_bytes() == old
+
 
 class TestForward:
 

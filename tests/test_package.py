@@ -43,16 +43,22 @@ FUZZED_READERS = {"data.read_json", "data.load_image", "tensor.load_tns",
                   "graph.load_weights"}
 
 
-def opens_for_reading(call: ast.Call) -> bool:
-    """`open` with a read mode (or none written out), `read_bytes` or
-    `read_text`."""
+def name_and_mode(call: ast.Call):
+    """The called name and the `mode` argument (None if not written out)."""
     func = call.func
     name = (func.attr if isinstance(func, ast.Attribute)
             else getattr(func, "id", None))
-    if name in ("read_bytes", "read_text"):
-        return True
     mode = next((kw.value for kw in call.keywords if kw.arg == "mode"),
                 call.args[1] if len(call.args) > 1 else None)
+    return name, mode
+
+
+def opens_for_reading(call: ast.Call) -> bool:
+    """`open` with a read mode (or none written out), `read_bytes` or
+    `read_text`."""
+    name, mode = name_and_mode(call)
+    if name in ("read_bytes", "read_text"):
+        return True
     writes = (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
               and not {"r", "+"} & set(mode.value))
     return name == "open" and not writes
@@ -79,6 +85,25 @@ def package_calling_scopes(matches) -> set[str]:
 def test_only_the_fuzzed_readers_read_files():
     # every input byte enters through a reader whose refusals are fuzzed
     assert package_calling_scopes(opens_for_reading) == FUZZED_READERS
+
+
+def opens_for_writing(call: ast.Call) -> bool:
+    """`open` with a mode that writes (or one not written as a constant),
+    `write_bytes` or `write_text`."""
+    name, mode = name_and_mode(call)
+    if name in ("write_bytes", "write_text"):
+        return True
+    reads = mode is None or (isinstance(mode, ast.Constant)
+                             and isinstance(mode.value, str)
+                             and not set("wax+") & set(mode.value))
+    return name == "open" and not reads
+
+
+def test_only_errors_writing_writes_files():
+    # every output file is written whole or not at all by one writer; the
+    # other site sends stdout to /dev/null once a reader has left
+    assert package_calling_scopes(opens_for_writing) == {"errors.writing",
+                                                         "cli.main"}
 
 
 def calls_numpy(name: str):
@@ -155,6 +180,8 @@ UNREFERENCED = {
     "postprocess.nms_reference": "the oracle the NMS tests compare with",
     "anchors.iou_wh": "the oracle the anchor distance tests compare with",
     "cli._Parser.error": "argparse calls this override by name",
+    "tensor.Tensor.zeros": "tests build tensors with it",
+    "tensor.Tensor.full": "tests build tensors with it",
 }
 
 
@@ -170,15 +197,29 @@ def definitions(tree, module):
                             for item in node.body if isinstance(item, defs))
 
 
+def names_used(tree):
+    """Every name and attribute the module reads, less the attributes of
+    modules it imports whole (`np.zeros` names numpy's, not `Tensor.zeros`)."""
+    modules = {alias.asname or alias.name.partition(".")[0]
+               for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if getattr(root, "id", None) not in modules:
+                yield node.attr
+
+
 def test_every_definition_is_reached():
     # src/ holds only what the package itself or its public API reaches;
     # Python calls the dunder methods
     trees = {path.stem: ast.parse(path.read_text(), str(path))
              for path in SRC.rglob("*.py")}
-    named = set(yolotla.__all__) | {
-        node.id if isinstance(node, ast.Name) else node.attr
-        for tree in trees.values() for node in ast.walk(tree)
-        if isinstance(node, (ast.Name, ast.Attribute))}
+    named = set(yolotla.__all__).union(*map(names_used, trees.values()))
     unreached = {qualified for module, tree in trees.items()
                  for qualified, name in definitions(tree, module)
                  if name not in named

@@ -310,6 +310,22 @@ class TestTnsIO:
         assert np.frombuffer(raw[4:20], dtype="<u4").tolist() == [1, 2, 3, 4]
         assert len(raw) == 20 + 4 * t.numel
 
+    def test_missing_file_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "missing.tns"
+        with pytest.raises(ParseError, match=f"^cannot read tensor {path}: "
+                                             f"No such file or directory$"):
+            load_tns(path)
+
+    @pytest.mark.parametrize("old", [None, b"old bytes"], ids=["new", "old"])
+    def test_refused_save_leaves_the_path_as_it_was(self, tmp_path, old):
+        path = tmp_path / "t.tns"
+        if old:
+            path.write_bytes(old)
+        with pytest.raises(TypeError, match="carries no data"):
+            save_tns(Tensor.meta((1, 3, 4, 4)), path)
+        assert list(tmp_path.iterdir()) == ([path] if old else [])
+        assert not old or path.read_bytes() == old
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.tns"
         path.write_bytes(b"NOPE" + b"\x00" * 32)
