@@ -32,9 +32,10 @@ from .anchors import assign_to_scales, fit_anchors
 from .blocks import BLOCKS
 from .costs import (CONVENTION, analyze, closed_form_cross,
                     closed_form_standard)
-from .data import load_coco, load_image, load_results, read_json
+from .data import load_coco, load_image, load_results
 from .errors import ConfigError, YoloTlaError, writing
-from .graph import build_model, bundled_config_names, find_config, parse_config
+from .graph import (_config_doc, build_model, bundled_config_names,
+                    find_config, parse_config)
 from .metrics import ap_from_ranking, evaluate, exact_envelope_ap
 from .postprocess import (DEFAULT_CONF_THRESHOLD, DEFAULT_IOU_THRESHOLD,
                           results_json)
@@ -186,12 +187,12 @@ def cmd_anchors(args) -> int:
                 lines.append(f"  map {size:>4}: " + _anchor_text(triple))
         if fh:
             cfg_path = find_config(args.patch_config)
-            cfg = parse_config(cfg_path)
+            cfg_doc = _config_doc(cfg_path)   # read once, parsed twice
+            cfg = parse_config(cfg_doc)
             if len(cfg.detect_from) != len(anchor_set.scales):
                 raise ConfigError(
                     f"config {cfg.name} detects on {len(cfg.detect_from)} "
                     f"scales, fitted {len(anchor_set.scales)}")
-            cfg_doc = read_json(cfg_path, "config")
             cfg_doc["anchors"] = [
                 [[round(w, 2), round(h, 2)] for w, h in triple]
                 for _, triple in anchor_set.scales]

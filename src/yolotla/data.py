@@ -24,11 +24,10 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ParseError, is_instance
+from .errors import ConfigError, ParseError, is_instance, reading
 from .postprocess import Detection
 from .tensor import Tensor, _padded, _parse_tns, resize_nearest
 
@@ -87,9 +86,8 @@ _NUMBER = frozenset((int, float))   # json.loads types; type(True) is bool
 def read_json(path, what: str):
     """The JSON document in the file at path; `what` names it in errors."""
     try:
-        return json.loads(Path(path).read_bytes().decode("utf-8"))
-    except OSError as e:
-        raise ParseError(f"cannot read {what} {path}: {e.strerror or e}") from e
+        with reading(path, what) as fh:
+            return json.loads(fh.read().decode("utf-8"))
     except UnicodeDecodeError as e:
         raise ParseError(f"{what} {path} is not UTF-8 text: {e}") from e
     except (ValueError, RecursionError) as e:
@@ -240,10 +238,8 @@ def load_image(path) -> Tensor:
     if suffix not in (".ppm", ".tns"):
         raise ParseError(
             f"{path}: unsupported image format (supported: .ppm P6, .tns)")
-    try:
-        blob = Path(path).read_bytes()
-    except OSError as e:
-        raise ParseError(f"cannot read image {path}: {e.strerror or e}") from e
+    with reading(path, "image") as fh:
+        blob = fh.read()
     if suffix == ".ppm":
         return _parse_ppm(blob, path)
     t = _parse_tns(blob, path)

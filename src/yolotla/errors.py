@@ -1,5 +1,5 @@
 """Exception types raised across the package, the one type test that
-config readers share, and the one writer of every file the package writes.
+config readers share, and the one reader and the one writer of every file.
 
 Every error message names the offending thing (dimension, field, parameter
 path) so failures in larger pipelines stay diagnosable.
@@ -35,6 +35,17 @@ def is_instance(value, *types: type) -> bool:
     if isinstance(value, bool):
         return bool in types
     return isinstance(value, types)
+
+
+@contextmanager
+def reading(path, what: str):
+    """Yield the file at `path` opened "rb". Every OSError in the block, the
+    open's or a later read's, ends as one ParseError naming `what`."""
+    try:   # fspath: an int would name an open descriptor
+        with open(os.fspath(path), "rb") as fh:
+            yield fh
+    except OSError as e:
+        raise ParseError(f"cannot read {what} {path}: {e.strerror or e}") from e
 
 
 @contextmanager

@@ -50,7 +50,7 @@ from . import blocks as _blocks
 from . import meter
 from .data import letterbox, read_json, unletterbox_box
 from .errors import (ConfigError, ParseError, ShapeError, WeightError,
-                     is_instance, writing)
+                     is_instance, reading, writing)
 from .postprocess import (DEFAULT_CONF_THRESHOLD, DEFAULT_IOU_THRESHOLD,
                           Detection, decode, nms)
 from .tensor import Tensor
@@ -187,11 +187,15 @@ def _parse_layer(index: int, row) -> LayerSpec:
     return LayerSpec(index, tuple(resolved), repeats, kind, dict(args))
 
 
+def _config_doc(path) -> dict:
+    if not isinstance(doc := read_json(path, "config"), dict):
+        raise ConfigError(f"config {path}: root must be an object")
+    return doc
+
+
 def parse_config(source) -> ModelConfig:
     """Parse and validate a model config from a path or an already-read dict."""
-    doc = source if isinstance(source, dict) else read_json(source, "config")
-    if not isinstance(doc, dict):
-        raise ConfigError(f"config {source}: root must be an object")
+    doc = source if isinstance(source, dict) else _config_doc(source)
     missing = _TOP_FIELDS - set(doc)
     if missing:
         raise ConfigError(f"config is missing fields: {sorted(missing)}")
@@ -530,11 +534,7 @@ def load_weights(path) -> dict[str, np.ndarray]:
     """Read a weight file back into {path: rank-4 float32 array}, each
     payload straight from the file into its own array once the file is
     known to hold it."""
-    try:
-        fh = open(path, "rb")
-    except OSError as e:
-        raise ParseError(f"cannot read weights {path}: {e.strerror or e}") from e
-    with fh:
+    with reading(path, "weights") as fh:
         size = os.fstat(fh.fileno()).st_size
         head = fh.read(9)
         if head[:4] != WEIGHT_MAGIC:

@@ -52,13 +52,12 @@ import math
 import os
 import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from . import meter
-from .errors import ConfigError, ParseError, ShapeError, writing
+from .errors import ConfigError, ParseError, ShapeError, reading, writing
 
 TNS_MAGIC = b"TNS1"
 _MAX_DIM = np.iinfo(np.intp).max   # no numpy array, not even a stand-in, is longer
@@ -151,10 +150,8 @@ def save_tns(t: Tensor, path) -> None:
 
 def load_tns(path) -> Tensor:
     """Read a tensor written by save_tns, validating magic and payload size."""
-    try:
-        return _parse_tns(Path(path).read_bytes(), path)
-    except OSError as e:
-        raise ParseError(f"cannot read tensor {path}: {e.strerror or e}") from e
+    with reading(path, "tensor") as fh:
+        return _parse_tns(fh.read(), path)
 
 
 def _parse_tns(raw: bytes, path) -> Tensor:

@@ -364,6 +364,23 @@ class TestAnchorsCommand:
         original = build_model(find_config("yolov5s-tiny"))
         assert not np.array_equal(model.anchors[0], original.anchors[0])
 
+    def test_patch_config_opens_each_input_once(self, workdir, capsys,
+                                                 monkeypatch):
+        opened = []
+
+        def counting_open(path, mode):
+            if "r" in mode:
+                opened.append(path)
+            return open(path, mode)
+        monkeypatch.setattr(errors, "open", counting_open, raising=False)
+        code, _, _ = run(
+            ["anchors", "--dataset", str(workdir["gt"]), "--k", "9",
+             "--scales", "80,40,20", "--patch-config", "yolov5s",
+             "--out", str(workdir["root"] / "patched.cfg")], capsys)
+        assert code == 0
+        assert sorted(opened) == sorted([str(workdir["gt"]),
+                                         str(find_config("yolov5s"))])
+
     def test_patch_config_needs_scales(self, workdir, capsys):
         code, _, err = run(
             ["anchors", "--dataset", str(workdir["gt"]), "--k", "12",
@@ -627,6 +644,18 @@ class TestInferCommand:
              "--weights", str(workdir["root"] / name)], capsys)
         assert_one_line_error(code, err)
         assert err.startswith("error: cannot read weights ")
+
+    def test_weights_that_fail_after_the_open_exit_one(self, workdir, capsys,
+                                                       fail_reads_of):
+        path = workdir["root"] / "w.tlaw"
+        save_weights(path, {"ab": np.zeros(1, np.float32)})
+        fail_reads_of(path)
+        code, out, err = run(
+            ["infer", "--config", "yolov5s", "--image",
+             str(workdir["image"]), "--input-size", "64",
+             "--weights", str(path)], capsys)
+        assert (code, out) == (1, "")
+        assert err == f"error: cannot read weights {path}: Input/output error\n"
 
     def test_non_finite_weights_exit_one(self, workdir, capsys):
         model = build_model(find_config("yolov5s"), seed=0)
@@ -980,8 +1009,9 @@ class TestOutputFiles:
                                               tmp_path, monkeypatch):
         out = tmp_path / "dets.json"
         out.write_bytes(b"old results")
-        def half_open(path, mode):   # seen by the writer alone
-            return _HalfWriter(open(path, mode))
+        def half_open(path, mode):   # the inputs' reads pass through
+            fh = open(path, mode)
+            return fh if "r" in mode else _HalfWriter(fh)
         monkeypatch.setattr(errors, "open", half_open, raising=False)
         code, stdout, err = run(self.infer_argv(workdir, out), capsys)
         assert (code, stdout) == (1, "")

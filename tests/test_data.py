@@ -73,6 +73,17 @@ class TestLoadCoco:
         assert len(ds.annotations) == 3
         assert "dropped 1" in caplog.text
 
+    def test_no_warning_when_no_box_is_dropped(self, tmp_path, caplog):
+        with caplog.at_level(logging.WARNING, logger="yolotla"):
+            load_coco(write_doc(tmp_path, coco_doc()))
+        assert caplog.records == []
+
+    def test_bbox_may_mix_integers_and_floats(self, tmp_path):
+        doc = coco_doc()
+        doc["annotations"][0]["bbox"] = [1, 2.5, 10, 12.25]
+        ds = load_coco(write_doc(tmp_path, doc))
+        assert ds.annotations[0].bbox == (1.0, 2.5, 10.0, 12.25)
+
     def test_empty_annotations_fine(self, tmp_path):
         doc = coco_doc()
         doc["annotations"] = []

@@ -82,9 +82,15 @@ def package_calling_scopes(matches) -> set[str]:
                                        path.stem, matches)}
 
 
+def calls_reading(call: ast.Call) -> bool:
+    return name_and_mode(call)[0] == "reading"
+
+
 def test_only_the_fuzzed_readers_read_files():
-    # every input byte enters through a reader whose refusals are fuzzed
-    assert package_calling_scopes(opens_for_reading) == FUZZED_READERS
+    # every input byte enters through one reader, `errors.reading`, and
+    # only the readers whose refusals are fuzzed call it
+    assert package_calling_scopes(opens_for_reading) == {"errors.reading"}
+    assert package_calling_scopes(calls_reading) == FUZZED_READERS
 
 
 def opens_for_writing(call: ast.Call) -> bool:
