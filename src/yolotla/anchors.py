@@ -20,17 +20,9 @@ from .postprocess import _iou
 MAX_ROUNDS = 300
 
 
-def iou_wh(a, b) -> float:
-    """IOU of two (w, h) boxes sharing a center."""
-    aw, ah = float(a[0]), float(a[1])
-    bw, bh = float(b[0]), float(b[1])
-    inter = min(aw, bw) * min(ah, bh)
-    union = aw * ah + bw * bh - inter
-    return inter / union if union > 0 else 0.0
-
-
 def _distances(boxes: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """1 - `iou_wh` for every (box, centroid) pair; shape (n, k). An area
+    """1 - IOU of co-centered (w, h) boxes for every (box, centroid) pair,
+    shape (n, k), equal to the tests' `iou_wh` oracle. An area
     that overflows to inf warns nothing, as in `nms` and `evaluate`."""
     bw, bh = boxes[:, None, 0], boxes[:, None, 1]
     cw, ch = centroids[None, :, 0], centroids[None, :, 1]

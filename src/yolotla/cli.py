@@ -7,12 +7,15 @@ success, 1 validation or usage error or a request too large to allocate,
 2 internal oracle failure or an unexpected exception, which ends in one
 stderr line, `internal error: <Type>: <message>`, not a traceback.
 
-Everything is driven by flags. Identical invocations with identical seeds
-print identical bytes for one BLAS build and thread count (README
-"Determinism": `OPENBLAS_NUM_THREADS` can change `infer`'s bytes). JSON
-output is sorted and carries no timestamps so it can be golden-file tested;
-`infer --timings` writes each stage's wall seconds and the process peak RSS
-after it to stderr only. An output file is written whole or not at all.
+Everything is driven by flags. Each `cmd_*` returns (exit code, JSON
+document, text lines), and `main` alone writes stdout: one document per
+run, JSON with `--json` and text otherwise. Timings, logs and errors go to
+stderr; `infer --timings` gives each stage's wall seconds and the process
+peak RSS after it. Identical invocations with identical seeds print
+identical bytes for one BLAS build and thread count (README "Determinism":
+`OPENBLAS_NUM_THREADS` can change `infer`'s bytes). JSON output is sorted
+and carries no timestamps so it can be golden-file tested. An output file
+is written whole or not at all.
 """
 from __future__ import annotations
 
@@ -69,10 +72,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _json_print(doc) -> None:
-    print(json.dumps(doc, sort_keys=True, indent=2))
-
-
 # -- analyze -----------------------------------------------------------------
 
 def _formula_rows():
@@ -104,7 +103,7 @@ def _render_report_text(rep) -> list[str]:
     return lines
 
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(args) -> tuple[int, dict, list[str]]:
     model = build_model(find_config(args.config))
     rep = analyze(model, (args.input_size, args.input_size))
     doc = {"report": rep.to_dict()}
@@ -135,11 +134,7 @@ def cmd_analyze(args) -> int:
                 f"{row['cross']['params']} params; param ratio "
                 f"{row['param_ratio']:.2f}")
         lines.append(FORMULA_NOTE)
-    if args.json:
-        _json_print(doc)
-    else:
-        print("\n".join(lines))
-    return 0
+    return 0, doc, lines
 
 
 # -- anchors -----------------------------------------------------------------
@@ -156,7 +151,7 @@ def _anchor_text(anchors) -> str:
     return " ".join(f"({side(w)},{side(h)})" for w, h in anchors)
 
 
-def cmd_anchors(args) -> int:
+def cmd_anchors(args) -> tuple[int, dict, list[str]]:
     _check_seed(args.seed)
     if args.patch_config:
         if not args.scales:
@@ -200,16 +195,12 @@ def cmd_anchors(args) -> int:
             fh.write((json.dumps(cfg_doc, indent=2) + "\n").encode())
             lines.append(f"wrote patched config to {args.out}")
             doc["patched"] = str(args.out)
-    if args.json:
-        _json_print(doc)
-    else:
-        print("\n".join(lines))
-    return 0
+    return 0, doc, lines
 
 
 # -- infer -------------------------------------------------------------------
 
-def cmd_infer(args) -> int:
+def cmd_infer(args) -> tuple[int, str | None, list[str]]:
     _check_seed(args.seed)
     for flag, value in (("--conf", args.conf), ("--iou", args.iou)):
         if not 0.0 <= value <= 1.0:
@@ -230,12 +221,12 @@ def cmd_infer(args) -> int:
         mark("load")
         restored = model.infer(img, args.input_size, stretch=args.stretch,
                                conf=args.conf, iou=args.iou, mark=mark)
-        if args.json or fh:
-            payload = results_json(restored, args.image_id)
+        payload = (results_json(restored, args.image_id)
+                   if args.json or fh else None)
         if fh:
             fh.write((payload + "\n").encode())
     if args.json:
-        text = payload
+        lines = []   # main prints the payload, not one text row per box
     else:
         lines = [f"{len(restored)} detection(s) from {args.image} "
                  f"(conf>={args.conf}, nms iou {args.iou})"]
@@ -249,19 +240,17 @@ def cmd_infer(args) -> int:
                          f"box ({x1:.1f}, {y1:.1f}, {x2:.1f}, {y2:.1f})")
         if args.out:
             lines.append(f"wrote results to {args.out}")
-        text = "\n".join(lines)
     mark("serialize")
-    print(text)
     if args.timings:
         for (_, begin, _), (stage, end, peak) in zip(clock, clock[1:]):
             print(f"timing {stage:<9} {end - begin:.4f} s  "
                   f"peak_rss {peak:.1f} MB", file=sys.stderr)
-    return 0
+    return 0, payload, lines
 
 
 # -- eval --------------------------------------------------------------------
 
-def cmd_eval(args) -> int:
+def cmd_eval(args) -> tuple[int, dict, list[str]]:
     with writing(args.pr_csv) if args.pr_csv else nullcontext() as fh:
         ds = load_coco(args.gt)
         dets = load_results(args.results, ds)
@@ -270,9 +259,6 @@ def cmd_eval(args) -> int:
             fh.write(("class,recall,precision\n" + "".join(
                 f"{cls},{r:.6f},{p:.6f}\n" for cls in rep.classes
                 for r, p in rep.pr_curves.get(cls, []))).encode())
-    if args.json:
-        _json_print(rep.to_dict())
-        return 0
     names = {ds.class_index(cid): name for cid, name in ds.categories}
     lines = [f"{'class':<16} {'P':>7} {'R':>7} {'AP@0.5':>8} "
              f"{'AP@0.5:0.95':>12}"]
@@ -286,8 +272,7 @@ def cmd_eval(args) -> int:
                  f"  TN {rep.tn}")
     if args.pr_csv:
         lines.append(f"wrote P-R curve samples to {args.pr_csv}")
-    print("\n".join(lines))
-    return 0
+    return 0, rep.to_dict(), lines
 
 
 # -- oracle-check ------------------------------------------------------------
@@ -381,7 +366,7 @@ def _ap_oracle(cases: int, rng) -> tuple[int, int]:
     return passed, cases
 
 
-def cmd_oracle_check(args) -> int:
+def cmd_oracle_check(args) -> tuple[int, dict, list[str]]:
     if args.cases < 1:
         raise ConfigError(f"--cases must be at least 1, got {args.cases}")
     _check_seed(args.seed)
@@ -390,21 +375,16 @@ def cmd_oracle_check(args) -> int:
               ("cost parity", *_cost_parity_oracle(rng)),
               ("ap oracle", *_ap_oracle(args.cases, rng))]
     failed = any(ok != n for _, ok, n in checks)
-    if args.json:
-        _json_print({"checks": [
-            {"name": name, "passed": ok, "total": n}
-            for name, ok, n in checks],
-            "ok": not failed})
-    else:
-        for name, ok, n in checks:
-            print(f"{name}: {ok}/{n}")
-        print("result:", "FAIL" if failed else "ok")
-    return 2 if failed else 0
+    doc = {"ok": not failed, "checks": [
+        {"name": name, "passed": ok, "total": n} for name, ok, n in checks]}
+    lines = [f"{name}: {ok}/{n}" for name, ok, n in checks]
+    lines.append(f"result: {'FAIL' if failed else 'ok'}")
+    return 2 if failed else 0, doc, lines
 
 
 # -- configs -----------------------------------------------------------------
 
-def cmd_configs(args) -> int:
+def cmd_configs(args) -> tuple[int, dict, list[str]]:
     rows = []
     for name in bundled_config_names():
         model = build_model(find_config(name))
@@ -413,18 +393,15 @@ def cmd_configs(args) -> int:
                      "params": rep.total_params,
                      "mparams": round(rep.mparams, 3),
                      "gflops": round(rep.gflops, 3)})
-    if args.json:
-        _json_print({"configs": rows, "note": NON_REPRODUCIBILITY_NOTE,
-                     "convention": CONVENTION})
-        return 0
+    doc = {"configs": rows, "note": NON_REPRODUCIBILITY_NOTE,
+           "convention": CONVENTION}
     lines = [f"{'config':<14} {'scales':>6} {'params':>12} {'GFLOPs@640':>11}"]
     for r in rows:
         lines.append(f"{r['name']:<14} {r['scales']:>6} "
                      f"{r['params']:>12,} {r['gflops']:>11.3f}")
     lines.append(f"convention: {CONVENTION}")
     lines.append(NON_REPRODUCIBILITY_NOTE)
-    print("\n".join(lines))
-    return 0
+    return 0, doc, lines
 
 
 # -- wiring ------------------------------------------------------------------
@@ -439,7 +416,6 @@ def build_parser() -> _Parser:
                    help="bundled config name or path to a .cfg file")
     a.add_argument("--input-size", type=int, default=640,
                    help="square input side (default 640)")
-    a.add_argument("--json", action="store_true")
     a.add_argument("--formulas", action="store_true",
                    help="also print the closed-form single-layer estimates")
     a.add_argument("--diff", metavar="CONFIG",
@@ -457,7 +433,6 @@ def build_parser() -> _Parser:
                     help="config whose anchors to replace (needs --scales "
                          "and --out)")
     an.add_argument("--out", help="where to write the patched config")
-    an.add_argument("--json", action="store_true")
     an.set_defaults(fn=cmd_anchors)
 
     inf = sub.add_parser("infer", help="run the pipeline on one image")
@@ -472,7 +447,6 @@ def build_parser() -> _Parser:
                      help="plain resize instead of letterbox")
     inf.add_argument("--image-id", type=int, default=0)
     inf.add_argument("--out", help="write COCO-style results JSON here")
-    inf.add_argument("--json", action="store_true")
     inf.add_argument("--timings", action="store_true",
                      help="write each stage's wall seconds to stderr")
     inf.set_defaults(fn=cmd_infer)
@@ -481,18 +455,18 @@ def build_parser() -> _Parser:
     ev.add_argument("--gt", required=True, help="COCO instances JSON")
     ev.add_argument("--results", required=True, help="COCO results JSON")
     ev.add_argument("--pr-csv", help="write P-R curve samples as CSV")
-    ev.add_argument("--json", action="store_true")
     ev.set_defaults(fn=cmd_eval)
 
     oc = sub.add_parser("oracle-check", help="self-test the numeric kernels")
     oc.add_argument("--cases", type=int, default=100)
     oc.add_argument("--seed", type=int, default=0)
-    oc.add_argument("--json", action="store_true")
     oc.set_defaults(fn=cmd_oracle_check)
 
     cf = sub.add_parser("configs", help="list bundled variants and costs")
-    cf.add_argument("--json", action="store_true")
     cf.set_defaults(fn=cmd_configs)
+    for command in sub.choices.values():
+        command.add_argument("--json", action="store_true",
+                             help="print one JSON document instead of text")
     return p
 
 
@@ -500,7 +474,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        code = args.fn(args)
+        code, doc, lines = args.fn(args)
+        if args.json and not isinstance(doc, str):   # infer's is JSON already
+            doc = json.dumps(doc, sort_keys=True, indent=2)
+        print(doc if args.json else "\n".join(lines))
         sys.stdout.flush()   # a closed pipe fails here, not at exit
         return code
     except BrokenPipeError:   # the reader left early; the exit flush goes nowhere

@@ -48,8 +48,8 @@ intersection height is not positive have IOU 0 and are dropped before any
 division. (A negative or NaN threshold suppresses even disjoint boxes, so
 there each class keeps its first box.) Every IOU is `_iou`'s, which
 equals `iou` bit for bit (its docstring says why), so the kept list
-equals the one the pairwise loop, `nms_reference`, builds, and holds the
-same objects. That holds for finite coordinates that float64 holds
+equals the one the pairwise loop (the tests' `nms_reference`) builds, and
+holds the same objects. That holds for finite coordinates that float64 holds
 exactly, such as Python floats and small ints; `decode` produces no other
 kind.
 """
@@ -95,24 +95,6 @@ def iou(a, b) -> float:
     inter = iw * ih
     union = ((ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - inter)
     return inter / union if union > 0 else 0.0
-
-
-def _sort_key(d: Detection):
-    return (-d.confidence, d.class_id, d.box[0], d.box[1])
-
-
-def nms_reference(dets, iou_threshold=DEFAULT_IOU_THRESHOLD
-                  ) -> list[Detection]:
-    """The pairwise greedy loop, one `iou` call per (candidate, kept rival)
-    pair: the oracle that `nms` must equal."""
-    kept: list[Detection] = []
-    kept_by_class: dict[int, list[Detection]] = {}
-    for det in sorted(dets, key=_sort_key):
-        rivals = kept_by_class.setdefault(det.class_id, [])
-        if all(iou(det.box, r.box) <= iou_threshold for r in rivals):
-            kept.append(det)
-            rivals.append(det)
-    return kept
 
 
 def decode(maps, anchors, strides,
@@ -278,7 +260,7 @@ def _keep_class(boxes: np.ndarray, iou_threshold) -> list[int]:
 
 def nms(dets, iou_threshold=DEFAULT_IOU_THRESHOLD) -> list[Detection]:
     """Greedy class-wise suppression with a deterministic tie-break; equal
-    to `nms_reference`, returning the same objects."""
+    to the tests' pairwise `nms_reference`, returning the same objects."""
     dets = list(dets)
     if not dets:
         return []

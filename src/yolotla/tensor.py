@@ -117,14 +117,6 @@ class Tensor:
     def numel(self) -> int:
         return math.prod(self.shape)
 
-    @classmethod
-    def zeros(cls, n: int, c: int, h: int, w: int) -> "Tensor":
-        return cls(np.zeros((n, c, h, w), dtype=np.float32))
-
-    @classmethod
-    def full(cls, n: int, c: int, h: int, w: int, value: float) -> "Tensor":
-        return cls(np.full((n, c, h, w), value, dtype=np.float32))
-
     def __repr__(self) -> str:
         return f"Tensor{self.shape}"
 

@@ -3,8 +3,18 @@ import numpy as np
 import pytest
 
 from yolotla.anchors import (AnchorSet, _distances, assign_to_scales,
-                             fit_anchors, iou_wh)
+                             fit_anchors)
 from yolotla.errors import ConfigError
+
+
+def iou_wh(a, b) -> float:
+    """IOU of two (w, h) boxes sharing a center."""
+    aw, ah = float(a[0]), float(a[1])
+    bw, bh = float(b[0]), float(b[1])
+    inter = min(aw, bw) * min(ah, bh)
+    union = aw * ah + bw * bh - inter
+    return inter / union if union > 0 else 0.0
+
 
 # the 12-anchor reference layout used by the four-scale configs
 TABLE_ANCHORS = [

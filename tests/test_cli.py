@@ -204,7 +204,16 @@ class TestAnalyzeCommand:
             capsys)
         assert code == 0
         assert "diff vs yolov5s" in out
-        assert "+2,098,143 params" in out
+        assert "+2,098,143 params, +8.029 GFLOPs" in out
+
+    def test_diff_json_deltas_are_this_minus_the_other(self, capsys):
+        code, out, _ = run(
+            ["analyze", "--config", "yolo-tla-s", "--diff", "yolov5s",
+             "--json"], capsys)
+        assert code == 0
+        diff = json.loads(out)["diff"]
+        assert diff["param_delta"] == 2098143
+        assert diff["gflops_delta"] == pytest.approx(8.0286464)
 
     def test_input_off_the_stride_grid_exits_one(self, capsys):
         code, _, err = run(
@@ -350,6 +359,20 @@ class TestAnchorsCommand:
         assert "(1e+200,1e+200)" in out
         assert max(map(len, out.splitlines())) <= 80
 
+    def test_side_of_exactly_1e6_prints_in_short_form(self, tmp_path, capsys):
+        # the short form starts at 1e6 itself; one box is its own anchor
+        path = tmp_path / "one-box.json"
+        path.write_text(json.dumps({
+            "images": [{"id": 1, "file_name": "a.ppm", "width": 64,
+                        "height": 48}],
+            "annotations": [{"id": 1, "image_id": 1, "category_id": 3,
+                             "bbox": [0, 0, 1e6, 999999.9]}],
+            "categories": [{"id": 3, "name": "dog"}]}))
+        code, out, _ = run(["anchors", "--dataset", str(path), "--k", "1"],
+                           capsys)
+        assert code == 0
+        assert out.splitlines()[1] == "  (1e+06,999999.9)"
+
     def test_patch_config_writes_a_buildable_model(self, workdir, capsys):
         out_cfg = workdir["root"] / "patched.cfg"
         code, out, _ = run(
@@ -488,10 +511,12 @@ class TestInferCommand:
         outs = []
         for extra in ([], ["--timings"]):
             out_json = workdir["root"] / f"timed{len(extra)}.json"
+            begin = time.perf_counter()
             code, out, err = run(
                 ["infer", "--config", "yolov5s", "--image",
                  str(workdir["image"]), "--input-size", "64", "--conf",
                  "0.18", "--out", str(out_json)] + mode + extra, capsys)
+            wall = time.perf_counter() - begin
             assert code == 0
             outs.append((out.replace(str(out_json), "OUT"),
                          out_json.read_bytes()))
@@ -505,6 +530,9 @@ class TestInferCommand:
         seconds = [float(line[2]) for line in lines]
         peaks = [float(line[5]) for line in lines]
         assert min(seconds) >= 0 and peaks[0] > 0
+        # consecutive stages inside the run; each printed value is rounded
+        # to 4 decimals, so the sum may exceed the exact one by 6 * 5e-5
+        assert sum(seconds) <= wall + 6 * 5e-5
         assert peaks == sorted(peaks)   # a process peak never decreases
 
     def test_out_file_holds_the_json_stdout(self, workdir, capsys):
@@ -1255,6 +1283,11 @@ class TestOracleCheckCommand:
         code, out, _ = run(["oracle-check", "--cases", "10", "--json"], capsys)
         assert code == 2
         assert json.loads(out)["ok"] is False
+
+    def test_one_case_is_enough(self, capsys):
+        code, out, _ = run(["oracle-check", "--cases", "1"], capsys)
+        assert code == 0
+        assert out.splitlines()[0] == "conv oracle: 1/1"
 
     def test_negative_case_count_exits_one(self, capsys):
         code, out, err = run(["oracle-check", "--cases", "-1"], capsys)

@@ -71,6 +71,7 @@ class TestScaling:
         assert scale_repeats(6, 0.67) == 4
         assert scale_repeats(9, 0.67) == 6
         assert scale_repeats(1, 0.33) == 1
+        assert scale_repeats(1, 2.0) == 1   # one repeat is never scaled
 
     @pytest.mark.parametrize("base", ["64", -8, 0, True, 64.0])
     def test_base_must_be_a_positive_int(self, base):
@@ -85,8 +86,16 @@ class TestScaling:
             build_model(doc)
 
     def test_non_multiple_base_rejected(self):
-        with pytest.raises(ConfigError, match="multiple of 8"):
-            scale_channels(100, 0.5)
+        for base in (100, 1):
+            with pytest.raises(ConfigError,
+                               match=f"^base channel count {base} is not a "
+                                     f"multiple of 8$"):
+                scale_channels(base, 0.5)
+
+    def test_repeat_limit_is_inclusive(self):
+        assert scale_repeats(1000, 1.0) == 1000
+        with pytest.raises(ConfigError, match="is 1001, above the limit"):
+            scale_repeats(1001, 1.0)
 
     def test_repeats_past_the_limit_rejected(self):
         doc = toy_config()
@@ -154,6 +163,32 @@ class TestParseValidation:
         doc = toy_config()
         doc["detect_from"] = [11]
         with pytest.raises(ConfigError, match="1 scales.*2"):
+            parse_config(doc)
+
+    ZERO_SITES = {
+        "width_multiple": (lambda d: d.update(width_multiple=0),
+                           "width_multiple must be a finite positive number, "
+                           "got 0"),
+        "depth_multiple": (lambda d: d.update(depth_multiple=0),
+                           "depth_multiple must be a finite positive number, "
+                           "got 0"),
+        "anchor": (lambda d: d["anchors"][0].__setitem__(0, [0, 5]),
+                   r"anchors row 0 entry \[0, 5\] is not a finite positive"),
+    }
+
+    @pytest.mark.parametrize("site", ZERO_SITES)
+    def test_zero_is_not_positive(self, site):
+        edit, message = self.ZERO_SITES[site]
+        doc = toy_config()
+        edit(doc)
+        with pytest.raises(ConfigError, match=message):
+            parse_config(doc)
+
+    def test_detect_from_past_the_last_layer(self):
+        doc = json.loads(find_config("yolov5s").read_text())
+        doc["detect_from"][-1] = len(doc["layers"])
+        with pytest.raises(ConfigError,
+                           match="^detect_from references missing layer 24$"):
             parse_config(doc)
 
     TRUE_SITES = {
@@ -554,6 +589,13 @@ class TestWeightFiles:
         with pytest.raises(ParseError, match="truncated|trailing"):
             load_weights(path)
 
+    def test_trailing_bytes_are_counted(self, tmp_path):
+        path = tmp_path / "tail.tlaw"
+        save_weights(path, {"w": np.zeros(1, np.float32)})
+        path.write_bytes(path.read_bytes() + b"xyz")
+        with pytest.raises(ParseError, match="has 3 trailing bytes$"):
+            load_weights(path)
+
     def test_dims_whose_product_wraps_int64(self, tmp_path):
         path = tmp_path / "huge.tlaw"
         save_weights(path, {"w": np.zeros(1, np.float32)})
@@ -748,7 +790,8 @@ class TestLiveness:
         for k, want in enumerate(self.reference_outputs(m, x), start=1):
             assert m.walk(x, upto=k).data.tobytes() == want.data.tobytes()
             with meter.CostMeter() as ref:
-                self.reference_outputs(m, Tensor.zeros(1, 3, 64, 64), upto=k)
+                self.reference_outputs(m, Tensor(np.zeros((1, 3, 64, 64))),
+                                       upto=k)
             assert count_empirical(m, (64, 64), truncate=k) == (ref.macs,
                                                                 ref.flops)
 

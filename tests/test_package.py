@@ -1,10 +1,12 @@
 """Guards over the package source as a whole."""
+import argparse
 import ast
 import subprocess
 import sys
 from pathlib import Path
 
 import yolotla
+from yolotla import cli
 
 SRC = Path(yolotla.__file__).parent
 
@@ -112,6 +114,33 @@ def test_only_errors_writing_writes_files():
                                                          "cli.main"}
 
 
+def prints_to_stdout(call: ast.Call) -> bool:
+    """`print` without a `file=` keyword."""
+    return (getattr(call.func, "id", None) == "print"
+            and all(kw.arg != "file" for kw in call.keywords))
+
+
+def writes_sys_stdout(call: ast.Call) -> bool:
+    func = call.func
+    return (isinstance(func, ast.Attribute) and func.attr == "write"
+            and isinstance(func.value, ast.Attribute)
+            and func.value.attr == "stdout"
+            and getattr(func.value.value, "id", None) == "sys")
+
+
+def test_only_main_writes_stdout():
+    # one stdout policy: each subcommand returns its report, and `main`
+    # prints one document, JSON with --json and text otherwise
+    assert package_calling_scopes(prints_to_stdout) == {"cli.main"}
+    assert package_calling_scopes(writes_sys_stdout) == set()
+    (commands,) = [action.choices for action in cli.build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    assert {name: [option for action in parser._actions
+                   for option in action.option_strings].count("--json")
+            for name, parser in commands.items()} == dict.fromkeys(
+        ["analyze", "anchors", "infer", "eval", "oracle-check", "configs"], 1)
+
+
 def calls_numpy(name: str):
     """A matcher of calls to ``np.<name>``."""
     def matches(call: ast.Call) -> bool:
@@ -183,11 +212,7 @@ UNREFERENCED = {
     "graph.Model.head_shapes": "perfbench reads the head map shapes with it",
     "postprocess.to_coco_results": "perfbench writes its results rows with it",
     "graph.Model.save_weight_file": "README's way to write a .tlaw file",
-    "postprocess.nms_reference": "the oracle the NMS tests compare with",
-    "anchors.iou_wh": "the oracle the anchor distance tests compare with",
     "cli._Parser.error": "argparse calls this override by name",
-    "tensor.Tensor.zeros": "tests build tensors with it",
-    "tensor.Tensor.full": "tests build tensors with it",
 }
 
 
@@ -205,7 +230,8 @@ def definitions(tree, module):
 
 def names_used(tree):
     """Every name and attribute the module reads, less the attributes of
-    modules it imports whole (`np.zeros` names numpy's, not `Tensor.zeros`)."""
+    modules it imports whole, so `np.zeros` marks no method `zeros` as
+    used."""
     modules = {alias.asname or alias.name.partition(".")[0]
                for node in ast.walk(tree) if isinstance(node, ast.Import)
                for alias in node.names}

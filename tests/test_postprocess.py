@@ -13,10 +13,28 @@ from yolotla import postprocess
 from yolotla.data import letterbox
 from yolotla.errors import ShapeError, YoloTlaError
 from yolotla.graph import build_model, find_config
-from yolotla.postprocess import (Detection, _iou, _overlap, decode, iou, nms,
-                                 nms_reference, results_json,
+from yolotla.postprocess import (DEFAULT_IOU_THRESHOLD, Detection, _iou,
+                                 _overlap, decode, iou, nms, results_json,
                                  to_coco_results)
 from yolotla.tensor import Tensor, sigmoid64
+
+
+def _sort_key(d: Detection):
+    return (-d.confidence, d.class_id, d.box[0], d.box[1])
+
+
+def nms_reference(dets, iou_threshold=DEFAULT_IOU_THRESHOLD
+                  ) -> list[Detection]:
+    """The pairwise greedy loop, one `iou` call per (candidate, kept rival)
+    pair: the oracle that `nms` must equal."""
+    kept: list[Detection] = []
+    kept_by_class: dict[int, list[Detection]] = {}
+    for det in sorted(dets, key=_sort_key):
+        rivals = kept_by_class.setdefault(det.class_id, [])
+        if all(iou(det.box, r.box) <= iou_threshold for r in rivals):
+            kept.append(det)
+            rivals.append(det)
+    return kept
 
 
 def logit(p: float) -> float:

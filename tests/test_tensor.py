@@ -238,7 +238,8 @@ sys.path.insert(0, sys.argv[1])
 from yolotla import tensor
 from yolotla.tensor import ConvSpec, Tensor, conv2d
 spec = ConvSpec(64, 32, 3, 3, 2, 2, 1, 1)
-x, wt = Tensor.zeros(2, 64, 84, 84), Tensor.zeros(*spec.weight_shape())
+x = Tensor(tensor.np.zeros((2, 64, 84, 84)))
+wt = Tensor(tensor.np.zeros(spec.weight_shape()))
 conv2d(x, spec, wt)
 pid = os.fork()
 if pid == 0:
@@ -285,7 +286,7 @@ class TestTensorType:
         assert t.data.flags["C_CONTIGUOUS"]
 
     def test_shape_properties(self):
-        t = Tensor.zeros(2, 3, 5, 7)
+        t = Tensor(np.zeros((2, 3, 5, 7)))
         assert (t.n, t.c, t.h, t.w) == (2, 3, 5, 7)
         assert t.numel == 2 * 3 * 5 * 7
 
@@ -302,7 +303,7 @@ class TestTnsIO:
         assert np.array_equal(back.data, t.data)
 
     def test_header_layout(self, tmp_path):
-        t = Tensor.full(1, 2, 3, 4, 1.5)
+        t = Tensor(np.full((1, 2, 3, 4), 1.5))
         path = tmp_path / "t.tns"
         save_tns(t, path)
         raw = path.read_bytes()
@@ -333,7 +334,7 @@ class TestTnsIO:
             load_tns(path)
 
     def test_truncated_payload_rejected(self, tmp_path):
-        t = Tensor.full(1, 1, 2, 2, 1.0)
+        t = Tensor(np.full((1, 1, 2, 2), 1.0))
         path = tmp_path / "t.tns"
         save_tns(t, path)
         path.write_bytes(path.read_bytes()[:-4])
@@ -420,7 +421,7 @@ class TestConvHandCases:
         np.testing.assert_allclose(out.data, np.full((1, 1, 2, 2), 4.0))
 
     def test_bias_shifts_every_output(self):
-        x = Tensor.zeros(1, 2, 3, 3)
+        x = Tensor(np.zeros((1, 2, 3, 3)))
         w = Tensor(np.zeros((4, 2, 1, 1), dtype=np.float32))
         bias = np.array([1.0, -2.0, 0.5, 3.0], dtype=np.float32)
         spec = ConvSpec(2, 4, 1, 1, has_bias=True)
@@ -543,14 +544,14 @@ class TestConvOracle:
         np.testing.assert_allclose(lhs, rhs, rtol=1e-4, atol=1e-5)
 
     def test_channel_mismatch_names_dimension(self):
-        x = Tensor.zeros(1, 3, 4, 4)
+        x = Tensor(np.zeros((1, 3, 4, 4)))
         spec = ConvSpec(4, 2, 1, 1)
         wt = Tensor(np.zeros(spec.weight_shape(), dtype=np.float32))
         with pytest.raises(ShapeError, match="in_channels"):
             conv2d(x, spec, wt)
 
     def test_weight_shape_mismatch_rejected(self):
-        x = Tensor.zeros(1, 3, 4, 4)
+        x = Tensor(np.zeros((1, 3, 4, 4)))
         spec = ConvSpec(3, 2, 3, 3)
         wt = Tensor(np.zeros((2, 3, 2, 3), dtype=np.float32))
         with pytest.raises(ShapeError, match="weight shape"):
@@ -562,7 +563,7 @@ class TestConvOracle:
         (True, np.zeros(3, np.float32), r"bias shape \(3,\) must be \(2,\)"),
     ], ids=["given", "missing", "wrong-shape"])
     def test_bias_mismatch_rejected(self, has_bias, bias, message):
-        x = Tensor.zeros(1, 3, 4, 4)
+        x = Tensor(np.zeros((1, 3, 4, 4)))
         spec = ConvSpec(3, 2, 1, 1, has_bias=has_bias)
         wt = Tensor(np.zeros(spec.weight_shape(), dtype=np.float32))
         with pytest.raises(ShapeError, match=message):
@@ -576,8 +577,8 @@ class TestConvBands:
     @pytest.mark.parametrize("spec, side", BANDED)
     def test_module_band_size_splits_these_convs(self, monkeypatch, spec,
                                                  side):
-        x = Tensor.zeros(2, spec.in_channels, side, side)
-        wt = Tensor.zeros(*spec.weight_shape())
+        x = Tensor(np.zeros((2, spec.in_channels, side, side)))
+        wt = Tensor(np.zeros(spec.weight_shape()))
         bias = np.zeros(spec.out_channels, np.float32) if spec.has_bias else None
         gemms = record_gemms(monkeypatch)
         conv2d(x, spec, wt, bias)
@@ -791,8 +792,8 @@ class TestElementwise:
         np.testing.assert_allclose(silu(x).data, expect, rtol=1e-6)
 
     def test_add_mul_shape_guard(self):
-        a = Tensor.zeros(1, 2, 3, 3)
-        b = Tensor.zeros(1, 2, 3, 4)
+        a = Tensor(np.zeros((1, 2, 3, 3)))
+        b = Tensor(np.zeros((1, 2, 3, 4)))
         with pytest.raises(ShapeError):
             add(a, b)
         with pytest.raises(ShapeError):
@@ -831,21 +832,21 @@ class TestSpatialOps:
         (5, 1, 0, r"pool output size \(0, 0\) is empty for input \(4, 4\)"),
     ], ids=["kernel-0", "window-past-input"])
     def test_maxpool_refusals(self, kernel, stride, pad, message):
-        for x in (Tensor.zeros(1, 2, 4, 4), Tensor.meta((1, 2, 4, 4))):
+        for x in (Tensor(np.zeros((1, 2, 4, 4))), Tensor.meta((1, 2, 4, 4))):
             with pytest.raises(ConfigError, match=message):
                 maxpool2d(x, kernel, stride, pad)
 
     def test_concat_stacks_channels_in_order(self):
-        a = Tensor.full(1, 2, 2, 2, 1.0)
-        b = Tensor.full(1, 3, 2, 2, 2.0)
+        a = Tensor(np.full((1, 2, 2, 2), 1.0))
+        b = Tensor(np.full((1, 3, 2, 2), 2.0))
         out = concat_channels([a, b])
         assert out.shape == (1, 5, 2, 2)
         np.testing.assert_array_equal(out.data[0, :2], a.data[0])
         np.testing.assert_array_equal(out.data[0, 2:], b.data[0])
 
     def test_concat_rejects_spatial_mismatch(self):
-        a = Tensor.zeros(1, 2, 4, 4)
-        b = Tensor.zeros(1, 2, 4, 5)
+        a = Tensor(np.zeros((1, 2, 4, 4)))
+        b = Tensor(np.zeros((1, 2, 4, 5)))
         with pytest.raises(ShapeError):
             concat_channels([a, b])
 
@@ -897,15 +898,15 @@ class TestMeterHooks:
         # the outer meter counts the work before and after the inner one,
         # not the work inside it
         with meter.CostMeter() as outer:
-            relu(Tensor.full(1, 1, 1, 1, 1.0))
+            relu(Tensor(np.full((1, 1, 1, 1), 1.0)))
             with meter.CostMeter() as inner:
-                relu(Tensor.full(1, 1, 2, 2, 1.0))
-            relu(Tensor.full(1, 1, 3, 3, 1.0))
+                relu(Tensor(np.full((1, 1, 2, 2), 1.0)))
+            relu(Tensor(np.full((1, 1, 3, 3), 1.0)))
         assert (inner.flops, outer.flops) == (4, 1 + 9)
 
     def test_nested_meters_with_equal_tallies(self):
         # both empty at the inner exit: the inner must leave, the outer stay
-        x = Tensor.full(1, 1, 2, 2, 1.0)
+        x = Tensor(np.full((1, 1, 2, 2), 1.0))
         with meter.CostMeter() as outer:
             with meter.CostMeter() as inner:
                 pass
@@ -913,7 +914,7 @@ class TestMeterHooks:
         assert (inner.flops, outer.flops) == (0, 4)
 
     def test_outer_meter_records_again_after_an_inner_raises(self):
-        x = Tensor.full(1, 1, 2, 2, 1.0)
+        x = Tensor(np.full((1, 1, 2, 2), 1.0))
         with meter.CostMeter() as outer:
             with pytest.raises(ValueError):
                 with meter.CostMeter() as inner:
@@ -923,7 +924,7 @@ class TestMeterHooks:
         assert (inner.flops, outer.flops) == (4, 4)
 
     def test_one_meter_entered_twice_leaves_none_active(self):
-        x = Tensor.full(1, 1, 2, 2, 1.0)
+        x = Tensor(np.full((1, 1, 2, 2), 1.0))
         m = meter.CostMeter()
         with m:
             with m:
@@ -938,7 +939,7 @@ class TestMeterHooks:
         got = {}
 
         def work(side):
-            x = Tensor.full(1, 1, side, side, 1.0)
+            x = Tensor(np.full((1, 1, side, side), 1.0))
             with meter.CostMeter() as m:
                 for _ in range(50):
                     in_step.wait()
