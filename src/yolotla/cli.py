@@ -12,10 +12,9 @@ document, text lines), and `main` alone writes stdout: one document per
 run, JSON with `--json` and text otherwise. Timings, logs and errors go to
 stderr; `infer --timings` gives each stage's wall seconds and the process
 peak RSS after it. Identical invocations with identical seeds print
-identical bytes for one BLAS build and thread count (README "Determinism":
-`OPENBLAS_NUM_THREADS` can change `infer`'s bytes). JSON output is sorted
-and carries no timestamps so it can be golden-file tested. An output file
-is written whole or not at all.
+identical bytes for one BLAS build, whatever `OPENBLAS_NUM_THREADS` says
+(README "Determinism"). JSON output is sorted and carries no timestamps so
+it can be golden-file tested. An output file is written whole or not at all.
 """
 from __future__ import annotations
 

@@ -41,13 +41,15 @@ can differ from an unbanded GEMM (README's "Determinism" lists where).
 Above `SPLIT_FLOPS` the caller and a pool of CPUs - 1 threads take a conv's
 bands one at a time; numpy drops the GIL in copies and GEMMs. Each band is
 the serial loop's BLAS call, so bytes never depend on the pool. Workers run
-in a copy of the caller's context.
+in a copy of the caller's context. The first real conv sets an OpenBLAS to
+one thread for the process, so `OPENBLAS_NUM_THREADS` changes no byte.
 `BAND_BYTES` also bounds the chunk of float64 class scores that
 `postprocess.decode` holds at a time.
 """
 from __future__ import annotations
 
 import contextvars
+import functools
 import math
 import os
 import struct
@@ -261,6 +263,7 @@ def conv2d(x: Tensor, spec: ConvSpec, weight: Tensor,
     if x.is_meta:
         return Tensor.meta((n, spec.out_channels, oh, ow))
 
+    _one_blas_thread()
     k = cing * kh * kw
     wmat = weight.data.reshape(g, coutg, k)
     out = np.empty((n, g, coutg, oh * ow), dtype=np.float32)
@@ -277,6 +280,18 @@ def conv2d(x: Tensor, spec: ConvSpec, weight: Tensor,
     if bias is not None:   # one pass: a band's slice is strided, 2.6x slower
         out += bias.astype(np.float32).reshape(1, -1, 1, 1)
     return Tensor(out)
+
+
+@functools.cache
+def _one_blas_thread() -> None:
+    """Set numpy's BLAS to one thread, process-wide, if it is an OpenBLAS."""
+    import ctypes
+    core = np._core if np.lib.NumpyVersion(np.__version__) >= "2.0.0" else np.core
+    ext = ctypes.CDLL(core._multiarray_umath.__file__)   # dlsym also searches its libraries
+    for name in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
+                 "openblas_set_num_threads"):
+        if hasattr(ext, name):   # void set(int)
+            return ctypes.CFUNCTYPE(None, ctypes.c_int)((name, ext))(1)
 
 
 def _run_items(fn, items: list[tuple], flops: int) -> None:

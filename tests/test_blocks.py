@@ -623,6 +623,20 @@ class TestArgumentBinding:
         with pytest.raises(ConfigError, match=message):
             BLOCKS[kind]([16], args)
 
+    @pytest.mark.parametrize("kind,cins,args", [
+        ("Bottleneck", [8], {"out": 8, "e": 0.125}),   # hidden width 1
+        ("SPPF", [2], {"out": 8}),                      # hidden width 1
+        ("SPPF", [8], {"out": 8, "k": 1}),
+        ("Upsample", [8], {"factor": 1}),
+        ("GAM", [16], {"ratio": 1}),
+        ("GAM", [16], {"spatial_groups": 1}),
+    ])
+    def test_smallest_value_in_range_builds_and_runs(self, kind, cins, args):
+        # each refusal stops one short of the value here
+        blk, _ = make_block(kind, cins, args)
+        out = blk.forward([rand_input(1, cins[0], 8, 8)])
+        assert out.shape == (1, args.get("out", cins[0]), 8, 8)
+
     def test_width_beyond_the_array_index_limit_rejected(self):
         with pytest.raises(ShapeError, match="index limit"):
             BLOCKS["C3"]([16], {"out": 64, "e": 1e20})

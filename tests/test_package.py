@@ -66,22 +66,22 @@ def opens_for_reading(call: ast.Call) -> bool:
     return name == "open" and not writes
 
 
-def calling_scopes(tree, scope, matches):
-    """The qualified name (module.function) of each function holding a call
-    that ``matches``."""
+def calling_scopes(tree, scope, matches, kind=ast.Call):
+    """The qualified name (module.function) of each function holding a
+    node of ``kind`` (by default a call) that ``matches``."""
     for node in ast.iter_child_nodes(tree):
-        if isinstance(node, ast.Call) and matches(node):
+        if isinstance(node, kind) and matches(node):
             yield scope
         named = isinstance(
             node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
         yield from calling_scopes(
-            node, f"{scope}.{node.name}" if named else scope, matches)
+            node, f"{scope}.{node.name}" if named else scope, matches, kind)
 
 
-def package_calling_scopes(matches) -> set[str]:
+def package_calling_scopes(matches, kind=ast.Call) -> set[str]:
     return {name for path in SRC.rglob("*.py")
             for name in calling_scopes(ast.parse(path.read_text(), str(path)),
-                                       path.stem, matches)}
+                                       path.stem, matches, kind)}
 
 
 def calls_reading(call: ast.Call) -> bool:
@@ -167,6 +167,23 @@ def test_only_conv2d_hands_work_to_the_pool():
     def calls_run_items(call: ast.Call) -> bool:
         return getattr(call.func, "id", None) == "_run_items"
     assert package_calling_scopes(calls_run_items) == {"tensor.conv2d"}
+
+
+def names_ctypes(node: ast.AST) -> bool:
+    """An import of ctypes, the name `ctypes`, or an array's `.ctypes`."""
+    if isinstance(node, (ast.Import, ast.ImportFrom)):
+        modules = ([alias.name for alias in node.names]
+                   if isinstance(node, ast.Import) else [node.module or ""])
+        return any(m.partition(".")[0] == "ctypes" for m in modules)
+    return (getattr(node, "id", None) == "ctypes"
+            or getattr(node, "attr", None) == "ctypes")
+
+
+def test_only_tensor_one_blas_thread_makes_foreign_calls():
+    # one home for calls into C: the pin that sets numpy's BLAS to one
+    # thread
+    assert package_calling_scopes(names_ctypes, ast.AST) == {
+        "tensor._one_blas_thread"}
 
 
 # the inference stages after load; `Model.infer` runs them for every caller

@@ -7,6 +7,7 @@ it across randomized shapes, strides, padding, and group counts.
 import bisect
 import contextlib
 import itertools
+import json
 import math
 import os
 import subprocess
@@ -29,6 +30,11 @@ from yolotla.tensor import (ConvSpec, Tensor, add, concat_channels, conv2d,
                             conv2d_naive, load_tns, maxpool2d, mul, relu,
                             resize_nearest, save_tns, sigmoid, sigmoid64,
                             silu)
+
+
+# the CPUs this process may run on
+CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+        else os.cpu_count() or 1)
 
 
 def random_tensor(rng, n, c, h, w, scale=1.0):
@@ -113,6 +119,25 @@ def conv2d_serial_reference(x: Tensor, spec: ConvSpec, weight: Tensor,
 
 
 @contextlib.contextmanager
+def submits_counted():
+    """Start the pool (where there are workers) and yield a list that gets
+    one entry for each share a `_run_items` call in the block hands to it."""
+    tensor._run_items(lambda: None, [(), ()], math.inf)   # starts the pool
+    handed = []
+    pool = tensor._POOL.get(os.getpid())
+    with pytest.MonkeyPatch.context() as mp:
+        if pool:
+            submit = pool.submit
+
+            def counted(*args):
+                handed.append(None)
+                return submit(*args)
+
+            mp.setattr(pool, "submit", counted)
+        yield handed
+
+
+@contextlib.contextmanager
 def shares_seen(until="started", **constants):
     """Set tensor's module ``constants`` (SPLIT_FLOPS, BAND_BYTES) for the
     block and yield the set of threads that ran a share of some
@@ -122,7 +147,7 @@ def shares_seen(until="started", **constants):
     threads = set()
     signals = {"started": threading.Semaphore(0),
                "ended": threading.Semaphore(0)}
-    handed = []
+    waited = []
     run_share = tensor._run_share
 
     def spy(fn, items):
@@ -134,22 +159,12 @@ def shares_seen(until="started", **constants):
             finally:
                 signals["ended"].release()
             return
-        while handed:
-            handed.pop()
+        while len(waited) < len(handed):
+            waited.append(None)
             assert signals[until].acquire(timeout=60)
         run_share(fn, items)
 
-    with pytest.MonkeyPatch.context() as mp:
-        tensor._run_items(lambda: None, [(), ()], math.inf)   # starts the pool
-        pool = tensor._POOL.get(os.getpid())
-        if pool:
-            submit = pool.submit
-
-            def counted(*args):
-                handed.append(None)
-                return submit(*args)
-
-            mp.setattr(pool, "submit", counted)
+    with submits_counted() as handed, pytest.MonkeyPatch.context() as mp:
         mp.setattr(tensor, "_run_share", spy)
         for name, value in constants.items():
             mp.setattr(tensor, name, value)
@@ -269,6 +284,35 @@ atexit.register(lambda: print(conv2d(x, spec, wt).data.tobytes() == want))
 """
 
 
+# Build and analyze every bundled config, then run each forward at 128 on
+# one seeded input; argv[1] is the package's parent. Prints as JSON
+# OpenBLAS's own thread count after build and analyze and again after the
+# forwards (None when numpy's BLAS is no OpenBLAS), and each config's head
+# map digest.
+BLAS_PROBE = """
+import ctypes, hashlib, json, sys
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+from yolotla import Tensor, analyze, build_model, bundled_config_names, find_config
+core = np._core if np.lib.NumpyVersion(np.__version__) >= "2.0.0" else np.core
+ext = ctypes.CDLL(core._multiarray_umath.__file__)
+getters = [getattr(ext, name) for name in ("scipy_openblas_get_num_threads64_",
+           "openblas_get_num_threads64_", "openblas_get_num_threads")
+           if hasattr(ext, name)]
+counts = []
+names = bundled_config_names()
+for name in names:
+    analyze(build_model(find_config(name)), (128, 128))
+counts.append(getters[0]() if getters else None)
+x = Tensor(np.random.default_rng(0).uniform(0, 1, (1, 3, 128, 128)))
+digests = {name: hashlib.sha256(b"".join(
+    m.data.tobytes() for m in build_model(find_config(name)).forward(x))).hexdigest()
+    for name in names}
+counts.append(getters[0]() if getters else None)
+print(json.dumps({"counts": counts, "digests": digests}))
+"""
+
+
 class TestTensorType:
 
     def test_rejects_wrong_rank(self):
@@ -334,11 +378,12 @@ class TestTnsIO:
             load_tns(path)
 
     def test_truncated_payload_rejected(self, tmp_path):
-        t = Tensor(np.full((1, 1, 2, 2), 1.0))
+        t = Tensor(np.full((1, 1, 1, 2), 1.0))
         path = tmp_path / "t.tns"
         save_tns(t, path)
         path.write_bytes(path.read_bytes()[:-4])
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError, match=(
+                rf"^{path}: payload is 4 bytes, dims \(1, 1, 1, 2\) require 8$")):
             load_tns(path)
 
     def test_dims_whose_product_wraps_int64_rejected(self, tmp_path):
@@ -686,6 +731,43 @@ class TestConvBands:
         assert got.tobytes() == want.tobytes()
         assert (len(threads) > 1) == (tensor._WORKERS > 0)
 
+    def test_a_split_call_runs_on_one_thread_per_cpu(self):
+        # the caller and one share per pool worker, however many items
+        ran = []
+        with submits_counted() as handed:
+            tensor._run_items(ran.append, [(i,) for i in range(4 * CPUS + 4)],
+                              math.inf)
+        assert sorted(ran) == list(range(4 * CPUS + 4))
+        assert 1 + len(handed) == CPUS
+
+    @pytest.mark.parametrize("limit, split", [(0, False), (-1, True)],
+                             ids=["at", "below"])
+    def test_a_conv_of_split_flops_stays_on_the_caller(self, monkeypatch,
+                                                       limit, split):
+        # 1x1, 32 -> 8 channels in 2 groups at 128x128, no bias: 2**22
+        # FLOPs in 2 GEMMs; only a limit below that hands one to the pool
+        spec = ConvSpec(32, 8, 1, 1, groups=2)
+        rng = np.random.default_rng(5)
+        x = random_tensor(rng, 1, 32, 128, 128)
+        wt = Tensor(rng.uniform(-1, 1, spec.weight_shape()).astype(np.float32))
+        monkeypatch.setattr(tensor, "SPLIT_FLOPS", tensor.SPLIT_FLOPS + limit)
+        with meter.CostMeter() as m, submits_counted() as handed:
+            gemms = record_gemms(monkeypatch)
+            got = conv2d(x, spec, wt).data
+        assert (m.flops, len(gemms)) == (2**22, 2)
+        assert len(handed) == (min(1, tensor._WORKERS) if split else 0)
+        assert got.tobytes() == conv2d_serial_reference(x, spec, wt).tobytes()
+
+    @pytest.mark.parametrize("items", [1, 2])
+    def test_one_item_stays_on_the_caller(self, items):
+        # a share for each item past the caller's first, up to the workers
+        ran = []
+        with submits_counted() as handed:
+            tensor._run_items(ran.append, [(i,) for i in range(items)],
+                              tensor.SPLIT_FLOPS + 1)
+        assert sorted(ran) == list(range(items))
+        assert len(handed) == min(items - 1, tensor._WORKERS)
+
     @pytest.mark.parametrize("pool", ["started", "unstarted"])
     def test_a_conv_at_interpreter_exit_runs_on_the_caller(self, pool):
         # once the interpreter has shut the pool down it takes no work
@@ -956,6 +1038,35 @@ class TestMeterHooks:
                        3: {"relu": meter.OpCost(0, 9 * 50)}}
 
 
+class TestBlasThreads:
+    """The pool is the one layer of threads: the first real conv sets an
+    OpenBLAS to one thread, so its thread count changes no byte."""
+
+    @staticmethod
+    def probe(threads):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        done = subprocess.run(
+            [sys.executable, "-c", BLAS_PROBE,
+             str(Path(tensor.__file__).parent.parent)],
+            capture_output=True, text=True, timeout=300, env=env)
+        assert (done.returncode, done.stderr) == (0, "")
+        return done.stdout
+
+    def test_head_maps_do_not_depend_on_the_blas_thread_count(self):
+        runs = {threads: json.loads(self.probe(threads))
+                for threads in ("1", "2", None)}
+        digests = runs["1"]["digests"]
+        assert len(digests) == 10
+        assert runs["2"]["digests"] == digests and runs[None]["digests"] == digests
+        # build and analyze leave the count as it was; the first forward
+        # sets it to 1
+        before, after = runs["2"]["counts"]
+        assert (before, after) == (None, None) or after == 1
+        assert before in (None, 2) or CPUS < 2
+
+
 class TestMetaTensors:
 
     def test_meta_has_shape_but_no_data(self):
@@ -974,6 +1085,7 @@ class TestMetaTensors:
         # a width numpy cannot index must fail as a ShapeError, not ValueError
         with pytest.raises(ShapeError, match="index limit"):
             Tensor.meta((1, 2**63, 4, 5))
+        assert Tensor.meta((1, 1, 1, tensor._MAX_DIM)).w == tensor._MAX_DIM
 
     def test_kernels_price_meta_like_real(self):
         rng = np.random.default_rng(4)
