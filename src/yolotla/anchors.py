@@ -4,9 +4,10 @@ Cluster distance is 1 - IOU of co-centered boxes, not Euclidean, so a
 20x20 box is as far from 10x10 as 200x200 is from 100x100. Seeding is
 k-means++ from a caller-supplied seed. The mean-update step is not
 guaranteed to lower an IOU-based objective the way it does a Euclidean
-one, so each round is adopted only if the objective does not increase;
-the first non-improving update ends the loop. That guard is what makes
-the objective trace monotone.
+one, so each round is adopted only if the objective does not increase and
+its centroids are finite; the first update that fails either ends the
+loop. That guard is what makes the objective trace monotone, and fitted
+anchors finite even where a mean of huge boxes overflows.
 """
 from __future__ import annotations
 
@@ -31,18 +32,28 @@ def _distances(boxes: np.ndarray, centroids: np.ndarray) -> np.ndarray:
                           cw * ch)
 
 
+def _check_sides(arr: np.ndarray, what: str) -> None:
+    """Refuse (w, h) rows with a side that is not finite and positive."""
+    bad = int(np.count_nonzero(~(np.isfinite(arr) & (arr > 0)).all(axis=1)))
+    if bad:
+        raise ConfigError(f"{bad} {what} have a width or height that is "
+                          f"not finite and positive")
+
+
 def _seed_centroids(boxes: np.ndarray, k: int, rng) -> np.ndarray:
-    """k-means++: weight each next pick by squared distance to the chosen."""
+    """k-means++: weight each next pick by squared distance to the nearest
+    chosen box; only the newest pick can lower that distance."""
     n = len(boxes)
     chosen = [int(rng.integers(n))]
+    d = np.inf
     while len(chosen) < k:
-        d = _distances(boxes, boxes[chosen]).min(axis=1)
+        d = np.minimum(d, _distances(boxes, boxes[chosen[-1:]])[:, 0])
         weights = d * d
         total = weights.sum()
         if total <= 0:
             chosen.append(next(i for i in range(n) if i not in chosen))
-            continue
-        chosen.append(int(rng.choice(n, p=weights / total)))
+        else:
+            chosen.append(int(rng.choice(n, p=weights / total)))
     return boxes[chosen].copy()
 
 
@@ -64,44 +75,36 @@ def fit_anchors(boxes, k: int, seed: int = 0, trace: list | None = None
     arr = np.asarray(boxes, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != 2 or len(arr) == 0:
         raise ConfigError("boxes must be a non-empty list of (w, h) pairs")
-    bad = int(np.count_nonzero((arr[:, 0] <= 0) | (arr[:, 1] <= 0)))
-    if bad:
-        raise ConfigError(
-            f"{bad} box(es) have non-positive width or height")
+    _check_sides(arr, "box(es)")
     distinct = np.unique(arr, axis=0)
     if k < 1:
         raise ConfigError(f"k must be at least 1, got {k}")
     if k > len(distinct):
         raise ConfigError(
             f"k={k} exceeds the {len(distinct)} distinct box sizes")
-    rng = np.random.default_rng(seed)
-    centroids = _seed_centroids(distinct, k, rng)
-    d = _distances(arr, centroids)
-    assign = d.argmin(axis=1)
-    objective = float(d[np.arange(len(arr)), assign].sum())
-    if trace is not None:
-        trace.append(objective)
-    for _ in range(MAX_ROUNDS):
-        new_centroids = centroids.copy()
-        for c in range(k):
-            members = arr[assign == c]
-            if len(members):
-                new_centroids[c] = members.mean(axis=0)
-            else:
-                farthest = int(
-                    _distances(arr, centroids).min(axis=1).argmax())
-                new_centroids[c] = arr[farthest]
-        nd = _distances(arr, new_centroids)
-        new_assign = nd.argmin(axis=1)
-        new_objective = float(nd[np.arange(len(arr)), new_assign].sum())
-        if new_objective > objective:
+    centroids = _seed_centroids(distinct, k, np.random.default_rng(seed))
+    new_centroids, assign, objective = centroids, None, np.inf
+    for _ in range(MAX_ROUNDS + 1):   # the seeds, then each round's update
+        new_d = _distances(arr, new_centroids)
+        new_assign = new_d.argmin(axis=1)
+        new_objective = float(new_d[np.arange(len(arr)), new_assign].sum())
+        if new_objective > objective or not np.isfinite(new_centroids).all():
             break
         converged = np.array_equal(new_assign, assign)
-        centroids, assign, objective = new_centroids, new_assign, new_objective
+        centroids, d, assign, objective = (new_centroids, new_d, new_assign,
+                                           new_objective)
         if trace is not None:
             trace.append(objective)
         if converged:
             break
+        new_centroids = centroids.copy()
+        for c in range(k):
+            members = arr[assign == c]
+            if len(members):   # an overflowing mean fails the check above
+                with np.errstate(over="ignore"):
+                    new_centroids[c] = members.mean(axis=0)
+            else:
+                new_centroids[c] = arr[int(d.min(axis=1).argmax())]
     return _sort_anchors(centroids)
 
 
@@ -117,6 +120,7 @@ def assign_to_scales(anchors, scale_sizes) -> AnchorSet:
     arr = np.asarray(anchors, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ConfigError("anchors must be (w, h) pairs")
+    _check_sides(arr, "anchor(s)")
     sizes = [int(s) for s in scale_sizes]
     if min(sizes, default=1) < 1:
         raise ConfigError(f"scale sizes must be at least 1, got {sizes}")

@@ -162,8 +162,12 @@ def cmd_anchors(args) -> tuple[int, dict, list[str]]:
         ds = load_coco(args.dataset)
         boxes = [(ann.bbox[2], ann.bbox[3]) for ann in ds.annotations]
         anchors = fit_anchors(boxes, k=args.k, seed=args.seed)
-        doc = {"k": args.k, "seed": args.seed,
-               "anchors": [[round(w, 2), round(h, 2)] for w, h in anchors]}
+        # numpy rounds through a x100 that overflows past ~1.8e306, so such
+        # a side is printed as fitted
+        with np.errstate(over="ignore"):
+            rounded = np.round(anchors, 2)
+        doc = {"k": args.k, "seed": args.seed, "anchors": np.where(
+            np.isfinite(rounded), rounded, anchors).tolist()}
         lines = [f"fitted {args.k} anchors over {len(boxes)} boxes (seed "
                  f"{args.seed}):"]
         lines.append("  " + _anchor_text(anchors))
@@ -187,9 +191,9 @@ def cmd_anchors(args) -> tuple[int, dict, list[str]]:
                 raise ConfigError(
                     f"config {cfg.name} detects on {len(cfg.detect_from)} "
                     f"scales, fitted {len(anchor_set.scales)}")
-            cfg_doc["anchors"] = [
-                [[round(w, 2), round(h, 2)] for w, h in triple]
-                for _, triple in anchor_set.scales]
+            # the scales' triples are the area-sorted anchors, in order
+            cfg_doc["anchors"] = [doc["anchors"][i:i + 3]
+                                  for i in range(0, args.k, 3)]
             parse_config(cfg_doc)   # re-validate before writing
             fh.write((json.dumps(cfg_doc, indent=2) + "\n").encode())
             lines.append(f"wrote patched config to {args.out}")

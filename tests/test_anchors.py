@@ -1,9 +1,13 @@
 """Anchor fitting and scale assignment."""
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from yolotla.anchors import (AnchorSet, _distances, assign_to_scales,
-                             fit_anchors)
+import yolotla.anchors as anchors_module
+from yolotla.anchors import (MAX_ROUNDS, AnchorSet, _distances,
+                             _seed_centroids, _sort_anchors,
+                             assign_to_scales, fit_anchors)
 from yolotla.errors import ConfigError
 
 
@@ -14,6 +18,90 @@ def iou_wh(a, b) -> float:
     inter = min(aw, bw) * min(ah, bh)
     union = aw * ah + bw * bh - inter
     return inter / union if union > 0 else 0.0
+
+
+def _seed_centroids_reference(boxes: np.ndarray, k: int, rng) -> np.ndarray:
+    """k-means++: weight each next pick by squared distance to the chosen."""
+    n = len(boxes)
+    chosen = [int(rng.integers(n))]
+    while len(chosen) < k:
+        d = _distances(boxes, boxes[chosen]).min(axis=1)
+        weights = d * d
+        total = weights.sum()
+        if total <= 0:
+            chosen.append(next(i for i in range(n) if i not in chosen))
+            continue
+        chosen.append(int(rng.choice(n, p=weights / total)))
+    return boxes[chosen].copy()
+
+
+def fit_anchors_reference(boxes, k: int, seed: int = 0,
+                          trace: list | None = None) -> np.ndarray:
+    """`fit_anchors` on valid input as first written: k-means++ recomputes
+    the distances to every chosen centroid at each pick, and each round
+    restates the evaluation of its centroids."""
+    arr = np.asarray(boxes, dtype=np.float64)
+    distinct = np.unique(arr, axis=0)
+    rng = np.random.default_rng(seed)
+    centroids = _seed_centroids_reference(distinct, k, rng)
+    d = _distances(arr, centroids)
+    assign = d.argmin(axis=1)
+    objective = float(d[np.arange(len(arr)), assign].sum())
+    if trace is not None:
+        trace.append(objective)
+    for _ in range(MAX_ROUNDS):
+        new_centroids = centroids.copy()
+        for c in range(k):
+            members = arr[assign == c]
+            if len(members):
+                new_centroids[c] = members.mean(axis=0)
+            else:
+                farthest = int(
+                    _distances(arr, centroids).min(axis=1).argmax())
+                new_centroids[c] = arr[farthest]
+        nd = _distances(arr, new_centroids)
+        new_assign = nd.argmin(axis=1)
+        new_objective = float(nd[np.arange(len(arr)), new_assign].sum())
+        if new_objective > objective:
+            break
+        converged = np.array_equal(new_assign, assign)
+        centroids, assign, objective = new_centroids, new_assign, new_objective
+        if trace is not None:
+            trace.append(objective)
+        if converged:
+            break
+    return _sort_anchors(centroids)
+
+
+@st.composite
+def box_sets(draw):
+    """Boxes with repeated sizes, some one ulp from another size, whose
+    1 - IOU to it rounds to 0: seeding then meets zero weights, and rounds
+    meet ties that empty a cluster. Returns (boxes, k)."""
+    side = st.integers(1, 9) | st.floats(0.5, 500)
+    base = draw(st.lists(st.tuples(side, side), min_size=1, max_size=8,
+                         unique=True))
+    near = [(w, float(np.nextafter(h, np.inf))) for w, h in draw(
+        st.lists(st.sampled_from(base), max_size=3, unique=True))]
+    sizes = list(dict.fromkeys(base + near))
+    boxes = sizes + draw(st.lists(st.sampled_from(sizes), max_size=40))
+    return boxes, draw(st.integers(1, len(sizes)))
+
+
+def _ulp_taller(size):
+    return size[0], float(np.nextafter(size[1], np.inf))
+
+
+# two sizes, each with its one-ulp neighbour: with k = 3 and seed 0 the
+# assignment cycles between tied centroids for all MAX_ROUNDS rounds, and
+# a cluster is emptied and reseeded on the way
+_A, _B = (37.05514745049709, 1.511163575610894), (45.3639490253289,
+                                                   3.355080293599766)
+CYCLING = [_A, _ulp_taller(_A), _B, _ulp_taller(_B), _ulp_taller(_A)]
+
+
+SIDES_NOT_FINITE_AND_POSITIVE = pytest.mark.parametrize(
+    "side", [np.nan, np.inf, 0.0, -3.0], ids=["nan", "inf", "zero", "negative"])
 
 
 # the 12-anchor reference layout used by the four-scale configs
@@ -102,6 +190,21 @@ class TestFitAnchors:
             fit_anchors(boxes, k=6, seed=trial, trace=trace)
             assert all(b <= a + 1e-12 for a, b in zip(trace, trace[1:])), trace
 
+    def test_rounds_stop_at_max_rounds(self, monkeypatch):
+        # unbounded, this fit adopts 4 rounds after its seeds
+        boxes = np.random.default_rng(5).uniform(2, 400, size=(120, 2))
+        for cap in range(4):
+            monkeypatch.setattr(anchors_module, "MAX_ROUNDS", cap)
+            trace: list[float] = []
+            fit_anchors(boxes, k=6, seed=0, trace=trace)
+            assert len(trace) == cap + 1
+
+    def test_seed_defaults_to_zero(self):
+        boxes = np.random.default_rng(2).uniform(2, 300, size=(50, 2))
+        default = fit_anchors(boxes, k=5).tobytes()
+        assert default == fit_anchors(boxes, k=5, seed=0).tobytes()
+        assert default != fit_anchors(boxes, k=5, seed=1).tobytes()
+
     def test_output_sorted_by_area(self):
         rng = np.random.default_rng(9)
         boxes = rng.uniform(2, 300, size=(80, 2))
@@ -121,6 +224,32 @@ class TestFitAnchors:
         assert out.tolist() == [[30.0, 40.0], [100.0, 100.0], [100.0, 100.0]]
         assert trace == [0.0, 0.0]
 
+    @settings(max_examples=150)
+    @given(box_sets())
+    @example((CYCLING, 3))
+    def test_equals_the_reference_bit_for_bit(self, case):
+        boxes, k = case
+        for seed in range(3):
+            trace: list[float] = []
+            want: list[float] = []
+            got = fit_anchors(boxes, k=k, seed=seed, trace=trace)
+            ref = fit_anchors_reference(boxes, k, seed, want)
+            assert got.tobytes() == ref.tobytes()
+            assert trace == want
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 12])
+    def test_seeding_computes_one_distance_column_per_pick(self, k,
+                                                          monkeypatch):
+        columns = []
+
+        def counting(boxes, centroids):
+            columns.append(len(centroids))
+            return _distances(boxes, centroids)
+        monkeypatch.setattr(anchors_module, "_distances", counting)
+        boxes = np.array(TABLE_ANCHORS, dtype=np.float64)
+        _seed_centroids(boxes, k, np.random.default_rng(0))
+        assert sum(columns) == k - 1
+
     def test_k_exceeding_distinct_rejected(self):
         boxes = [(10, 10)] * 50 + [(20, 20)] * 50
         with pytest.raises(ConfigError, match="2 distinct"):
@@ -129,6 +258,13 @@ class TestFitAnchors:
     def test_degenerate_boxes_counted(self):
         boxes = [(10, 10), (0, 5), (5, -1), (8, 8)]
         with pytest.raises(ConfigError, match="2 box"):
+            fit_anchors(boxes, k=2)
+
+    @SIDES_NOT_FINITE_AND_POSITIVE
+    def test_side_not_finite_and_positive_rejected(self, side):
+        boxes = [(10, 10), (side, 5), (8, side), (side, side), (8, 8)]
+        with pytest.raises(ConfigError, match=r"^3 box\(es\) have a width "
+                           r"or height that is not finite and positive$"):
             fit_anchors(boxes, k=2)
 
     def test_one_anchor_accepted(self):
@@ -185,6 +321,27 @@ class TestAssignToScales:
     def test_anchors_that_are_not_pairs_rejected(self, anchors):
         with pytest.raises(ConfigError, match=r"anchors must be \(w, h\) pairs"):
             assign_to_scales(anchors, [160, 80, 40, 20])
+
+    @SIDES_NOT_FINITE_AND_POSITIVE
+    def test_side_not_finite_and_positive_rejected(self, side):
+        anchors = list(TABLE_ANCHORS)
+        anchors[4] = (side, 56)
+        with pytest.raises(ConfigError, match=r"^1 anchor\(s\) have a width "
+                           r"or height that is not finite and positive$"):
+            assign_to_scales(anchors, [160, 80, 40, 20])
+
+    def test_equal_areas_ordered_by_width_then_height(self):
+        # three areas of 16, and two past float64's range with one width
+        anchors = [(1e300, 1e20), (8, 2), (1e300, 1e10), (2, 8), (4, 4),
+                   (1, 1)]
+        assert assign_to_scales(anchors, [8, 4]).scales == (
+            (8, ((1.0, 1.0), (2.0, 8.0), (4.0, 4.0))),
+            (4, ((8.0, 2.0), (1e300, 1e10), (1e300, 1e20))))
+
+    def test_no_scales_rejected(self):
+        with pytest.raises(ConfigError,
+                           match="^12 anchors cannot fill 0 scales of 3$"):
+            assign_to_scales(TABLE_ANCHORS, [])
 
     def test_count_mismatch(self):
         with pytest.raises(ConfigError, match="cannot fill"):

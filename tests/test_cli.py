@@ -94,6 +94,22 @@ def huge_box_dataset(workdir):
     return path
 
 
+def sizes_dataset(path, sizes):
+    """A one-image COCO file with one box of each (w, h) in ``sizes``."""
+    path.write_text(json.dumps({
+        "images": [{"id": 1, "file_name": "a.ppm", "width": 64,
+                    "height": 48}],
+        "annotations": [{"id": i + 1, "image_id": 1, "category_id": 3,
+                         "bbox": [0, 0, w, h]}
+                        for i, (w, h) in enumerate(sizes)],
+        "categories": [{"id": 3, "name": "dog"}]}))
+    return path
+
+
+def refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli")
@@ -358,6 +374,37 @@ class TestAnchorsCommand:
         assert code == 0
         assert "(1e+200,1e+200)" in out
         assert max(map(len, out.splitlines())) <= 80
+
+    @pytest.mark.parametrize("sizes, k", [
+        ([(1e308, 1e307), (5, 5)], 2),        # rounding 1e308 overflows
+        ([(1e308, 1.0), (1.5e308, 1.0)], 1),  # so does their mean
+    ], ids=["round", "mean"])
+    def test_huge_boxes_fit_finite_anchors(self, tmp_path, capsys, sizes, k):
+        path = sizes_dataset(tmp_path / "huge.json", sizes)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(["anchors", "--dataset", str(path), "--k",
+                                  str(k), "--json"], capsys)
+        assert (code, err) == (0, "")
+        anchors = json.loads(out, parse_constant=refuse_constant)["anchors"]
+        assert len(anchors) == k
+        assert all(0 < side < math.inf for pair in anchors for side in pair)
+
+    def test_json_and_patched_config_round_alike(self, tmp_path, capsys):
+        # 337.755 is 337.75499... in binary: Python's round gives 337.75,
+        # numpy's, which --json has always printed, 337.76
+        sizes = [(337.755, 10)] + [(10 + 7 * i, 12 + 5 * i) for i in range(8)]
+        path = sizes_dataset(tmp_path / "nine.json", sizes)
+        out_cfg = tmp_path / "patched.cfg"
+        code, out, _ = run(["anchors", "--dataset", str(path), "--k", "9",
+                            "--scales", "80,40,20", "--patch-config",
+                            "yolov5s", "--out", str(out_cfg), "--json"],
+                           capsys)
+        assert code == 0
+        printed = json.loads(out)["anchors"]
+        written = json.loads(out_cfg.read_text())["anchors"]
+        assert [pair for triple in written for pair in triple] == printed
+        assert [337.76, 10.0] in printed
 
     def test_side_of_exactly_1e6_prints_in_short_form(self, tmp_path, capsys):
         # the short form starts at 1e6 itself; one box is its own anchor
