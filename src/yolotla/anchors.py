@@ -7,7 +7,11 @@ guaranteed to lower an IOU-based objective the way it does a Euclidean
 one, so each round is adopted only if the objective does not increase and
 its centroids are finite; the first update that fails either ends the
 loop. That guard is what makes the objective trace monotone, and fitted
-anchors finite even where a mean of huge boxes overflows.
+anchors finite even where a mean of huge boxes overflows. The fit also
+ends on a round whose assignment is the last adopted one (adopted: it has
+converged) or an earlier adopted one (not adopted: the rounds would
+repeat in a cycle, as tied centroids can make them), so `MAX_ROUNDS` is
+only a safety cap.
 """
 from __future__ import annotations
 
@@ -84,6 +88,8 @@ def fit_anchors(boxes, k: int, seed: int = 0, trace: list | None = None
             f"k={k} exceeds the {len(distinct)} distinct box sizes")
     centroids = _seed_centroids(distinct, k, np.random.default_rng(seed))
     new_centroids, assign, objective = centroids, None, np.inf
+    import hashlib   # here, not at the top: it costs `import yolotla` ~3 ms
+    adopted = set()   # digests of the adopted assignments: 32 bytes a round
     for _ in range(MAX_ROUNDS + 1):   # the seeds, then each round's update
         new_d = _distances(arr, new_centroids)
         new_assign = new_d.argmin(axis=1)
@@ -91,6 +97,10 @@ def fit_anchors(boxes, k: int, seed: int = 0, trace: list | None = None
         if new_objective > objective or not np.isfinite(new_centroids).all():
             break
         converged = np.array_equal(new_assign, assign)
+        digest = hashlib.sha256(new_assign).digest()
+        if digest in adopted and not converged:
+            break
+        adopted.add(digest)
         centroids, d, assign, objective = (new_centroids, new_d, new_assign,
                                            new_objective)
         if trace is not None:

@@ -150,51 +150,53 @@ def _anchor_text(anchors) -> str:
     return " ".join(f"({side(w)},{side(h)})" for w, h in anchors)
 
 
+def _printed(anchors) -> list:
+    """(w, h) rows as `--json` and `--patch-config` print them: two decimals
+    by numpy's rule, which rounds through a x100 that overflows past
+    ~1.8e306, so such a side is printed as fitted."""
+    arr = np.asarray(anchors)
+    with np.errstate(over="ignore"):
+        rounded = np.round(arr, 2)
+    return np.where(np.isfinite(rounded), rounded, arr).tolist()
+
+
 def cmd_anchors(args) -> tuple[int, dict, list[str]]:
     _check_seed(args.seed)
-    if args.patch_config:
-        if not args.scales:
+    sizes = None
+    if args.scales:
+        try:
+            sizes = [int(s) for s in args.scales.split(",") if s]
+        except ValueError:
+            raise ConfigError(f"--scales must be comma-separated "
+                              f"integers, got {args.scales!r}") from None
+    if args.patch_config:   # refused before the dataset is read
+        if sizes is None:
             raise ConfigError("--patch-config requires --scales")
         if not args.out:
             raise ConfigError("--patch-config requires --out")
+        cfg_doc = _config_doc(find_config(args.patch_config))
+        cfg = parse_config(cfg_doc)   # and again once patched
+        if len(cfg.detect_from) != len(sizes):
+            raise ConfigError(
+                f"config {cfg.name} detects on {len(cfg.detect_from)} "
+                f"scales, --scales names {len(sizes)}")
     # --out names the patched config, so without --patch-config no file
     with writing(args.out) if args.patch_config else nullcontext() as fh:
         ds = load_coco(args.dataset)
         boxes = [(ann.bbox[2], ann.bbox[3]) for ann in ds.annotations]
         anchors = fit_anchors(boxes, k=args.k, seed=args.seed)
-        # numpy rounds through a x100 that overflows past ~1.8e306, so such
-        # a side is printed as fitted
-        with np.errstate(over="ignore"):
-            rounded = np.round(anchors, 2)
-        doc = {"k": args.k, "seed": args.seed, "anchors": np.where(
-            np.isfinite(rounded), rounded, anchors).tolist()}
+        doc = {"k": args.k, "seed": args.seed, "anchors": _printed(anchors)}
         lines = [f"fitted {args.k} anchors over {len(boxes)} boxes (seed "
-                 f"{args.seed}):"]
-        lines.append("  " + _anchor_text(anchors))
-        if args.scales:
-            try:
-                sizes = [int(s) for s in args.scales.split(",") if s]
-            except ValueError:
-                raise ConfigError(f"--scales must be comma-separated "
-                                  f"integers, got {args.scales!r}") from None
+                 f"{args.seed}):", "  " + _anchor_text(anchors)]
+        if sizes is not None:
             anchor_set = assign_to_scales(anchors, sizes)
-            doc["scales"] = [
-                {"map": size, "anchors": [[w, h] for w, h in triple]}
-                for size, triple in anchor_set.scales]
+            doc["scales"] = [{"map": size, "anchors": _printed(triple)}
+                             for size, triple in anchor_set.scales]
             for size, triple in anchor_set.scales:
                 lines.append(f"  map {size:>4}: " + _anchor_text(triple))
         if fh:
-            cfg_path = find_config(args.patch_config)
-            cfg_doc = _config_doc(cfg_path)   # read once, parsed twice
-            cfg = parse_config(cfg_doc)
-            if len(cfg.detect_from) != len(anchor_set.scales):
-                raise ConfigError(
-                    f"config {cfg.name} detects on {len(cfg.detect_from)} "
-                    f"scales, fitted {len(anchor_set.scales)}")
-            # the scales' triples are the area-sorted anchors, in order
-            cfg_doc["anchors"] = [doc["anchors"][i:i + 3]
-                                  for i in range(0, args.k, 3)]
-            parse_config(cfg_doc)   # re-validate before writing
+            cfg_doc["anchors"] = [row["anchors"] for row in doc["scales"]]
+            parse_config(cfg_doc)
             fh.write((json.dumps(cfg_doc, indent=2) + "\n").encode())
             lines.append(f"wrote patched config to {args.out}")
             doc["patched"] = str(args.out)

@@ -1,4 +1,6 @@
 """Anchor fitting and scale assignment."""
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -93,8 +95,8 @@ def _ulp_taller(size):
 
 
 # two sizes, each with its one-ulp neighbour: with k = 3 and seed 0 the
-# assignment cycles between tied centroids for all MAX_ROUNDS rounds, and
-# a cluster is emptied and reseeded on the way
+# assignment cycles between tied centroids, which ran the reference for
+# all MAX_ROUNDS rounds, and a cluster is emptied and reseeded on the way
 _A, _B = (37.05514745049709, 1.511163575610894), (45.3639490253289,
                                                    3.355080293599766)
 CYCLING = [_A, _ulp_taller(_A), _B, _ulp_taller(_B), _ulp_taller(_A)]
@@ -228,14 +230,30 @@ class TestFitAnchors:
     @given(box_sets())
     @example((CYCLING, 3))
     def test_equals_the_reference_bit_for_bit(self, case):
+        """Where the reference ran to the cap, it was on a cycle, which now
+        ends the fit early: its trace then starts the reference's."""
         boxes, k = case
         for seed in range(3):
             trace: list[float] = []
             want: list[float] = []
             got = fit_anchors(boxes, k=k, seed=seed, trace=trace)
             ref = fit_anchors_reference(boxes, k, seed, want)
-            assert got.tobytes() == ref.tobytes()
-            assert trace == want
+            if len(want) <= MAX_ROUNDS:
+                assert got.tobytes() == ref.tobytes()
+                assert trace == want
+            else:
+                assert len(trace) < len(want)
+                assert trace == want[:len(trace)]
+
+    def test_a_cycle_ends_the_fit(self):
+        # the seeds and round 1 adopt two assignments, and round 2 repeats
+        # the first, so it is not adopted: round 1's centroids are the
+        # anchors, one of them a mean of _A and its neighbour
+        trace: list[float] = []
+        out = fit_anchors(CYCLING, k=3, seed=0, trace=trace)
+        assert trace == [0.0, 0.0]
+        assert out.tolist() == [list(_A), [_A[0], 1.5111635756108945],
+                                list(_B)]
 
     @pytest.mark.parametrize("k", [1, 2, 5, 12])
     def test_seeding_computes_one_distance_column_per_pick(self, k,
@@ -249,6 +267,15 @@ class TestFitAnchors:
         boxes = np.array(TABLE_ANCHORS, dtype=np.float64)
         _seed_centroids(boxes, k, np.random.default_rng(0))
         assert sum(columns) == k - 1
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_seeds_are_distinct_when_every_weight_is_zero(self, seed):
+        # after one pick from each pair, every box is at distance 0 from a
+        # chosen one, so the remaining seeds come from the fallback
+        boxes = np.unique([(8.0, 7.0), _ulp_taller((8.0, 7.0)), (30.0, 10.0),
+                           _ulp_taller((30.0, 10.0))], axis=0)
+        seeds = _seed_centroids(boxes, 4, np.random.default_rng(seed))
+        assert len(np.unique(seeds, axis=0)) == 4
 
     def test_k_exceeding_distinct_rejected(self):
         boxes = [(10, 10)] * 50 + [(20, 20)] * 50
@@ -292,6 +319,11 @@ class TestAssignToScales:
         assert [s for s, _ in out.scales] == [160, 80, 40, 20]
         for size, triple in out.scales:
             assert triple == TABLE_ROWS[size]
+
+    def test_result_is_immutable(self):
+        out = assign_to_scales(TABLE_ANCHORS, [160, 80, 40, 20])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            out.scales = ()
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(4)

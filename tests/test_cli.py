@@ -106,6 +106,11 @@ def sizes_dataset(path, sizes):
     return path
 
 
+# a 337.755 side, stored as 337.75499..., and eight sizes, each fitted as
+# its own anchor at k = 9
+NINE_SIZES = [(337.755, 10)] + [(10 + 7 * i, 12 + 5 * i) for i in range(8)]
+
+
 def refuse_constant(name):
     raise ValueError(f"{name} is not JSON")
 
@@ -490,6 +495,54 @@ class TestAnchorsCommand:
         assert_one_line_error(code, err)
         assert "scale sizes must be at least 1" in err
         assert out == ""
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--scales", "80,a"], "--scales must be comma-separated integers"),
+        (["--scales", "80,40,20", "--patch-config", "yolov5s-tiny"],
+         "config yolov5s-tiny detects on 4 scales, --scales names 3"),
+    ], ids=["not-integers", "count-mismatch"])
+    def test_bad_flags_refused_before_the_dataset_is_read(
+            self, workdir, capsys, monkeypatch, flags, message):
+        read = []
+        monkeypatch.setattr(cli, "load_coco", read.append)
+        out_cfg = workdir["root"] / "never.cfg"
+        code, out, err = run(["anchors", "--dataset", str(workdir["gt"]),
+                              "--k", "9", *flags, "--out", str(out_cfg)],
+                             capsys)
+        assert_one_line_error(code, err)
+        assert message in err
+        assert (out, read) == ("", [])
+        assert not out_cfg.exists()
+
+    def test_scales_and_patched_rows_are_the_anchors_in_triples(
+            self, tmp_path, capsys):
+        path = sizes_dataset(tmp_path / "nine.json", NINE_SIZES)
+        out_cfg = tmp_path / "patched.cfg"
+        code, out, _ = run(["anchors", "--dataset", str(path), "--k", "9",
+                            "--scales", "80,40,20", "--patch-config",
+                            "yolov5s", "--out", str(out_cfg), "--json"],
+                           capsys)
+        assert code == 0
+        doc = json.loads(out)
+        rows = [row["anchors"] for row in doc["scales"]]
+        assert [pair for row in rows for pair in row] == doc["anchors"]
+        assert json.loads(out_cfg.read_text())["anchors"] == rows
+        assert doc["patched"] == str(out_cfg)
+
+    def test_anchor_that_rounds_to_zero_is_not_patched_in(self, tmp_path,
+                                                          capsys):
+        # a 0.001 x 0.002 box is fitted as its own anchor, printed as
+        # [0.0, 0.0], which no config may hold
+        sizes = [(0.001, 0.002)] + [(10 + 7 * i, 12 + 5 * i) for i in range(8)]
+        path = sizes_dataset(tmp_path / "tiny.json", sizes)
+        out_cfg = tmp_path / "patched.cfg"
+        code, out, err = run(["anchors", "--dataset", str(path), "--k", "9",
+                              "--scales", "80,40,20", "--patch-config",
+                              "yolov5s", "--out", str(out_cfg)], capsys)
+        assert_one_line_error(code, err)
+        assert "anchors row 0 entry [0.0, 0.0] is not a finite positive" in err
+        assert out == ""
+        assert not out_cfg.exists()
 
     def test_unwritable_out_exits_one(self, workdir, capsys):
         out_cfg = workdir["root"] / "no-such-dir" / "patched.cfg"
@@ -994,6 +1047,15 @@ class TestEvalCommand:
         assert "999" in err
 
 
+# sha256 of what `anchors --k 9 --scales 80,40,20` writes on NINE_SIZES,
+# whose fitted anchors have three decimals
+NINE_DIGESTS = {
+    "json": "d07dea54fc264cab032bd0accc84b939ad1d47ec6caf9e519114f422cd7d9020",
+    "text": "5fb825a596631c13bbdb04a200db9c9d53ca71b5adc7426923e76862c38ae0ad",
+    "patched-config":
+        "004e1f2ef32fab10f41033ed705c9b15c35117900f641fe9bbe11cd3d7f1bff4",
+}
+
 # sha256 of what `eval` and `anchors` write on the workdir fixture
 REPORT_DIGESTS = {
     "anchors-json-scales":
@@ -1026,6 +1088,21 @@ class TestReportOutputGuard:
         written = (csv_path.read_bytes() if name == "eval-pr-csv"
                    else out.encode())
         assert hashlib.sha256(written).hexdigest() == REPORT_DIGESTS[name]
+
+    @pytest.mark.parametrize("name", sorted(NINE_DIGESTS))
+    def test_anchors_bytes_with_three_decimals(self, tmp_path, capsys, name):
+        # `scales` and the patched config print the `anchors` values:
+        # 337.76, not 337.755
+        path = sizes_dataset(tmp_path / "nine.json", NINE_SIZES)
+        out_cfg = tmp_path / "patched.cfg"
+        flags = {"json": ["--json"], "text": [], "patched-config": [
+            "--patch-config", "yolov5s", "--out", str(out_cfg)]}[name]
+        code, out, _ = run(["anchors", "--dataset", str(path), "--k", "9",
+                            "--scales", "80,40,20", *flags], capsys)
+        assert code == 0
+        written = (out_cfg.read_bytes() if name == "patched-config"
+                   else out.encode())
+        assert hashlib.sha256(written).hexdigest() == NINE_DIGESTS[name]
 
 
 class _HalfWriter:

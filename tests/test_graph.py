@@ -1,4 +1,5 @@
 """Config parsing, scaling, deterministic init, weight files, execution."""
+import io
 import json
 import os
 import re
@@ -10,7 +11,7 @@ import weakref
 import numpy as np
 import pytest
 
-from yolotla import graph, meter, tensor
+from yolotla import errors, graph, meter, tensor
 from yolotla.costs import analyze, count_empirical
 from yolotla.data import letterbox, unletterbox_box
 from yolotla.errors import ConfigError, ParseError, ShapeError, WeightError
@@ -587,6 +588,19 @@ class TestWeightFiles:
         blob = path.read_bytes()
         path.write_bytes(blob[:-8])
         with pytest.raises(ParseError, match="truncated|trailing"):
+            load_weights(path)
+
+    def test_payload_read_that_comes_back_short(self, tmp_path, monkeypatch):
+        # the file held the payload when it was measured, but shrinks
+        # before the payload is read, so the read returns a byte short
+        path = tmp_path / "w.tlaw"
+        save_weights(path, {"w": np.zeros(4, np.float32)})
+
+        class ShortReads(io.FileIO):
+            def readinto(self, buf):
+                return super().readinto(memoryview(buf).cast("B")[:-1])
+        monkeypatch.setattr(errors, "open", ShortReads, raising=False)
+        with pytest.raises(ParseError, match="truncated in payload of w$"):
             load_weights(path)
 
     def test_trailing_bytes_are_counted(self, tmp_path):
