@@ -44,6 +44,11 @@ def _check_sides(arr: np.ndarray, what: str) -> None:
                           f"not finite and positive")
 
 
+def _check_k(k: int) -> None:
+    if k < 1:
+        raise ConfigError(f"k must be at least 1, got {k}")
+
+
 def _seed_centroids(boxes: np.ndarray, k: int, rng) -> np.ndarray:
     """k-means++: weight each next pick by squared distance to the nearest
     chosen box; only the newest pick can lower that distance."""
@@ -81,8 +86,7 @@ def fit_anchors(boxes, k: int, seed: int = 0, trace: list | None = None
         raise ConfigError("boxes must be a non-empty list of (w, h) pairs")
     _check_sides(arr, "box(es)")
     distinct = np.unique(arr, axis=0)
-    if k < 1:
-        raise ConfigError(f"k must be at least 1, got {k}")
+    _check_k(k)
     if k > len(distinct):
         raise ConfigError(
             f"k={k} exceeds the {len(distinct)} distinct box sizes")
@@ -125,6 +129,16 @@ class AnchorSet:
     scales: tuple[tuple[int, tuple[tuple[float, float], ...]], ...]
 
 
+def _check_split(k: int, sizes: list[int]) -> None:
+    """Refuse map sizes below 1 or repeated, or k not three per map."""
+    if min(sizes, default=1) < 1:
+        raise ConfigError(f"scale sizes must be at least 1, got {sizes}")
+    if k != 3 * len(sizes):
+        raise ConfigError(f"{k} anchors cannot fill {len(sizes)} scales of 3")
+    if len(set(sizes)) != len(sizes):
+        raise ConfigError(f"scale sizes repeat: {sizes}")
+
+
 def assign_to_scales(anchors, scale_sizes) -> AnchorSet:
     """Split area-sorted anchors into triples, smallest → largest map."""
     arr = np.asarray(anchors, dtype=np.float64)
@@ -132,13 +146,7 @@ def assign_to_scales(anchors, scale_sizes) -> AnchorSet:
         raise ConfigError("anchors must be (w, h) pairs")
     _check_sides(arr, "anchor(s)")
     sizes = [int(s) for s in scale_sizes]
-    if min(sizes, default=1) < 1:
-        raise ConfigError(f"scale sizes must be at least 1, got {sizes}")
-    if len(arr) != 3 * len(sizes):
-        raise ConfigError(
-            f"{len(arr)} anchors cannot fill {len(sizes)} scales of 3")
-    if len(set(sizes)) != len(sizes):
-        raise ConfigError(f"scale sizes repeat: {sizes}")
+    _check_split(len(arr), sizes)
     ordered = _sort_anchors(arr)
     rows = []
     for i, size in enumerate(sorted(sizes, reverse=True)):

@@ -30,14 +30,14 @@ from contextlib import nullcontext
 import numpy as np
 
 from . import meter
-from .anchors import assign_to_scales, fit_anchors
+from .anchors import _check_k, _check_split, assign_to_scales, fit_anchors
 from .blocks import BLOCKS
 from .costs import (CONVENTION, analyze, closed_form_cross,
                     closed_form_standard)
-from .data import load_coco, load_image, load_results
+from .data import load_coco, load_image, load_results, read_json
 from .errors import ConfigError, YoloTlaError, writing
-from .graph import (_config_doc, build_model, bundled_config_names,
-                    find_config, parse_config)
+from .graph import (build_model, bundled_config_names, find_config,
+                    parse_config)
 from .metrics import ap_from_ranking, evaluate, exact_envelope_ap
 from .postprocess import (DEFAULT_CONF_THRESHOLD, DEFAULT_IOU_THRESHOLD,
                           results_json)
@@ -162,6 +162,7 @@ def _printed(anchors) -> list:
 
 def cmd_anchors(args) -> tuple[int, dict, list[str]]:
     _check_seed(args.seed)
+    _check_k(args.k)   # k and the split are refused before the dataset is read
     sizes = None
     if args.scales:
         try:
@@ -169,12 +170,13 @@ def cmd_anchors(args) -> tuple[int, dict, list[str]]:
         except ValueError:
             raise ConfigError(f"--scales must be comma-separated "
                               f"integers, got {args.scales!r}") from None
+        _check_split(args.k, sizes)
     if args.patch_config:   # refused before the dataset is read
         if sizes is None:
             raise ConfigError("--patch-config requires --scales")
         if not args.out:
             raise ConfigError("--patch-config requires --out")
-        cfg_doc = _config_doc(find_config(args.patch_config))
+        cfg_doc = read_json(find_config(args.patch_config), "config", dict)
         cfg = parse_config(cfg_doc)   # and again once patched
         if len(cfg.detect_from) != len(sizes):
             raise ConfigError(

@@ -5,10 +5,10 @@ categories arrays; only the documented field subset is read, extra
 fields are ignored), and detections the COCO results layout. In both,
 ids, widths and heights are JSON integers, a file name and a category
 name are JSON strings (a missing name reads as ""), image and category ids
-are unique, an annotation or a result names a listed image, a bbox is four
-finite JSON numbers and a score one. Images load from binary PPM ("P6",
-8-bit) or the ".tns" tensor format; richer codecs are out of scope to keep
-the dependency surface flat.
+are unique, an annotation or a result names a listed image and a listed
+category, a bbox is four finite JSON numbers and a score one. Images load
+from binary PPM ("P6", 8-bit) or the ".tns" tensor format; richer codecs
+are out of scope to keep the dependency surface flat.
 
 Letterboxing preserves aspect ratio: `tensor.resize_nearest` (nearest
 neighbor, chosen for bit-for-bit determinism) so the longer side hits the
@@ -83,16 +83,21 @@ class Dataset:
 _NUMBER = frozenset((int, float))   # json.loads types; type(True) is bool
 
 
-def read_json(path, what: str):
-    """The JSON document in the file at path; `what` names it in errors."""
+def read_json(path, what: str, root: type):
+    """The JSON document in the file at path, whose root must be a ``root``
+    (dict or list); `what` names it in errors."""
     try:
         with reading(path, what) as fh:
-            return json.loads(fh.read().decode("utf-8"))
+            doc = json.loads(fh.read().decode("utf-8"))
     except UnicodeDecodeError as e:
         raise ParseError(f"{what} {path} is not UTF-8 text: {e}") from e
     except (ValueError, RecursionError) as e:
         # bad JSON, an integer past Python's digit limit, or deep nesting
         raise ParseError(f"{what} {path} is not valid JSON: {e}") from e
+    if not isinstance(doc, root):
+        raise ParseError(f"{what} {path}: root must be "
+                         f"{'an object' if root is dict else 'a list'}")
+    return doc
 
 
 def _records(path, section: str, rows: list, parse) -> list:
@@ -136,12 +141,20 @@ def _bbox(rec: dict) -> tuple[float, float, float, float]:
     return box
 
 
+def _references(rec: dict, image_ids, category_ids) -> tuple[int, int]:
+    """``rec``'s image_id and category_id, each one the ground truth lists."""
+    img, cat = _integer(rec, "image_id"), _integer(rec, "category_id")
+    if img not in image_ids:
+        raise ParseError(f"references missing image {img}")
+    if cat not in category_ids:
+        raise ParseError(f"references missing category {cat}")
+    return img, cat
+
+
 def load_coco(path) -> Dataset:
     """Read a COCO instances JSON; degenerate boxes are dropped, counted,
     and reported through the package logger."""
-    doc = read_json(path, "annotations")
-    if not isinstance(doc, dict):
-        raise ParseError(f"{path}: annotation root must be an object")
+    doc = read_json(path, "annotations", dict)
     for key in ("images", "annotations", "categories"):
         if not isinstance(doc.get(key), list):
             raise ParseError(f"{path}: missing or invalid '{key}' array")
@@ -151,16 +164,8 @@ def load_coco(path) -> Dataset:
         _integer(rec, "width"), _integer(rec, "height")))
     categories = _records(path, "categories", doc["categories"], lambda rec: (
         _integer(rec, "id", category_ids), _string(rec.get("name", ""), "name")))
-
-    def annotation(rec):
-        img, cat = _integer(rec, "image_id"), _integer(rec, "category_id")
-        if img not in image_ids:
-            raise ParseError(f"references missing image {img}")
-        if cat not in category_ids:
-            raise ParseError(f"references missing category {cat}")
-        return Annotation(img, cat, _bbox(rec))
-
-    parsed = _records(path, "annotations", doc["annotations"], annotation)
+    parsed = _records(path, "annotations", doc["annotations"], lambda rec: (
+        Annotation(*_references(rec, image_ids, category_ids), _bbox(rec))))
     annotations = [a for a in parsed if a.bbox[2] > 0 and a.bbox[3] > 0]
     if len(annotations) < len(parsed):
         log.warning("%s: dropped %d annotation(s) with non-positive size",
@@ -171,24 +176,19 @@ def load_coco(path) -> Dataset:
 
 def load_results(path, ds: Dataset) -> dict[int, list[Detection]]:
     """Read COCO results as {image_id: [Detection]} in ``ds``'s classes."""
-    rows = read_json(path, "results")
-    if not isinstance(rows, list):
-        raise ParseError(f"{path}: results root must be a list")
+    rows = read_json(path, "results", list)
     dets: dict[int, list[Detection]] = {}
     image_ids = {im.id for im in ds.images}
 
     def detection(rec):
-        img, cat = _integer(rec, "image_id"), _integer(rec, "category_id")
+        img, cat = _references(rec, image_ids, ds._class_of)
         x, y, w, h = _bbox(rec)
         if not is_instance(score := rec["score"], int, float):
             raise TypeError(f"'score' must be a number, got {score!r}")
         if not math.isfinite(score):
             raise ParseError(f"has a non-finite score {score}")
-        cls = ds.class_index(cat)
-        if img not in image_ids:
-            raise ParseError(f"references missing image {img}")
         dets.setdefault(img, []).append(
-            Detection((x, y, x + w, y + h), cls, float(score)))
+            Detection((x, y, x + w, y + h), ds._class_of[cat], float(score)))
 
     _records(path, "results", rows, detection)
     return dets

@@ -187,15 +187,10 @@ def _parse_layer(index: int, row) -> LayerSpec:
     return LayerSpec(index, tuple(resolved), repeats, kind, dict(args))
 
 
-def _config_doc(path) -> dict:
-    if not isinstance(doc := read_json(path, "config"), dict):
-        raise ConfigError(f"config {path}: root must be an object")
-    return doc
-
-
 def parse_config(source) -> ModelConfig:
     """Parse and validate a model config from a path or an already-read dict."""
-    doc = source if isinstance(source, dict) else _config_doc(source)
+    doc = (source if isinstance(source, dict)
+           else read_json(source, "config", dict))
     missing = _TOP_FIELDS - set(doc)
     if missing:
         raise ConfigError(f"config is missing fields: {sorted(missing)}")

@@ -500,7 +500,14 @@ class TestAnchorsCommand:
         (["--scales", "80,a"], "--scales must be comma-separated integers"),
         (["--scales", "80,40,20", "--patch-config", "yolov5s-tiny"],
          "config yolov5s-tiny detects on 4 scales, --scales names 3"),
-    ], ids=["not-integers", "count-mismatch"])
+        (["--scales", "160,80,40,20"], "9 anchors cannot fill 4 scales of 3"),
+        (["--scales", "80,80,40"], "scale sizes repeat"),
+        (["--scales", "80,40,0"], "scale sizes must be at least 1"),
+        (["--k", str(10**12), "--scales", "80,40,20"],
+         f"{10**12} anchors cannot fill 3 scales of 3"),
+        (["--k", "0"], "k must be at least 1, got 0"),
+    ], ids=["not-integers", "count-mismatch", "k-mismatch", "sizes-repeat",
+            "size-below-one", "huge-k", "k-below-one"])
     def test_bad_flags_refused_before_the_dataset_is_read(
             self, workdir, capsys, monkeypatch, flags, message):
         read = []

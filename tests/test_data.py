@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from yolotla.data import (Dataset, letterbox, load_coco, load_image,
-                          resize_nearest, unletterbox_box, PAD_VALUE)
+from yolotla.data import (Dataset, ImageInfo, letterbox, load_coco,
+                          load_image, load_results, resize_nearest,
+                          unletterbox_box, PAD_VALUE)
 from yolotla.errors import ConfigError, ParseError
+from yolotla.graph import parse_config
 from yolotla.tensor import Tensor, save_tns
 
 
@@ -117,6 +119,18 @@ class TestLoadCoco:
                                  r"category 42"):
             load_coco(write_doc(tmp_path, doc))
 
+    @pytest.mark.parametrize("position", range(4))
+    @pytest.mark.parametrize("value", ["1", True, None], ids=repr)
+    def test_each_bbox_entry_must_be_a_number(self, tmp_path, position, value):
+        doc = coco_doc()
+        doc["annotations"][2]["bbox"][position] = value
+        p = write_doc(tmp_path, doc)
+        with pytest.raises(ParseError) as info:
+            load_coco(p)
+        assert str(info.value).startswith(
+            f"{p}: annotations[2] is malformed: 'bbox' must be a list of 4 "
+            f"numbers")
+
     def test_unknown_extra_fields_ignored(self, tmp_path):
         doc = coco_doc()
         doc["info"] = {"year": 2024}
@@ -149,6 +163,60 @@ class TestLoadCoco:
         del doc["categories"][0]["name"]
         ds = load_coco(write_doc(tmp_path, doc))
         assert ds.categories == ((3, "dog"), (7, ""))
+
+
+# coco_doc's images and categories, for the results reader
+GT = Dataset((ImageInfo(1, "a.ppm", 64, 48), ImageInfo(2, "b.ppm", 32, 32)),
+             (), ((3, "dog"), (7, "cat")))
+
+
+def read_results(path):
+    return load_results(path, GT)
+
+
+def results_rows():
+    return [{"image_id": img, "category_id": cat, "bbox": [0, 0, 4, 4],
+             "score": 0.5} for img, cat in ((1, 3), (2, 7))]
+
+
+# every JSON document's reader and the root type it must have
+DOCUMENTS = {"config": (parse_config, dict), "annotations": (load_coco, dict),
+             "results": (read_results, list)}
+
+
+class TestDocumentRules:
+    """The root-type rule of `read_json`, as every reader meets it, and the
+    reference rule of `load_coco` as `load_results` meets it."""
+
+    @pytest.mark.parametrize("what, text", [
+        (what, text) for what, (_, root) in DOCUMENTS.items()
+        for text in ("[]", "{}", "null", "3", '"text"')
+        if type(json.loads(text)) is not root])
+    def test_a_wrong_root_is_refused(self, tmp_path, what, text):
+        read, root = DOCUMENTS[what]
+        p = tmp_path / "doc.json"
+        p.write_text(text)
+        with pytest.raises(ParseError) as info:
+            read(p)
+        assert str(info.value) == (f"{what} {p}: root must be "
+                                   + ("an object" if root is dict else "a list"))
+
+    @pytest.mark.parametrize("fields, missing", [
+        (("image_id",), "image"),
+        (("category_id",), "category"),
+        (("image_id", "category_id"), "image"),   # an image is checked first
+    ], ids=["image", "category", "both"])
+    def test_a_result_with_an_unlisted_reference_is_refused(
+            self, tmp_path, fields, missing):
+        # as an annotation is (TestLoadCoco's dangling-reference tests)
+        rows = results_rows()
+        for field in fields:
+            rows[1][field] = 99
+        p = write_doc(tmp_path, rows, "results.json")
+        with pytest.raises(ParseError) as info:
+            read_results(p)
+        assert str(info.value) == (
+            f"{p}: results[1] references missing {missing} 99")
 
 
 class TestLoadImage:
@@ -207,6 +275,15 @@ class TestLoadImage:
         save_tns(t, p)
         np.testing.assert_array_equal(load_image(p).data, t.data)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_tns_pixel_that_is_not_finite_rejected(self, tmp_path, value):
+        pixels = np.zeros((1, 3, 2, 2), np.float32)
+        pixels[0, 1, 1, 0] = value
+        p = tmp_path / "odd.tns"
+        save_tns(Tensor(pixels), p)
+        with pytest.raises(ParseError, match="pixel values must be finite"):
+            load_image(p)
+
     def test_tns_wrong_layout(self, tmp_path):
         p = tmp_path / "mono.tns"
         save_tns(Tensor(np.zeros((1, 1, 4, 4), np.float32)), p)
@@ -241,6 +318,12 @@ class TestResize:
 
 
 class TestLetterbox:
+
+    @pytest.mark.parametrize("h, w", [(1, 96), (96, 1)])
+    def test_a_side_that_rounds_to_zero_keeps_one_pixel(self, h, w):
+        # 1 * 8 / 96 rounds to 0 pixels; the image still shows as one line
+        out, _, _ = letterbox(Tensor(np.ones((1, 3, h, w), np.float32)), 8)
+        assert np.count_nonzero(out.data == 1.0) == 3 * 8
 
     def test_square_at_target_unchanged(self):
         rng = np.random.default_rng(2)

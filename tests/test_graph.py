@@ -222,7 +222,7 @@ class TestParseValidation:
     UNREADABLE = {
         "truncated-json": (b'{"name": "toy", "nc"', ParseError, "not valid JSON"),
         "not-utf8": (b'{"name": "\xe9"}', ParseError, "not UTF-8"),
-        "list-root": (b"[1, 2]", ConfigError, "root must be an object"),
+        "list-root": (b"[1, 2]", ParseError, "root must be an object"),
     }
 
     @pytest.mark.parametrize("name", UNREADABLE)

@@ -156,6 +156,17 @@ def test_only_tensor_padded_pads():
     assert package_calling_scopes(calls_numpy("pad")) == {"tensor._padded"}
 
 
+def calls_json_load(call: ast.Call) -> bool:
+    func = call.func
+    return (isinstance(func, ast.Attribute) and func.attr in ("load", "loads")
+            and getattr(func.value, "id", None) == "json")
+
+
+def test_only_data_read_json_parses_json():
+    # configs, annotations and results all meet its one root-type rule
+    assert package_calling_scopes(calls_json_load) == {"data.read_json"}
+
+
 def test_only_tensor_logistic_calls_exp():
     # sigmoid, silu and sigmoid64 share one logistic and its overflow rule
     assert package_calling_scopes(calls_numpy("exp")) == {"tensor._logistic"}
