@@ -90,8 +90,7 @@ def _render_report_text(rep) -> list[str]:
              f"{rep.input_shape[2]}x{rep.input_shape[3]}"]
     lines.append(f"{'idx':>4} {'kind':<14} {'output':>20} {'params':>12} "
                  f"{'MACs':>14} {'FLOPs':>14}")
-    rows = list(rep.layers) + ([rep.head] if rep.head else [])
-    for r in rows:
+    for r in [*rep.layers, rep.head]:
         shape = "x".join(str(v) for v in r.out_shape)
         lines.append(f"{r.index:>4} {r.kind:<14} {shape:>20} "
                      f"{r.params:>12,} {r.macs:>14,} {r.flops:>14,}")
@@ -265,13 +264,13 @@ def cmd_eval(args) -> tuple[int, dict, list[str]]:
         if fh:
             fh.write(("class,recall,precision\n" + "".join(
                 f"{cls},{r:.6f},{p:.6f}\n" for cls in rep.classes
-                for r, p in rep.pr_curves.get(cls, []))).encode())
-    names = {ds.class_index(cid): name for cid, name in ds.categories}
+                for r, p in rep.pr_curves[cls])).encode())
+    names = [name for _, name in ds.categories]   # a class is its position
     lines = [f"{'class':<16} {'P':>7} {'R':>7} {'AP@0.5':>8} "
              f"{'AP@0.5:0.95':>12}"]
     for cls in rep.classes:
         r = rep.per_class[cls]
-        lines.append(f"{names.get(cls, str(cls)):<16} {r.precision:>7.4f} "
+        lines.append(f"{names[cls]:<16} {r.precision:>7.4f} "
                      f"{r.recall:>7.4f} {r.ap50:>8.4f} {r.ap_range:>12.4f}")
     lines.append(f"macro: P {rep.precision:.4f}  R {rep.recall:.4f}  "
                  f"F1 {rep.f1:.4f}")

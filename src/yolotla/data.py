@@ -60,23 +60,16 @@ class Dataset:
 
     @cached_property
     def _class_of(self) -> dict[int, int]:
+        """Category id -> class: its position in ``categories``."""
         return {cid: i for i, (cid, _) in enumerate(self.categories)}
 
-    def class_index(self, category_id: int) -> int:
-        """Contiguous class index of a category id (position in the
-        ascending id list); `eval` reads result rows through it too."""
-        try:
-            return self._class_of[category_id]
-        except KeyError:
-            raise ParseError(f"unknown category id {category_id}") from None
-
     def gt_by_image(self) -> dict[int, list]:
-        """Ground truth as {image_id: [((x1, y1, x2, y2), class_index)]}."""
+        """Ground truth as {image_id: [((x1, y1, x2, y2), class)]}."""
         out: dict[int, list] = {img.id: [] for img in self.images}
         for ann in self.annotations:
             x, y, w, h = ann.bbox
             out[ann.image_id].append(
-                ((x, y, x + w, y + h), self.class_index(ann.category_id)))
+                ((x, y, x + w, y + h), self._class_of[ann.category_id]))
         return out
 
 

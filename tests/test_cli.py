@@ -969,6 +969,28 @@ class TestEvalCommand:
         assert lines[0] == "class,recall,precision"
         assert len(lines) > 1
 
+    def test_unannotated_category_keeps_each_class_name(self, workdir,
+                                                        capsys):
+        # a class is its category's position among all listed ids, so a
+        # category without boxes (5, between dog 3 and cat 7) moves cat
+        # from class 1 to 2 and changes no name or figure
+        doc = json.loads(workdir["gt"].read_text())
+        doc["categories"].insert(0, {"id": 5, "name": "bird"})
+        gt = workdir["root"] / "unannotated-category.json"
+        gt.write_text(json.dumps(doc))
+        csv_path = workdir["root"] / "curve.csv"
+        texts, csvs = [], []
+        for path in (workdir["gt"], gt):
+            code, out, _ = run(
+                ["eval", "--gt", str(path), "--results",
+                 str(workdir["results"]), "--pr-csv", str(csv_path)], capsys)
+            assert code == 0
+            texts.append(out)
+            csvs.append(csv_path.read_text().splitlines())
+        assert texts[1] == texts[0]
+        assert csvs[1] == [("2" + row[1:]) if row.startswith("1,") else row
+                           for row in csvs[0]]
+
     def test_unwritable_pr_csv_exits_one(self, workdir, capsys):
         code, _, err = run(
             ["eval", "--gt", str(workdir["gt"]),

@@ -218,6 +218,15 @@ class TestAveragePrecision:
     def test_exact_envelope_of_nothing_is_zero(self, flags, n_gt):
         assert metrics.exact_envelope_ap(flags, n_gt) == 0.0
 
+    @pytest.mark.parametrize("flags, n_gt, area", [
+        ([True], 1, 1.0),
+        ([False, True], 1, 0.5),   # the envelope lifts the first miss
+        ([True, False, True], 2, 0.5 * 1.0 + 0.5 * (2 / 3)),
+        ([True, True], 4, 0.5),
+    ])
+    def test_exact_envelope_worked_examples(self, flags, n_gt, area):
+        assert metrics.exact_envelope_ap(flags, n_gt) == pytest.approx(area)
+
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(11)
         checked = 0
@@ -549,3 +558,13 @@ class TestNonFiniteInput:
                            match=r"^image 5: ground truth 1 .*inf") as e:
             evaluate(gts, {3: [det((0, 0, 10, 10))]})
         assert "\n" not in str(e.value)
+
+    @pytest.mark.parametrize("coordinate", range(4))
+    def test_ground_truth_refusal_names_its_row(self, coordinate):
+        # whichever coordinate is NaN, the message names that box's row
+        box = [0, 0, 10, 10]
+        box[coordinate] = math.nan
+        gts = {3: [gt((0, 0, 10, 10))],
+               5: [gt((0, 0, 10, 10)), gt((1, 1, 9, 9)), gt(tuple(box))]}
+        with pytest.raises(YoloTlaError, match=r"^image 5: ground truth 2 "):
+            evaluate(gts, {})
